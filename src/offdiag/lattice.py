@@ -6,6 +6,11 @@ off-diagonal-decay class handled downstream, so algebra identities and norm
 inequalities can be checked without truncation error.  Windows only act as
 approximations when a generator family is re-sampled at growing radii to
 emulate an infinite operator.
+
+Window geometry has one kernel, built without n x n index tables:
+``diagonal_suprema`` (suprema along each diagonal i - j = k), ``ring_suprema``
+(their envelope over |k|_inf >= m) and the inverse placement of a (4R+1)^d
+diagonal array, which assembles Toeplitz matrices and ``Window.dist``.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Window",
@@ -25,6 +31,8 @@ __all__ = [
     "WindowMismatchError",
     "ring_count",
     "ring_counts",
+    "diagonal_suprema",
+    "ring_suprema",
     "decay_profile",
     "adjoint",
     "add",
@@ -84,33 +92,10 @@ class Window:
     @cached_property
     def dist(self) -> np.ndarray:
         """Pairwise sup-distances |i - j|_inf, shape (size, size)."""
-        ix = self.indices
-        m = np.abs(ix[:, None, :] - ix[None, :, :]).max(axis=2)
+        k = np.abs(np.arange(-2 * self.radius, 2 * self.radius + 1))
+        m = _place_diagonals(reduce(np.maximum.outer, [k] * self.d), self)
         m.setflags(write=False)
         return m
-
-    @cached_property
-    def _dist_groups(self):
-        # Sorted grouping of index pairs by sup-distance; lets decay profiles
-        # use a single reduceat instead of a slow ufunc.at scatter.
-        flat = self.dist.ravel()
-        perm = np.argsort(flat, kind="stable")
-        sorted_d = flat[perm]
-        starts = np.flatnonzero(np.r_[True, sorted_d[1:] != sorted_d[:-1]])
-        return perm, starts, sorted_d[starts]
-
-    @cached_property
-    def _diff_groups(self):
-        # Grouping of pairs by the difference vector i - j (matrix diagonals).
-        ix = self.indices
-        diffs = ix[:, None, :] - ix[None, :, :]
-        base = 4 * self.radius + 1
-        weightv = base ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        codes = ((diffs + 2 * self.radius) * weightv).sum(axis=2).ravel()
-        perm = np.argsort(codes, kind="stable")
-        sorted_c = codes[perm]
-        starts = np.flatnonzero(np.r_[True, sorted_c[1:] != sorted_c[:-1]])
-        return perm, starts
 
     def flat(self, index) -> int:
         """Lexicographic position of a lattice point."""
@@ -160,7 +145,7 @@ class LocalizedMatrix:
     __slots__ = ("window", "data")
 
     def __init__(self, window: Window, data, *, copy: bool = True):
-        arr = np.array(data, dtype=np.complex128, copy=copy)
+        arr = (np.array if copy else np.asarray)(data, dtype=np.complex128)
         if arr.shape != (window.size, window.size):
             raise ValueError(
                 f"data shape {arr.shape} does not match window size {window.size}"
@@ -200,7 +185,7 @@ class LatticeSequence:
     __slots__ = ("window", "data")
 
     def __init__(self, window: Window, data, *, copy: bool = True):
-        arr = np.array(data, dtype=np.complex128, copy=copy)
+        arr = (np.array if copy else np.asarray)(data, dtype=np.complex128)
         if arr.shape != (window.size,):
             raise ValueError(
                 f"data shape {arr.shape} does not match window size {window.size}"
@@ -256,6 +241,49 @@ class DecayProfile:
         return self.values.size - 1
 
 
+def diagonal_suprema(mag, window: Window) -> np.ndarray:
+    """sup_{i-j=k} mag(i, j) for every k in [-2R, 2R]^d, shape (4R+1,)^d.
+
+    One axis at a time: the rows of the (i_a, j_a) block, reversed in j_a,
+    are laid into a zero-padded buffer of row length 2 side and read back
+    with row length 2 side - 1.  That shifts row i_a by i_a, putting j_a in
+    column i_a - j_a + 2R, so a max over i_a leaves the diagonal index k_a.
+    Entries are assumed nonnegative; max is exact under any grouping.
+    """
+    s, d = window.side, window.d
+    x = np.asarray(mag).reshape((s,) * (2 * d))
+    x = x.transpose(np.arange(2 * d).reshape(2, d).T.ravel())  # i_1, j_1, i_2, j_2, ...
+    for _ in range(d):
+        rest = x.shape[2:]
+        buf = np.zeros((s, 2 * s) + rest, dtype=x.dtype)
+        buf[:, :s] = x[:, ::-1]
+        skew = buf.reshape((2 * s * s,) + rest)[: s * (2 * s - 1)]
+        x = np.moveaxis(skew.reshape((s, 2 * s - 1) + rest).max(axis=0), 0, -1)
+    return np.ascontiguousarray(x)
+
+
+def ring_suprema(diag: np.ndarray) -> np.ndarray:
+    """h(m) = sup{diag(k) : |k|_inf >= m}, m = 0..2R, from diagonal suprema.
+
+    |k|_inf >= m exactly when some |k_a| >= m, so h is the reverse running
+    max of the per-axis marginal suprema folded onto |k_a|.
+    """
+    c = diag.shape[0] // 2
+    f = np.zeros(c + 1, dtype=np.float64)
+    for a in range(diag.ndim):
+        v = diag.max(axis=tuple(b for b in range(diag.ndim) if b != a))
+        f = np.maximum(f, np.maximum(v[c:], v[c::-1]))
+    return np.maximum.accumulate(f[::-1])[::-1]
+
+
+def _place_diagonals(coef: np.ndarray, window: Window) -> np.ndarray:
+    """The (size, size) matrix T(i, j) = coef[i - j + 2R], coef of shape (4R+1,)^d."""
+    s, n = window.side, window.size
+    view = sliding_window_view(coef, (s,) * window.d)  # view[p, q] = coef[p + q]
+    flipped = view[(Ellipsis,) + (slice(None, None, -1),) * window.d]  # q -> s - 1 - q
+    return np.ascontiguousarray(flipped.reshape(n, n))
+
+
 def decay_profile(a: LocalizedMatrix, weight=None) -> DecayProfile:
     """Ring suprema h(m) = sup{|a(i,j)| u(i,j) : |i-j|_inf >= m}, m = 0..2R.
 
@@ -266,12 +294,7 @@ def decay_profile(a: LocalizedMatrix, weight=None) -> DecayProfile:
     mag = np.abs(a.data)
     if weight is not None:
         mag = mag * weight.grid(w)
-    perm, starts, dvals = w._dist_groups
-    per_dist = np.maximum.reduceat(mag.ravel()[perm], starts)
-    f = np.zeros(2 * w.radius + 1, dtype=np.float64)
-    f[dvals] = per_dist
-    h = np.maximum.accumulate(f[::-1])[::-1]
-    return DecayProfile(h, w.d)
+    return DecayProfile(ring_suprema(diagonal_suprema(mag, w)), w.d)
 
 
 def adjoint(a: LocalizedMatrix) -> LocalizedMatrix:
@@ -346,9 +369,7 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
         off = _as_offset(window, params.pop("offset", 1))
         if params:
             raise ValueError(f"unknown shift params: {sorted(params)}")
-        ix = window.indices
-        mask = np.all(ix[:, None, :] - ix[None, :, :] == off, axis=2)
-        return LocalizedMatrix(window, mask.astype(np.complex128), copy=False)
+        return generate("toeplitz_from_coeffs", window, coeffs={tuple(off): 1.0})
 
     if kind == "banded_random":
         bandwidth = int(params.pop("bandwidth"))
@@ -381,14 +402,13 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
         coeffs = params.pop("coeffs")
         if params:
             raise ValueError(f"unknown toeplitz params: {sorted(params)}")
-        ix = window.indices
-        diffs = ix[:, None, :] - ix[None, :, :]
-        data = np.zeros((n, n), dtype=np.complex128)
+        span = 2 * window.radius
+        coef = np.zeros((2 * span + 1,) * window.d, dtype=np.complex128)
         for key, v in coeffs.items():
-            vec = _as_offset(window, key) if not isinstance(key, tuple) else np.asarray(key)
-            mask = np.all(diffs == vec, axis=2)
-            data[mask] = complex(v)
-        return LocalizedMatrix(window, data, copy=False)
+            vec = _as_offset(window, key)
+            if np.abs(vec).max() <= span:  # farther diagonals miss the window
+                coef[tuple(vec + span)] = complex(v)
+        return LocalizedMatrix(window, _place_diagonals(coef, window), copy=False)
 
     raise ValueError(f"unknown generator kind {kind!r}")
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LocalizedMatrix, decay_profile, multiply, ring_counts
+from .lattice import (LocalizedMatrix, decay_profile, diagonal_suprema, multiply,
+                      ring_counts)
 from .spectral import operator_norm_l2
 from .weights import ThetaFit
 
@@ -72,11 +73,7 @@ def beurling_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
 
 def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """l^p over k in Z^d of the diagonal suprema sup_{i-j=k} |a(i,j)| u(i,j)."""
-    w = a.window
-    mag = _weighted_mag(a, weight)
-    perm, starts = w._diff_groups
-    sups = np.maximum.reduceat(mag.ravel()[perm], starts)
-    return _lp(sups, p)
+    return _lp(diagonal_suprema(_weighted_mag(a, weight), a.window).ravel(), p)
 
 
 def schur_norm(a: LocalizedMatrix, p: float, weight=None) -> float:

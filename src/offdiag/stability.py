@@ -13,6 +13,7 @@ factor >= 2 when the window radius doubles.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,8 @@ __all__ = [
 
 def effective_bandwidth(a: LocalizedMatrix, tol: float = 1e-12) -> int:
     """Largest |i-j|_inf carrying an entry above tol."""
-    mask = np.abs(a.data) > tol
-    if not mask.any():
-        return 0
-    return int(a.window.dist[mask].max())
+    above = np.flatnonzero(decay_profile(a).values > tol)
+    return int(above[-1]) if above.size else 0
 
 
 def _tent(x: np.ndarray) -> np.ndarray:
@@ -83,9 +82,6 @@ class PartitionOperator:
         rng = np.arange(-2 * n + 1, 2 * n)
         grids = np.meshgrid(*([rng] * d), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1) + np.asarray(self.center)
-        return float(self.alpha_values(w, pts))
-
-    def alpha_values(self, w: WeightSequence, pts: np.ndarray) -> float:
         return float(np.sum(w.extended_values(pts)))
 
 
@@ -153,15 +149,13 @@ def _sigma_extremes(a: LocalizedMatrix, w: WeightSequence, band: int):
     return float(s[-1]), float(s[0])
 
 
-def _certified_pair(a: LocalizedMatrix, w: WeightSequence, band: int):
-    """sigma_min at the full window and at the half-radius restriction."""
-    lo_full, _ = _sigma_extremes(a, w, band)
+def _half_sigma_min(a: LocalizedMatrix, w: WeightSequence, band: int) -> float | None:
+    """sigma_min at the half-radius restriction, None when its interior is empty."""
     half_r = a.window.radius // 2
     if half_r <= band:
-        return lo_full, None
+        return None
     half = Window(a.window.d, half_r)
-    lo_half, _ = _sigma_extremes(restrict(a, half), w.restrict(half), band)
-    return lo_full, lo_half
+    return _sigma_extremes(restrict(a, half), w.restrict(half), band)[0]
 
 
 def _verdict(lo_full: float, lo_half: float | None, scale: float) -> str:
@@ -197,7 +191,7 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
 
     if q == 2:
         lower, upper = _sigma_extremes(a, w, band)
-        lo_full, lo_half = _certified_pair(a, w, band)
+        lo_full, lo_half = lower, _half_sigma_min(a, w, band)
         method = "svd"
     else:
         mask = _interior_mask(win, band)
@@ -215,15 +209,24 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
         aq = aq_bound(w, q, win.side).bound
         upper = (2.0 ** (2 * win.d) * 3.0 ** (win.d / q) * aq ** (1.0 / q)
                  * beurling_norm(a, 1.0, None))
-        lo_full, lo_half = _certified_pair(a, WeightSequence.trivial(win), band)
+        trivial = WeightSequence.trivial(win)
+        lo_full, lo_half = _sigma_extremes(a, trivial, band)[0], _half_sigma_min(a, trivial, band)
         method = "sampled"
     scale = float(np.abs(a.data).max(initial=0.0))
     verdict = _verdict(lo_full, lo_half, scale)
     report = StabilityReport(q, w.descriptor(), float(lower), float(upper), verdict,
                              method, band, lo_full, lo_half if lo_half is not None else math.nan)
     if report.lower > report.upper + 1e-12 * max(report.upper, 1.0):
-        raise AssertionError("bracket inverted; numerical failure")
+        raise ArithmeticError("bracket inverted; numerical failure")
     return report
+
+
+def ordered_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on a pool of ``threads`` threads when threads > 1."""
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -247,14 +250,7 @@ def cross_stability_verdicts(a: LocalizedMatrix, pairs, band: int | None = None,
         w = w_factory(a.window) if callable(w_factory) else w_factory
         return stability_bracket(a, q, w, band=band, trials=trials, seed=seed + k)
 
-    items = list(enumerate(pairs))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, items))
-    else:
-        reports = [one(item) for item in items]
+    reports = ordered_map(one, list(enumerate(pairs)), threads)
     verdicts = {r.verdict for r in reports}
     return CrossStabilityResult(tuple(reports), len(verdicts) == 1)
 

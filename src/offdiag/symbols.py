@@ -18,7 +18,7 @@ import numpy as np
 
 from .lattice import LocalizedMatrix, Window, generate, ring_counts
 from .muckenhoupt import WeightSequence
-from .stability import StabilityReport, stability_bracket
+from .stability import StabilityReport, ordered_map, stability_bracket
 
 __all__ = [
     "SymbolCoeffs",
@@ -283,11 +283,4 @@ def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, weight_factory=None,
         mat = toeplitz_matrix(a, win)
         return stability_bracket(mat, q, weight_factory(win), trials=trials, seed=seed)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, radii))
-    else:
-        rows = [one(r) for r in radii]
-    return ToeplitzStabilityReport(verdict, mm, tuple(rows))
+    return ToeplitzStabilityReport(verdict, mm, tuple(ordered_map(one, radii, threads)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
 
-from .lattice import Window, ring_counts
+from .lattice import Window, diagonal_suprema, ring_counts, ring_suprema
 
 __all__ = [
     "WeightMatrix",
@@ -24,7 +24,6 @@ __all__ = [
     "SeriesValue",
     "SubmultReport",
     "ThetaFit",
-    "eval_weight",
     "default_companion",
     "cross_norm",
     "check_submultiplicative",
@@ -211,10 +210,6 @@ class WeightMatrix:
         return f"table(R={self.table_window.radius})"
 
 
-def eval_weight(u: WeightMatrix, i, j) -> float:
-    return u.eval(i, j)
-
-
 def default_companion(u: WeightMatrix, p: float) -> WeightMatrix:
     """Built-in companion candidates; certified numerically downstream.
 
@@ -273,6 +268,17 @@ def _exp_tail(scale_pp: float, beta: float, lam2: float, delta: float, d: int, m
     return 2 * d * 3 ** (d - 1) * scale_pp * k_sup * (integral + math.exp(-lam2 * m_end**delta))
 
 
+def _tail_bound(ratio: RadialForm, p_prime: float, d: int, m_end: int) -> float:
+    """Upper bound for sum_{m > m_end} ring(m,d) * ratio(m)^p' for a ratio with limit 0."""
+    scale_pp = ratio.scale**p_prime
+    if ratio.tau < 0.0:
+        return _exp_tail(scale_pp, d - 1 + ratio.alpha * p_prime,
+                         -ratio.tau * p_prime, ratio.delta, d, m_end)
+    if ratio.alpha < 0.0:
+        return _poly_tail(scale_pp, ratio.alpha * p_prime, d, m_end)
+    return 0.0  # ratio constant zero
+
+
 def ring_power_series(ratio: RadialForm, p_prime: float, d: int, m_start: int) -> SeriesValue:
     """|| (r(|k|))_{|k| >= m_start} ||_{p'} with r(m) = sup_{n>=m} ratio(n).
 
@@ -301,14 +307,7 @@ def ring_power_series(ratio: RadialForm, p_prime: float, d: int, m_start: int) -
             break
         m_lo, m_end = m_end + 1, min(2 * m_end, _SERIES_MAX_TERMS)
 
-    scale_pp = ratio.scale**p_prime
-    if ratio.tau < 0.0:
-        tail = _exp_tail(scale_pp, d - 1 + ratio.alpha * p_prime,
-                         -ratio.tau * p_prime, ratio.delta, d, m_end)
-    elif ratio.alpha < 0.0:
-        tail = _poly_tail(scale_pp, ratio.alpha * p_prime, d, m_end)
-    else:  # ratio constant zero
-        tail = 0.0
+    tail = _tail_bound(ratio, p_prime, d, m_end)
     if not math.isfinite(tail):
         return SeriesValue(math.inf, partial, math.inf, terms, True)
     return SeriesValue((partial + tail) ** (1.0 / p_prime), partial, tail, terms, False)
@@ -339,12 +338,7 @@ def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float, window: Window | None
         window = u.table_window if u.form == "table" else v.table_window
     if window is None:
         raise ValueError("table-form cross norm needs a window")
-    ratio_grid = v.grid(window) / u.grid(window)
-    perm, starts, dvals = window._dist_groups
-    per_dist = np.maximum.reduceat(ratio_grid.ravel()[perm], starts)
-    f = np.zeros(2 * window.radius + 1)
-    f[dvals] = per_dist
-    r = np.maximum.accumulate(f[::-1])[::-1]
+    r = ring_suprema(diagonal_suprema(v.grid(window) / u.grid(window), window))
     pp = _p_prime(p)
     if math.isinf(pp):
         val = float(r[0])
@@ -487,14 +481,7 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
         if not diverged:
             terms = rings * r**pp
             suffix = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
-            scale_pp = ratio.scale**pp
-            if ratio.tau < 0.0:
-                tail_bound = _exp_tail(scale_pp, d - 1 + ratio.alpha * pp,
-                                       -ratio.tau * pp, ratio.delta, d, m_big)
-            elif ratio.alpha < 0.0:
-                tail_bound = _poly_tail(scale_pp, ratio.alpha * pp, d, m_big)
-            else:
-                tail_bound = math.inf
+            tail_bound = _tail_bound(ratio, pp, d, m_big)
             diverged = not math.isfinite(tail_bound)
             if not diverged:
                 starts = (n_grid + 1) // 2

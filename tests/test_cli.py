@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from offdiag import stability
 from offdiag.cli import main
 from offdiag.lattice import Window, generate, save_matrix, save_sequence
 from offdiag.lattice import LatticeSequence
@@ -169,6 +171,14 @@ class TestExitCodes:
         res = runner.invoke(main, ["invert", "--matrix", str(path), "--kmax", "3",
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+    def test_inverted_bracket_exit_code(self, runner, tmp_path, matrix_file, monkeypatch):
+        # a zero A_q bound makes the sampled bracket's upper end 0 < lower
+        monkeypatch.setattr(stability, "aq_bound", lambda *args: SimpleNamespace(bound=0.0))
+        res = runner.invoke(main, ["stability", "--matrix", str(matrix_file), "--q", "4",
+                                   "--trials", "5", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "bracket inverted" in res.output and "Traceback" not in res.output
 
     def test_vanishing_symbol_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1@0,-1@1",

@@ -78,7 +78,7 @@ class TestDecayProfile:
         a = LocalizedMatrix(win, 2.0 ** (-win.dist.astype(float)))
         assert np.array_equal(decay_profile(a).values, 0.5 ** np.arange(7.0))
 
-    @pytest.mark.parametrize("d,r,seed", [(1, 4, 0), (1, 6, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("d,r,seed", [(1, 4, 0), (1, 6, 1), (2, 2, 2), (3, 1, 3)])
     def test_matches_enumeration_oracle(self, d, r, seed):
         # oracle uses Python complex abs, implementation numpy abs: 1-ulp slack
         a = rand_matrix(Window(d, r), seed)
@@ -175,6 +175,13 @@ class TestAlgebra:
             a.data[0, 0] = 5.0
         with pytest.raises(AttributeError):
             a.data = None
+        # real input is converted, not refused, when no copy is requested
+        win = Window(1, 2)
+        real = LocalizedMatrix(win, np.eye(win.size), copy=False)
+        seq = LatticeSequence(win, np.arange(float(win.size)), copy=False)
+        for arr in (real.data, seq.data):
+            assert arr.dtype == np.complex128 and not arr.flags.writeable
+        assert np.array_equal(real.data, np.eye(win.size))
 
 
 class TestGenerate:
@@ -190,6 +197,14 @@ class TestGenerate:
         ix = win.indices[:, 0]
         want = 2.0 * np.eye(win.size) + (ix[:, None] - ix[None, :] == 1)
         assert np.array_equal(a.data, want.astype(complex))
+        # d = 2: an int key means offset (k, 0); offsets beyond 2R never fit
+        win = Window(2, 2)
+        coeffs = {(0, 0): 3.0, 1: 1.0 - 2j, (-1, 2): 0.5, (4, -4): 0.25, (5, 0): 9.0}
+        a = generate("toeplitz_from_coeffs", win, coeffs=coeffs)
+        table = {(0, 0): 3.0, (1, 0): 1.0 - 2j, (-1, 2): 0.5, (4, -4): 0.25}
+        want = np.array([[table.get(tuple(i - j), 0.0) for j in win.indices]
+                         for i in win.indices], dtype=complex)
+        assert np.array_equal(a.data, want)
 
     def test_banded_random_deterministic(self):
         win = Window(1, 5)

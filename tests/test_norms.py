@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -74,6 +75,18 @@ class TestNormValues:
                        if ix[i] - ix[j] == k), default=0.0)
             total += sup**p
         assert sjostrand_norm(a, p, u) == pytest.approx(total ** (1 / p), rel=1e-13)
+        # diagonal norm at d = 2, over every k in [-2R, 2R]^2
+        win2 = Window(2, 2)
+        u2 = WeightMatrix.polynomial(1.0, 2)
+        a2 = rand_matrix(win2, 6)
+        mag2 = np.abs(a2.data) * u2.grid(win2)
+        ix2 = win2.indices
+        total = 0.0
+        for k in itertools.product(range(-4, 5), repeat=2):
+            sup = max((mag2[i, j] for i in range(win2.size) for j in range(win2.size)
+                       if tuple(ix2[i] - ix2[j]) == k), default=0.0)
+            total += sup**p
+        assert sjostrand_norm(a2, p, u2) == pytest.approx(total ** (1 / p), rel=1e-13)
         # row/column norm
         rows = max(np.sum(mag[i, :] ** p) ** (1 / p) for i in range(7))
         cols = max(np.sum(mag[:, j] ** p) ** (1 / p) for j in range(7))

@@ -90,6 +90,9 @@ class TestBracket:
         assert effective_bandwidth(generate("identity", win)) == 0
         assert effective_bandwidth(toeplitz(win, {0: 1.0, 3: 0.5})) == 3
         assert effective_bandwidth(LocalizedMatrix(win, np.zeros((17, 17)))) == 0
+        win2 = Window(2, 4)
+        assert effective_bandwidth(toeplitz(win2, {(0, 0): 1.0, (1, -3): 0.5})) == 3
+        assert effective_bandwidth(toeplitz(win2, {(0, 0): 1.0, (-2, 1): 1e-13})) == 0
 
 
 class TestCrossVerdicts:

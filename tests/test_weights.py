@@ -6,7 +6,7 @@ import pytest
 from offdiag.lattice import Window
 from offdiag.weights import (RadialForm, WeightMatrix, WeightValidationError,
                              check_submultiplicative, cross_norm,
-                             default_companion, eval_weight, mpu_upper_bound,
+                             default_companion, mpu_upper_bound,
                              theta_fit)
 
 D1 = 1
@@ -19,15 +19,15 @@ def zeta(s, terms=2_000_000):
 class TestEval:
     def test_trivial(self):
         u = WeightMatrix.trivial(D1)
-        assert eval_weight(u, 5, -3) == 1.0
+        assert u.eval(5, -3) == 1.0
 
     def test_polynomial(self):
         u = WeightMatrix.polynomial(2.0, D1)
-        assert eval_weight(u, 3, 0) == 16.0
+        assert u.eval(3, 0) == 16.0
 
     def test_subexponential(self):
         u = WeightMatrix.subexponential(0.5, 1.0, D1)
-        assert eval_weight(u, 4, 0) == pytest.approx(math.e**2, rel=1e-15)
+        assert u.eval(4, 0) == pytest.approx(math.e**2, rel=1e-15)
 
     def test_symmetry_and_floor(self):
         win = Window(2, 3)

@@ -8,6 +8,7 @@ and does no arithmetic of its own beyond formatting.  Exit codes: 0 success,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import inversion, muckenhoupt, norms, stability, symbols, weights
 from .lattice import (Window, generate, load_matrix, load_sequence,
-                      matrix_to_dict, profile_to_csv, sequence_to_dict)
+                      matrix_to_dict, profile_to_csv, read_rows, sequence_to_dict)
 from .muckenhoupt import WeightSequence
 from .symbols import parse_coeffs, symbol_from_dict
 from .weights import WeightMatrix
@@ -91,9 +92,9 @@ def parse_weight_sequence(spec: str, window: Window) -> WeightSequence:
             return WeightSequence.power(window, payload["alpha"])
         if form == "table":
             win = Window(int(payload["d"]), int(payload["radius"]))
+            pos, rows = read_rows(win, payload["values"], 1, 1)
             vals = np.ones(win.size)
-            for row in payload["values"]:
-                vals[win.flat(row[: win.d])] = float(row[win.d])
+            vals[pos] = rows[:, 0]
             return WeightSequence.table(win, vals)
         raise ValueError(f"unsupported weight-sequence form {form!r}")
     name, _, args = spec.partition(":")
@@ -124,18 +125,24 @@ class _Fail(Exception):
         self.code = code
 
 
-def _run(fn):
-    try:
-        fn()
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(1)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(2)
-    except _Fail as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(exc.code)
+def _exit_codes(fn):
+    """Run a verb, mapping its failures to exit 1 or 2 with a one-line message."""
+
+    @functools.wraps(fn)
+    def verb(*args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+            click.echo(f"validation error: {exc}", err=True)
+            sys.exit(1)
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(2)
+        except _Fail as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(exc.code)
+
+    return verb
 
 
 @click.group()
@@ -156,37 +163,34 @@ def main():
 @click.option("--offset", default=None, type=int)
 @click.option("--coeffs", default=None, help="e.g. '2@0,1@1'")
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def gen_cmd(kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coeffs, out):
     """Generate a matrix and write it as matrix.json."""
-
-    def body():
-        window = Window(d, radius)
-        params = {}
-        if kind == "banded_random":
-            if bandwidth is None:
-                raise ValueError("banded_random requires --bandwidth")
-            params = {"bandwidth": bandwidth, "amplitude": amplitude}
-        elif kind == "polynomial_decay_random":
-            if alpha is None:
-                raise ValueError("polynomial_decay_random requires --alpha")
-            params = {"alpha": alpha, "amplitude": amplitude}
-        elif kind == "shift" and offset is not None:
-            params = {"offset": offset}
-        elif kind == "toeplitz_from_coeffs":
-            if coeffs is None:
-                raise ValueError("toeplitz_from_coeffs requires --coeffs")
-            params = {"coeffs": _coeffs_arg(coeffs, d).coeffs}
-        if kind in ("banded_random", "polynomial_decay_random") and seed is None:
-            raise ValueError("randomized generation requires --seed")
-        a = generate(kind, window, seed=seed, **params)
-        config = {"command": "gen", "kind": kind, "d": d, "radius": radius,
-                  "params": {k: str(v) for k, v in params.items()},
-                  "amplitude": amplitude}
-        path = _out_dir(out) / "matrix.json"
-        write_json_artifact(path, matrix_to_dict(a), config, seed)
-        click.echo(f"wrote {path} ({a.nnz} entries)")
-
-    _run(body)
+    window = Window(d, radius)
+    params = {}
+    if kind == "banded_random":
+        if bandwidth is None:
+            raise ValueError("banded_random requires --bandwidth")
+        params = {"bandwidth": bandwidth, "amplitude": amplitude}
+    elif kind == "polynomial_decay_random":
+        if alpha is None:
+            raise ValueError("polynomial_decay_random requires --alpha")
+        params = {"alpha": alpha, "amplitude": amplitude}
+    elif kind == "shift" and offset is not None:
+        params = {"offset": offset}
+    elif kind == "toeplitz_from_coeffs":
+        if coeffs is None:
+            raise ValueError("toeplitz_from_coeffs requires --coeffs")
+        params = {"coeffs": _coeffs_arg(coeffs, d).coeffs}
+    if kind in ("banded_random", "polynomial_decay_random") and seed is None:
+        raise ValueError("randomized generation requires --seed")
+    a = generate(kind, window, seed=seed, **params)
+    config = {"command": "gen", "kind": kind, "d": d, "radius": radius,
+              "params": {k: str(v) for k, v in params.items()},
+              "amplitude": amplitude}
+    path = _out_dir(out) / "matrix.json"
+    write_json_artifact(path, matrix_to_dict(a), config, seed)
+    click.echo(f"wrote {path} ({a.nnz} entries)")
 
 
 @main.command("norm")
@@ -194,25 +198,22 @@ def gen_cmd(kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coeffs, 
 @click.option("--p", default=1.0, show_default=True)
 @click.option("--weight", default="trivial", show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def norm_cmd(matrix_path, p, weight, out):
     """Norm report (ring / diagonal / row-column / sup families)."""
-
-    def body():
-        a = load_matrix(matrix_path)
-        u = parse_weight_matrix(weight, a.window.d)
-        pv = math.inf if p in (0, math.inf) else p
-        rep = norms.norm_report(a, pv, u)
-        config = {"command": "norm", "matrix": str(matrix_path), "p": str(pv),
-                  "weight": weight}
-        write_json_artifact(_out_dir(out) / "norm_report.json", {
-            "beurling": rep.beurling, "sjostrand": rep.sjostrand,
-            "schur": rep.schur, "jaffard": rep.jaffard,
-            "p": str(pv), "weight_id": rep.weight_id,
-        }, config, None)
-        click.echo(f"beurling={rep.beurling!r} sjostrand={rep.sjostrand!r} "
-                   f"schur={rep.schur!r} jaffard={rep.jaffard!r}")
-
-    _run(body)
+    a = load_matrix(matrix_path)
+    u = parse_weight_matrix(weight, a.window.d)
+    pv = math.inf if p in (0, math.inf) else p
+    rep = norms.norm_report(a, pv, u)
+    config = {"command": "norm", "matrix": str(matrix_path), "p": str(pv),
+              "weight": weight}
+    write_json_artifact(_out_dir(out) / "norm_report.json", {
+        "beurling": rep.beurling, "sjostrand": rep.sjostrand,
+        "schur": rep.schur, "jaffard": rep.jaffard,
+        "p": str(pv), "weight_id": rep.weight_id,
+    }, config, None)
+    click.echo(f"beurling={rep.beurling!r} sjostrand={rep.sjostrand!r} "
+               f"schur={rep.schur!r} jaffard={rep.jaffard!r}")
 
 
 @main.group("weights")
@@ -227,38 +228,32 @@ def weights_group():
 @click.option("--q", required=True, type=float)
 @click.option("--ncap", default=8, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def weights_aq_cmd(wseq, d, radius, q, ncap, out):
     """Scan the discrete A_q bound over cubes inside the window."""
-
-    def body():
-        w = parse_weight_sequence(wseq, Window(d, radius))
-        rep = muckenhoupt.aq_bound(w, q, ncap)
-        config = {"command": "weights aq", "wseq": wseq, "d": d, "radius": radius,
-                  "q": q, "ncap": ncap}
-        write_json_artifact(_out_dir(out) / "aq_report.json", {
-            "q": q, "bound": rep.bound, "argmax_anchor": list(rep.argmax_anchor),
-            "argmax_n": rep.argmax_n, "n_cap": rep.n_cap, "weight_id": w.descriptor(),
-        }, config, None)
-        click.echo(f"A_q bound {rep.bound!r} at anchor {rep.argmax_anchor}, N={rep.argmax_n}")
-
-    _run(body)
+    w = parse_weight_sequence(wseq, Window(d, radius))
+    rep = muckenhoupt.aq_bound(w, q, ncap)
+    config = {"command": "weights aq", "wseq": wseq, "d": d, "radius": radius,
+              "q": q, "ncap": ncap}
+    write_json_artifact(_out_dir(out) / "aq_report.json", {
+        "q": q, "bound": rep.bound, "argmax_anchor": list(rep.argmax_anchor),
+        "argmax_n": rep.argmax_n, "n_cap": rep.n_cap, "weight_id": w.descriptor(),
+    }, config, None)
+    click.echo(f"A_q bound {rep.bound!r} at anchor {rep.argmax_anchor}, N={rep.argmax_n}")
 
 
 @weights_group.command("maximal")
 @click.option("--seq", "seq_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def weights_maximal_cmd(seq_path, out):
     """Discrete maximal function of a sequence."""
-
-    def body():
-        c = load_sequence(seq_path)
-        mc = muckenhoupt.maximal(c)
-        config = {"command": "weights maximal", "seq": str(seq_path)}
-        write_json_artifact(_out_dir(out) / "maximal.json",
-                            {"sequence": sequence_to_dict(mc)}, config, None)
-        click.echo(f"max of Mc: {float(np.real(mc.data).max())!r}")
-
-    _run(body)
+    c = load_sequence(seq_path)
+    mc = muckenhoupt.maximal(c)
+    config = {"command": "weights maximal", "seq": str(seq_path)}
+    write_json_artifact(_out_dir(out) / "maximal.json",
+                        {"sequence": sequence_to_dict(mc)}, config, None)
+    click.echo(f"max of Mc: {float(np.real(mc.data).max())!r}")
 
 
 def _parse_pairs(spec: str):
@@ -283,31 +278,28 @@ def _parse_pairs(spec: str):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @click.pass_context
+@_exit_codes
 def stability_group(ctx, matrix_path, q, wseq, band, trials, seed, out):
     """Stability bracket for one (q, w); subcommand `cross` for a table."""
     if ctx.invoked_subcommand is not None:
         return
-
-    def body():
-        if matrix_path is None:
-            raise ValueError("--matrix is required")
-        a = load_matrix(matrix_path)
-        w = parse_weight_sequence(wseq, a.window)
-        rep = stability.stability_bracket(a, q, w, band=band, trials=trials, seed=seed)
-        config = {"command": "stability", "matrix": str(matrix_path), "q": q,
-                  "wseq": wseq, "band": band, "trials": trials}
-        write_json_artifact(_out_dir(out) / "stability_report.json", {
-            "q": rep.q, "weight_id": rep.weight_id, "lower": rep.lower,
-            "upper": rep.upper, "verdict": rep.verdict, "method": rep.method,
-            "probe_band": rep.probe_band,
-        }, config, seed)
-        write_csv_artifact(_out_dir(out) / "stability_report.csv",
-                           "q,weight,lower,upper,verdict,method",
-                           [f"{rep.q!r},{rep.weight_id},{rep.lower!r},{rep.upper!r},"
-                            f"{rep.verdict},{rep.method}"], config, seed)
-        click.echo(f"[{rep.lower!r}, {rep.upper!r}] verdict={rep.verdict} ({rep.method})")
-
-    _run(body)
+    if matrix_path is None:
+        raise ValueError("--matrix is required")
+    a = load_matrix(matrix_path)
+    w = parse_weight_sequence(wseq, a.window)
+    rep = stability.stability_bracket(a, q, w, band=band, trials=trials, seed=seed)
+    config = {"command": "stability", "matrix": str(matrix_path), "q": q,
+              "wseq": wseq, "band": band, "trials": trials}
+    write_json_artifact(_out_dir(out) / "stability_report.json", {
+        "q": rep.q, "weight_id": rep.weight_id, "lower": rep.lower,
+        "upper": rep.upper, "verdict": rep.verdict, "method": rep.method,
+        "probe_band": rep.probe_band,
+    }, config, seed)
+    write_csv_artifact(_out_dir(out) / "stability_report.csv",
+                       "q,weight,lower,upper,verdict,method",
+                       [f"{rep.q!r},{rep.weight_id},{rep.lower!r},{rep.upper!r},"
+                        f"{rep.verdict},{rep.method}"], config, seed)
+    click.echo(f"[{rep.lower!r}, {rep.upper!r}] verdict={rep.verdict} ({rep.method})")
 
 
 @stability_group.command("cross")
@@ -318,31 +310,28 @@ def stability_group(ctx, matrix_path, q, wseq, band, trials, seed, out):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--threads", default=1, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def stability_cross_cmd(matrix_path, pairs, trials, seed, threads, out):
     """Stability verdicts across several (q, w) pairs plus a consistency flag."""
-
-    def body():
-        a = load_matrix(matrix_path)
-        parsed = _parse_pairs(pairs)
-        pair_args = [(q, parse_weight_sequence(w_s, a.window)) for q, w_s in parsed]
-        res = stability.cross_stability_verdicts(a, pair_args, trials=trials,
-                                                  seed=seed, threads=threads)
-        config = {"command": "stability cross", "matrix": str(matrix_path),
-                  "pairs": pairs, "trials": trials}
-        rows = [f"{r.q!r},{r.weight_id},{r.lower!r},{r.upper!r},{r.verdict},{r.method}"
-                for r in res.reports]
-        write_csv_artifact(_out_dir(out) / "stability_cross.csv",
-                           "q,weight,lower,upper,verdict,method", rows, config, seed)
-        write_json_artifact(_out_dir(out) / "stability_cross.json", {
-            "consistent": res.consistent,
-            "reports": [{"q": r.q, "weight_id": r.weight_id, "lower": r.lower,
-                         "upper": r.upper, "verdict": r.verdict, "method": r.method}
-                        for r in res.reports],
-        }, config, seed)
-        click.echo(f"consistent={res.consistent}: "
-                   + ", ".join(f"({r.q:g},{r.weight_id})={r.verdict}" for r in res.reports))
-
-    _run(body)
+    a = load_matrix(matrix_path)
+    parsed = _parse_pairs(pairs)
+    pair_args = [(q, parse_weight_sequence(w_s, a.window)) for q, w_s in parsed]
+    res = stability.cross_stability_verdicts(a, pair_args, trials=trials,
+                                              seed=seed, threads=threads)
+    config = {"command": "stability cross", "matrix": str(matrix_path),
+              "pairs": pairs, "trials": trials}
+    rows = [f"{r.q!r},{r.weight_id},{r.lower!r},{r.upper!r},{r.verdict},{r.method}"
+            for r in res.reports]
+    write_csv_artifact(_out_dir(out) / "stability_cross.csv",
+                       "q,weight,lower,upper,verdict,method", rows, config, seed)
+    write_json_artifact(_out_dir(out) / "stability_cross.json", {
+        "consistent": res.consistent,
+        "reports": [{"q": r.q, "weight_id": r.weight_id, "lower": r.lower,
+                     "upper": r.upper, "verdict": r.verdict, "method": r.method}
+                    for r in res.reports],
+    }, config, seed)
+    click.echo(f"consistent={res.consistent}: "
+               + ", ".join(f"({r.q:g},{r.weight_id})={r.verdict}" for r in res.reports))
 
 
 def _write_inversion(out, a_inv, rep, config, seed, prefix):
@@ -365,22 +354,19 @@ def _write_inversion(out, a_inv, rep, config, seed, prefix):
 @click.option("--tol", default=1e-10, show_default=True)
 @click.option("--kmax", default=500, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def invert_cmd(matrix_path, tol, kmax, out):
     """Preconditioned Neumann inverse with decay-profile witness."""
-
-    def body():
-        a = load_matrix(matrix_path)
-        a_inv, rep = inversion.wiener_invert(a, tol=tol, k_max=kmax)
-        config = {"command": "invert", "matrix": str(matrix_path), "tol": tol,
-                  "kmax": kmax}
-        _write_inversion(out, a_inv, rep, config, None, "inverse")
-        click.echo(f"residual={rep.residual!r} terms={rep.terms_used} "
-                   f"ring_norm={rep.inverse_ring_norm!r}")
-        if not rep.converged:
-            raise _Fail(2, f"series not converged within {kmax} terms "
-                           f"(residual {rep.residual!r})")
-
-    _run(body)
+    a = load_matrix(matrix_path)
+    a_inv, rep = inversion.wiener_invert(a, tol=tol, k_max=kmax)
+    config = {"command": "invert", "matrix": str(matrix_path), "tol": tol,
+              "kmax": kmax}
+    _write_inversion(out, a_inv, rep, config, None, "inverse")
+    click.echo(f"residual={rep.residual!r} terms={rep.terms_used} "
+               f"ring_norm={rep.inverse_ring_norm!r}")
+    if not rep.converged:
+        raise _Fail(2, f"series not converged within {kmax} terms "
+                       f"(residual {rep.residual!r})")
 
 
 @main.command("leftinv")
@@ -388,20 +374,17 @@ def invert_cmd(matrix_path, tol, kmax, out):
 @click.option("--tol", default=1e-10, show_default=True)
 @click.option("--kmax", default=4000, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def leftinv_cmd(matrix_path, tol, kmax, out):
     """Left inverse (A*A)^{-1} A* via the Neumann engine."""
-
-    def body():
-        a = load_matrix(matrix_path)
-        b, rep = inversion.left_inverse(a, tol=tol, k_max=kmax)
-        config = {"command": "leftinv", "matrix": str(matrix_path), "tol": tol,
-                  "kmax": kmax}
-        _write_inversion(out, b, rep, config, None, "left_inverse")
-        click.echo(f"residual={rep.residual!r} terms={rep.terms_used}")
-        if not rep.converged:
-            raise _Fail(2, f"series not converged within {kmax} terms")
-
-    _run(body)
+    a = load_matrix(matrix_path)
+    b, rep = inversion.left_inverse(a, tol=tol, k_max=kmax)
+    config = {"command": "leftinv", "matrix": str(matrix_path), "tol": tol,
+              "kmax": kmax}
+    _write_inversion(out, b, rep, config, None, "left_inverse")
+    click.echo(f"residual={rep.residual!r} terms={rep.terms_used}")
+    if not rep.converged:
+        raise _Fail(2, f"series not converged within {kmax} terms")
 
 
 @main.command("thetafit")
@@ -413,35 +396,33 @@ def leftinv_cmd(matrix_path, tol, kmax, out):
 @click.option("--tmax", default=1e6, show_default=True)
 @click.option("--tpoints", default=61, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def thetafit_cmd(u_spec, v_spec, p, d, nmax, tmax, tpoints, out):
     """Fit the (D, theta) growth certificate from the weight pair."""
+    u = parse_weight_matrix(u_spec, d)
+    v = (weights.default_companion(u, p) if v_spec is None
+         else parse_weight_matrix(v_spec, d))
+    t_grid = np.geomspace(1.0, tmax, tpoints)
+    fit = weights.theta_fit(u, v, p, d, n_max=nmax, t_grid=t_grid)
+    config = {"command": "thetafit", "u": u_spec, "v": v_spec, "p": p, "d": d,
+              "nmax": nmax, "tmax": tmax, "tpoints": tpoints}
 
-    def body():
-        u = parse_weight_matrix(u_spec, d)
-        v = (weights.default_companion(u, p) if v_spec is None
-             else parse_weight_matrix(v_spec, d))
-        t_grid = np.geomspace(1.0, tmax, tpoints)
-        fit = weights.theta_fit(u, v, p, d, n_max=nmax, t_grid=t_grid)
-        config = {"command": "thetafit", "u": u_spec, "v": v_spec, "p": p, "d": d,
-                  "nmax": nmax, "tmax": tmax, "tpoints": tpoints}
-        def finite(values):
-            return [v if math.isfinite(v) else ("inf" if v > 0 else "nan")
-                    for v in map(float, values)]
+    def finite(values):
+        return [v if math.isfinite(v) else ("inf" if v > 0 else "nan")
+                for v in map(float, values)]
 
-        write_json_artifact(_out_dir(out) / "thetafit.json", {
-            "D": fit.D if math.isfinite(fit.D) else "inf",
-            "theta": fit.theta if math.isfinite(fit.theta) else "nan",
-            "satisfied": fit.satisfied, "diverged": fit.diverged,
-            "t_grid": list(fit.t_grid), "min_values": finite(fit.min_values),
-            "margins": finite(fit.margins),
-            "n_grid": [int(n) for n in fit.n_grid],
-            "a_values": finite(fit.a_values), "b_values": finite(fit.b_values),
-            "b_tail_bound": fit.b_tail_bound
-            if math.isfinite(fit.b_tail_bound) else "inf",
-        }, config, None)
-        click.echo(f"theta={fit.theta!r} D={fit.D!r} satisfied={fit.satisfied}")
-
-    _run(body)
+    write_json_artifact(_out_dir(out) / "thetafit.json", {
+        "D": fit.D if math.isfinite(fit.D) else "inf",
+        "theta": fit.theta if math.isfinite(fit.theta) else "nan",
+        "satisfied": fit.satisfied, "diverged": fit.diverged,
+        "t_grid": list(fit.t_grid), "min_values": finite(fit.min_values),
+        "margins": finite(fit.margins),
+        "n_grid": [int(n) for n in fit.n_grid],
+        "a_values": finite(fit.a_values), "b_values": finite(fit.b_values),
+        "b_tail_bound": fit.b_tail_bound
+        if math.isfinite(fit.b_tail_bound) else "inf",
+    }, config, None)
+    click.echo(f"theta={fit.theta!r} D={fit.D!r} satisfied={fit.satisfied}")
 
 
 @main.command("radius")
@@ -451,26 +432,23 @@ def thetafit_cmd(u_spec, v_spec, p, d, nmax, tmax, tpoints, out):
 @click.option("--nmax", default=16, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def radius_cmd(matrix_path, p, weight, nmax, seed, out):
     """Root sequence ||A^n||^{1/n} next to the l2 radius estimate."""
-
-    def body():
-        a = load_matrix(matrix_path)
-        u = parse_weight_matrix(weight, a.window.d)
-        rep = norms.brandenburg_radii(a, p, u, n_max=nmax, seed=seed)
-        config = {"command": "radius", "matrix": str(matrix_path), "p": p,
-                  "weight": weight, "nmax": nmax}
-        write_csv_artifact(_out_dir(out) / "radius_roots.csv", "n,root",
-                           [f"{n + 1},{float(r)!r}" for n, r in enumerate(rep.roots)],
-                           config, seed)
-        write_json_artifact(_out_dir(out) / "radius_report.json", {
-            "roots": [float(r) for r in rep.roots], "opnorm_l2": rep.opnorm_l2,
-            "radius_estimate": rep.radius_estimate, "gap": rep.gap,
-        }, config, seed)
-        click.echo(f"root[{nmax}]={float(rep.roots[-1])!r} "
-                   f"estimate={rep.radius_estimate!r} gap={rep.gap!r}")
-
-    _run(body)
+    a = load_matrix(matrix_path)
+    u = parse_weight_matrix(weight, a.window.d)
+    rep = norms.brandenburg_radii(a, p, u, n_max=nmax, seed=seed)
+    config = {"command": "radius", "matrix": str(matrix_path), "p": p,
+              "weight": weight, "nmax": nmax}
+    write_csv_artifact(_out_dir(out) / "radius_roots.csv", "n,root",
+                       [f"{n + 1},{float(r)!r}" for n, r in enumerate(rep.roots)],
+                       config, seed)
+    write_json_artifact(_out_dir(out) / "radius_report.json", {
+        "roots": [float(r) for r in rep.roots], "opnorm_l2": rep.opnorm_l2,
+        "radius_estimate": rep.radius_estimate, "gap": rep.gap,
+    }, config, seed)
+    click.echo(f"root[{nmax}]={float(rep.roots[-1])!r} "
+               f"estimate={rep.radius_estimate!r} gap={rep.gap!r}")
 
 
 @main.group("toeplitz")
@@ -483,46 +461,40 @@ def toeplitz_group():
 @click.option("--d", default=1, show_default=True)
 @click.option("--grid", default=None, type=int)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def toeplitz_minmod_cmd(coeffs, d, grid, out):
     """Certified minimum modulus of the symbol on the torus."""
-
-    def body():
-        a = _coeffs_arg(coeffs, d)
-        rep = symbols.symbol_min_modulus(a, grid)
-        config = {"command": "toeplitz minmod", "coeffs": coeffs, "d": d, "grid": grid}
-        write_json_artifact(_out_dir(out) / "minmod.json", {
-            "min_modulus": rep.min_modulus, "argmin_xi": list(rep.argmin_xi),
-            "slack": rep.slack, "certified": rep.certified, "grid": rep.grid,
-        }, config, None)
-        click.echo(f"min|a_hat|={rep.min_modulus!r} at xi={rep.argmin_xi} "
-                   f"certified={rep.certified}")
-
-    _run(body)
+    a = _coeffs_arg(coeffs, d)
+    rep = symbols.symbol_min_modulus(a, grid)
+    config = {"command": "toeplitz minmod", "coeffs": coeffs, "d": d, "grid": grid}
+    write_json_artifact(_out_dir(out) / "minmod.json", {
+        "min_modulus": rep.min_modulus, "argmin_xi": list(rep.argmin_xi),
+        "slack": rep.slack, "certified": rep.certified, "grid": rep.grid,
+    }, config, None)
+    click.echo(f"min|a_hat|={rep.min_modulus!r} at xi={rep.argmin_xi} "
+               f"certified={rep.certified}")
 
 
 @toeplitz_group.command("recip")
 @click.option("--coeffs", required=True)
 @click.option("--tol", default=1e-10, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def toeplitz_recip_cmd(coeffs, tol, out):
     """Reciprocal symbol coefficients via adaptive grid doubling."""
-
-    def body():
-        a = _coeffs_arg(coeffs, 1)
-        b, rep = symbols.reciprocal_coeffs(a, tol=tol)
-        config = {"command": "toeplitz recip", "coeffs": coeffs, "tol": tol}
-        rows = [f"{n[0]},{v.real!r},{v.imag!r}"
-                for n, v in sorted(b.coeffs.items())]
-        write_csv_artifact(_out_dir(out) / "reciprocal_coeffs.csv", "n,re,im",
-                           rows, config, None)
-        write_json_artifact(_out_dir(out) / "reciprocal_report.json", {
-            "astar_norm": rep.astar_norm, "grid": rep.grid,
-            "outer_quarter_mass": rep.outer_quarter_mass,
-            "min_modulus": rep.min_modulus,
-        }, config, None)
-        click.echo(f"astar_norm={rep.astar_norm!r} support={len(b.coeffs)} grid={rep.grid}")
-
-    _run(body)
+    a = _coeffs_arg(coeffs, 1)
+    b, rep = symbols.reciprocal_coeffs(a, tol=tol)
+    config = {"command": "toeplitz recip", "coeffs": coeffs, "tol": tol}
+    rows = [f"{n[0]},{v.real!r},{v.imag!r}"
+            for n, v in sorted(b.coeffs.items())]
+    write_csv_artifact(_out_dir(out) / "reciprocal_coeffs.csv", "n,re,im",
+                       rows, config, None)
+    write_json_artifact(_out_dir(out) / "reciprocal_report.json", {
+        "astar_norm": rep.astar_norm, "grid": rep.grid,
+        "outer_quarter_mass": rep.outer_quarter_mass,
+        "min_modulus": rep.min_modulus,
+    }, config, None)
+    click.echo(f"astar_norm={rep.astar_norm!r} support={len(b.coeffs)} grid={rep.grid}")
 
 
 @toeplitz_group.command("stability")
@@ -535,59 +507,53 @@ def toeplitz_recip_cmd(coeffs, tol, out):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--threads", default=1, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, threads, out):
     """Symbol-side stability verdict with bracket-scaling corroboration."""
+    a = _coeffs_arg(coeffs, d)
+    rad = tuple(int(x) for x in radii.split(","))
 
-    def body():
-        a = _coeffs_arg(coeffs, d)
-        rad = tuple(int(x) for x in radii.split(","))
+    def factory(win):
+        return parse_weight_sequence(wseq, win)
 
-        def factory(win):
-            return parse_weight_sequence(wseq, win)
-
-        rep = symbols.toeplitz_stability_criterion(a, q, factory, rad,
-                                                   trials=trials, seed=seed,
-                                                   threads=threads)
-        config = {"command": "toeplitz stability", "coeffs": coeffs, "d": d,
-                  "q": q, "wseq": wseq, "radii": radii, "trials": trials}
-        rows = [f"{r.q!r},{r.weight_id},{rad[k]},{r.lower!r},{r.upper!r},{r.verdict}"
-                for k, r in enumerate(rep.brackets)]
-        write_csv_artifact(_out_dir(out) / "toeplitz_stability.csv",
-                           "q,weight,radius,lower,upper,verdict", rows, config, seed)
-        write_json_artifact(_out_dir(out) / "toeplitz_stability.json", {
-            "verdict": rep.verdict,
-            "min_modulus": rep.min_modulus.min_modulus,
-            "certified": rep.min_modulus.certified,
-            "brackets": [{"radius": rad[k], "lower": r.lower, "upper": r.upper,
-                          "verdict": r.verdict} for k, r in enumerate(rep.brackets)],
-        }, config, seed)
-        click.echo(f"verdict={rep.verdict} min|a_hat|={rep.min_modulus.min_modulus!r}")
-
-    _run(body)
+    rep = symbols.toeplitz_stability_criterion(a, q, factory, rad,
+                                               trials=trials, seed=seed,
+                                               threads=threads)
+    config = {"command": "toeplitz stability", "coeffs": coeffs, "d": d,
+              "q": q, "wseq": wseq, "radii": radii, "trials": trials}
+    rows = [f"{r.q!r},{r.weight_id},{rad[k]},{r.lower!r},{r.upper!r},{r.verdict}"
+            for k, r in enumerate(rep.brackets)]
+    write_csv_artifact(_out_dir(out) / "toeplitz_stability.csv",
+                       "q,weight,radius,lower,upper,verdict", rows, config, seed)
+    write_json_artifact(_out_dir(out) / "toeplitz_stability.json", {
+        "verdict": rep.verdict,
+        "min_modulus": rep.min_modulus.min_modulus,
+        "certified": rep.min_modulus.certified,
+        "brackets": [{"radius": rad[k], "lower": r.lower, "upper": r.upper,
+                      "verdict": r.verdict} for k, r in enumerate(rep.brackets)],
+    }, config, seed)
+    click.echo(f"verdict={rep.verdict} min|a_hat|={rep.min_modulus.min_modulus!r}")
 
 
 @main.command("suite")
 @click.option("--quick", is_flag=True)
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", default="out", show_default=True)
+@_exit_codes
 def suite_cmd(quick, seed, out):
     """Run the acceptance battery; exit 2 if any criterion fails."""
+    from .suite import run_all
 
-    def body():
-        from .suite import run_all
-
-        results = run_all(seed=seed, quick=quick, out_dir=out)
-        width = max(len(r.title) for r in results)
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            click.echo(f"[{status}] {r.cid} {r.title:<{width}}  {r.summary} "
-                       f"({r.elapsed:.2f}s)")
-        failed = [r.cid for r in results if not r.passed]
-        click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-        if failed:
-            raise _Fail(2, f"failed criteria: {', '.join(failed)}")
-
-    _run(body)
+    results = run_all(seed=seed, quick=quick, out_dir=out)
+    width = max(len(r.title) for r in results)
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        click.echo(f"[{status}] {r.cid} {r.title:<{width}}  {r.summary} "
+                   f"({r.elapsed:.2f}s)")
+    failed = [r.cid for r in results if not r.passed]
+    click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    if failed:
+        raise _Fail(2, f"failed criteria: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

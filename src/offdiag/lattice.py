@@ -10,18 +10,20 @@ emulate an infinite operator.
 Window geometry has one kernel, built without n x n index tables:
 ``diagonal_suprema`` (suprema along each diagonal i - j = k), ``ring_suprema``
 (their envelope over |k|_inf >= m) and the inverse placement of a (4R+1)^d
-diagonal array, which assembles Toeplitz matrices and ``Window.dist``.
+diagonal array, which assembles Toeplitz matrices and, through
+``radial_matrix``, functions of |i - j|_inf from their 2R + 1 values.
+``Window.flat`` maps one lattice point or an (..., d) array of them to
+positions.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Window",
@@ -29,10 +31,10 @@ __all__ = [
     "LatticeSequence",
     "DecayProfile",
     "WindowMismatchError",
-    "ring_count",
     "ring_counts",
     "diagonal_suprema",
     "ring_suprema",
+    "radial_matrix",
     "decay_profile",
     "adjoint",
     "add",
@@ -48,6 +50,7 @@ __all__ = [
     "load_matrix",
     "sequence_to_dict",
     "sequence_from_dict",
+    "read_rows",
     "save_sequence",
     "load_sequence",
     "profile_to_csv",
@@ -82,51 +85,41 @@ class Window:
     @cached_property
     def indices(self) -> np.ndarray:
         """All lattice points, shape (size, d), lexicographic order."""
-        r = self.radius
-        pts = np.array(
-            list(itertools.product(range(-r, r + 1), repeat=self.d)), dtype=np.int64
-        )
+        grid = np.indices((self.side,) * self.d, dtype=np.int64).reshape(self.d, -1)
+        pts = np.ascontiguousarray(grid.T - self.radius)
         pts.setflags(write=False)
-        return pts.reshape(self.size, self.d)
+        return pts
 
-    @cached_property
-    def dist(self) -> np.ndarray:
-        """Pairwise sup-distances |i - j|_inf, shape (size, size)."""
-        k = np.abs(np.arange(-2 * self.radius, 2 * self.radius + 1))
-        m = _place_diagonals(reduce(np.maximum.outer, [k] * self.d), self)
-        m.setflags(write=False)
-        return m
+    def flat(self, index):
+        """Lexicographic position of a lattice point, or of each point of an
+        (..., d) integer array.
 
-    def flat(self, index) -> int:
-        """Lexicographic position of a lattice point."""
-        idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
-        if idx.shape != (self.d,):
-            raise ValueError(f"index {index!r} does not match dimension {self.d}")
-        if np.any(np.abs(idx) > self.radius):
-            raise ValueError(f"index {tuple(idx)} outside window radius {self.radius}")
-        pos = 0
-        for k in range(self.d):
-            pos = pos * self.side + int(idx[k]) + self.radius
-        return pos
+        An int is a point at d = 1.  Returns an int for one point and an int64
+        array of shape (...) otherwise.
+        """
+        idx = np.asarray(index, dtype=np.int64)
+        if idx.ndim == 0:
+            idx = idx.reshape(1)
+        if idx.shape[-1] != self.d:
+            raise ValueError(f"index of shape {idx.shape} does not match dimension {self.d}")
+        coord = idx + self.radius  # 0 .. side - 1 inside the window
+        outside = (coord < 0) | (coord >= self.side)
+        if outside.any():
+            pts = idx.reshape(-1, self.d)
+            bad = tuple(int(x) for x in pts[outside.reshape(pts.shape).any(axis=1)][0])
+            raise ValueError(f"index {bad} outside window radius {self.radius}")
+        pos = coord @ self.side ** np.arange(self.d - 1, -1, -1)
+        return int(pos) if idx.ndim == 1 else pos
 
     def contains(self, index) -> bool:
         idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
         return idx.shape == (self.d,) and bool(np.all(np.abs(idx) <= self.radius))
 
 
-def ring_count(m: int, d: int) -> int:
-    """Number of k in Z^d with |k|_inf = m."""
-    if m == 0:
-        return 1
-    return (2 * m + 1) ** d - (2 * m - 1) ** d
-
-
-def ring_counts(d: int, m_max: int) -> np.ndarray:
-    """ring_count(m, d) for m = 0 .. m_max as a float array."""
-    m = np.arange(m_max + 1, dtype=np.float64)
-    out = (2 * m + 1) ** d - np.maximum(2 * m - 1, 0.0) ** d
-    out[0] = 1.0
-    return out
+def ring_counts(d: int, m_max: int, m_min: int = 0) -> np.ndarray:
+    """Number of k in Z^d with |k|_inf = m, for m = m_min .. m_max, as a float array."""
+    m = np.arange(m_min, m_max + 1, dtype=np.float64)
+    return (2 * m + 1) ** d - np.maximum(2 * m - 1, 0.0) ** d  # 1 at m = 0
 
 
 def _check_same_window(a, b):
@@ -279,9 +272,21 @@ def ring_suprema(diag: np.ndarray) -> np.ndarray:
 def _place_diagonals(coef: np.ndarray, window: Window) -> np.ndarray:
     """The (size, size) matrix T(i, j) = coef[i - j + 2R], coef of shape (4R+1,)^d."""
     s, n = window.side, window.size
-    view = sliding_window_view(coef, (s,) * window.d)  # view[p, q] = coef[p + q]
+    if coef.shape != (2 * s - 1,) * window.d:  # as_strided would read past coef
+        raise ValueError(f"coefficient shape {coef.shape} does not fit {window}")
+    # view[p, q] = coef[p + q]: p + q <= 2 side - 2 = 4R stays inside coef
+    view = as_strided(coef, (s,) * (2 * window.d), coef.strides * 2, writeable=False)
     flipped = view[(Ellipsis,) + (slice(None, None, -1),) * window.d]  # q -> s - 1 - q
     return np.ascontiguousarray(flipped.reshape(n, n))
+
+
+def radial_matrix(values, window: Window) -> np.ndarray:
+    """The (size, size) matrix values[|i - j|_inf], values indexed by m = 0..2R."""
+    values = np.asarray(values)
+    if values.shape != (window.side,):
+        raise ValueError(f"need values for distances 0..{window.side - 1}, got shape {values.shape}")
+    k = np.abs(np.arange(-2 * window.radius, 2 * window.radius + 1))
+    return _place_diagonals(values[reduce(np.maximum.outer, [k] * window.d)], window)
 
 
 def decay_profile(a: LocalizedMatrix, weight=None) -> DecayProfile:
@@ -327,7 +332,7 @@ def embed(a: LocalizedMatrix, window: Window) -> LocalizedMatrix:
         raise WindowMismatchError("embed requires equal dimensions")
     if window.radius < a.window.radius:
         raise ValueError("target window must not be smaller")
-    pos = np.array([window.flat(idx) for idx in a.window.indices])
+    pos = window.flat(a.window.indices)
     data = np.zeros((window.size, window.size), dtype=np.complex128)
     data[np.ix_(pos, pos)] = a.data
     return LocalizedMatrix(window, data, copy=False)
@@ -339,7 +344,7 @@ def restrict(a: LocalizedMatrix, window: Window) -> LocalizedMatrix:
         raise WindowMismatchError("restrict requires equal dimensions")
     if window.radius > a.window.radius:
         raise ValueError("target window must not be larger")
-    pos = np.array([a.window.flat(idx) for idx in window.indices])
+    pos = a.window.flat(window.indices)
     return LocalizedMatrix(window, a.data[np.ix_(pos, pos)])
 
 
@@ -381,7 +386,7 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
         rng = np.random.default_rng(seed)
         re = rng.uniform(-1.0, 1.0, (n, n))
         im = rng.uniform(-1.0, 1.0, (n, n))
-        band = window.dist <= bandwidth
+        band = radial_matrix(np.arange(window.side) <= bandwidth, window)
         data = (re + 1j * im) * (amplitude / np.sqrt(2.0)) * band
         return LocalizedMatrix(window, data, copy=False)
 
@@ -394,7 +399,7 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
             raise ValueError("polynomial_decay_random needs alpha >= 0, amplitude > 0")
         rng = np.random.default_rng(seed)
         mag = rng.uniform(0.0, 1.0, (n, n)) * amplitude
-        mag *= (1.0 + window.dist) ** (-alpha)
+        mag *= radial_matrix((1.0 + np.arange(window.side)) ** (-alpha), window)
         phase = rng.uniform(0.0, 2.0 * np.pi, (n, n))
         return LocalizedMatrix(window, mag * np.exp(1j * phase), copy=False)
 
@@ -427,16 +432,45 @@ def matrix_to_dict(a: LocalizedMatrix) -> dict:
     return {"d": a.window.d, "radius": a.window.radius, "entries": entries}
 
 
+def read_rows(window: Window, rows, points: int, values: int):
+    """Positions and values of file rows [p_1, .., p_points, v_1, .., v_values].
+
+    Each row holds ``points`` lattice points of the window followed by
+    ``values`` numbers.  Returns the row-major positions in the
+    (size,)^points array and the (rows, values) float64 values.  A row of
+    another length, a cell that is not a number, a point that is not an
+    integer point of the window and two rows at the same position raise
+    ValueError.
+    """
+    d = window.d
+    width = points * d + values
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"entry row of length {len(row)} for d={d}")
+    arr = np.array(rows).reshape(-1, width)
+    if not np.issubdtype(arr.dtype, np.number):
+        raise ValueError("entry rows must hold numbers only")
+    ix = arr[:, : points * d]
+    if not np.all(np.isfinite(ix) & (ix == np.trunc(ix))):
+        raise ValueError("entry rows must start with integer lattice points")
+    pts = window.flat(ix.reshape(-1, points, d))
+    pos = np.ravel_multi_index(tuple(pts.T), (window.size,) * points)
+    if np.unique(pos).size != pos.size:
+        raise ValueError("two entry rows at the same position")
+    return pos, arr[:, points * d :].astype(np.float64)
+
+
+def _complex_values(pairs: np.ndarray) -> np.ndarray:
+    """complex(re, im) of each (re, im) row, exactly: a view of the float pairs."""
+    return np.ascontiguousarray(pairs).view(np.complex128)[:, 0]
+
+
 def matrix_from_dict(payload: dict) -> LocalizedMatrix:
     window = Window(int(payload["d"]), int(payload["radius"]))
-    d = window.d
-    data = np.zeros((window.size, window.size), dtype=np.complex128)
-    for row in payload["entries"]:
-        if len(row) != 2 * d + 2:
-            raise ValueError(f"entry row of length {len(row)} for d={d}")
-        i, j = row[:d], row[d : 2 * d]
-        data[window.flat(i), window.flat(j)] = complex(row[2 * d], row[2 * d + 1])
-    return LocalizedMatrix(window, data, copy=False)
+    pos, vals = read_rows(window, payload["entries"], 2, 2)
+    data = np.zeros(window.size**2, dtype=np.complex128)
+    data[pos] = _complex_values(vals)
+    return LocalizedMatrix(window, data.reshape(window.size, window.size), copy=False)
 
 
 def save_matrix(a: LocalizedMatrix, path) -> None:
@@ -460,12 +494,9 @@ def sequence_to_dict(c: LatticeSequence) -> dict:
 
 def sequence_from_dict(payload: dict) -> LatticeSequence:
     window = Window(int(payload["d"]), int(payload["radius"]))
-    d = window.d
+    pos, vals = read_rows(window, payload["entries"], 1, 2)
     data = np.zeros(window.size, dtype=np.complex128)
-    for row in payload["entries"]:
-        if len(row) != d + 2:
-            raise ValueError(f"entry row of length {len(row)} for d={d}")
-        data[window.flat(row[:d])] = complex(row[d], row[d + 1])
+    data[pos] = _complex_values(vals)
     return LatticeSequence(window, data, copy=False)
 
 

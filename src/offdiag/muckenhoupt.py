@@ -80,8 +80,7 @@ class WeightSequence:
             return WeightSequence.trivial(window)
         if self.form == "power":
             return WeightSequence.power(window, self.params["alpha"])
-        pos = np.array([self.window.flat(idx) for idx in window.indices])
-        return WeightSequence.table(window, self.values[pos])
+        return WeightSequence.table(window, self.values[self.window.flat(window.indices)])
 
     def extended_values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate w at arbitrary lattice points (closed forms extend off-window)."""
@@ -90,10 +89,7 @@ class WeightSequence:
             return np.ones(pts.shape[0])
         if self.form == "power":
             return (1.0 + np.abs(pts).max(axis=1)) ** self.params["alpha"]
-        if np.any(np.abs(pts) > self.window.radius):
-            raise ValueError("table weight queried outside its window")
-        flat = np.array([self.window.flat(idx) for idx in pts])
-        return self.values[flat]
+        return self.values[self.window.flat(pts)]  # refuses points off the table
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
 
-from .lattice import Window, diagonal_suprema, ring_counts, ring_suprema
+from .lattice import Window, diagonal_suprema, radial_matrix, ring_counts, ring_suprema
 
 __all__ = [
     "WeightMatrix",
@@ -188,7 +188,7 @@ class WeightMatrix:
             if window != self.table_window:
                 raise ValueError("table weight defined on a different window")
             return self.table_values
-        return self.radial().value(window.dist)
+        return radial_matrix(self.radial().value(np.arange(window.side)), window)
 
     def eval(self, i, j) -> float:
         if self.form == "table":
@@ -296,8 +296,7 @@ def ring_power_series(ratio: RadialForm, p_prime: float, d: int, m_start: int) -
     terms = 0
     while True:
         ms = np.arange(m_lo, m_end + 1, dtype=np.float64)
-        rings = (2 * ms + 1) ** d - np.maximum(2 * ms - 1, 0.0) ** d
-        rings[ms == 0] = 1.0
+        rings = ring_counts(d, m_end, m_lo)
         r = ratio.tail_sup(ms)
         chunk = rings * r**p_prime
         partial += float(np.sum(chunk))
@@ -355,7 +354,6 @@ def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float, window: Window | None
 
 @dataclass(frozen=True)
 class SubmultReport:
-    holds: bool
     worst_margin: float
     cp: float
     triples_checked: int
@@ -363,8 +361,9 @@ class SubmultReport:
     cp_partial: float
     cp_tail_bound: float
 
-    def __post_init__(self):
-        assert self.holds == (self.worst_margin >= 0.0)
+    @property
+    def holds(self) -> bool:
+        return bool(self.worst_margin >= 0.0)
 
 
 def check_submultiplicative(u: WeightMatrix, v: WeightMatrix, p: float, window: Window,
@@ -400,8 +399,7 @@ def check_submultiplicative(u: WeightMatrix, v: WeightMatrix, p: float, window: 
         checked = sample_budget
         exhaustive = False
     cp = cross_norm(u, v, p, window)
-    return SubmultReport(worst >= 0.0, worst, cp.value, checked, exhaustive,
-                         cp.partial, cp.tail_bound)
+    return SubmultReport(worst, cp.value, checked, exhaustive, cp.partial, cp.tail_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,10 +471,8 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
         diverged = not math.isfinite(float(ratio.tail_sup(np.array([0]))[0]))
     else:
         m_big = max(2 * n_max, 4096)
-        ms = np.arange(0, m_big + 1, dtype=np.float64)
-        rings = (2 * ms + 1) ** d - np.maximum(2 * ms - 1, 0.0) ** d
-        rings[0] = 1.0
-        r = ratio.tail_sup(ms)
+        rings = ring_counts(d, m_big)
+        r = ratio.tail_sup(np.arange(0, m_big + 1, dtype=np.float64))
         diverged = ratio.limit() > 0.0 or not np.all(np.isfinite(r))
         if not diverged:
             terms = rings * r**pp

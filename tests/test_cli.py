@@ -180,6 +180,17 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "bracket inverted" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("rows", [[[0]], [[0, 2.0], [0, 3.0]], [[9, 2.0]]])
+    def test_bad_weight_table_exit_code(self, runner, tmp_path, rows):
+        # a short row, two rows at one point, a point off the window
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"form": "table", "d": 1, "radius": 2, "values": rows}))
+        res = runner.invoke(main, ["weights", "aq", "--wseq", str(path), "--radius", "2",
+                                   "--q", "2", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "np.int64" not in res.output
+
     def test_vanishing_symbol_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1@0,-1@1",
                                    "--out", str(tmp_path / "o")])

@@ -115,8 +115,9 @@ class TestWienerInvert:
     def test_two_sided_for_nonnormal(self):
         win = Window(1, 24)
         rng = np.random.default_rng(5)
-        data = 3.0 * np.eye(win.size) + 0.35 * (win.dist <= 3) * rng.standard_normal(
-            (win.size, win.size))
+        ix = win.indices
+        band = np.abs(ix[:, None] - ix[None]).max(-1) <= 3
+        data = 3.0 * np.eye(win.size) + 0.35 * band * rng.standard_normal((win.size, win.size))
         a_inv, rep = wiener_invert(LocalizedMatrix(win, data), tol=1e-10, k_max=2000)
         assert rep.converged
         assert np.abs(a_inv.data @ data - np.eye(win.size)).max() <= 1e-10

@@ -10,8 +10,9 @@ from offdiag.lattice import (DecayProfile, LatticeSequence, LocalizedMatrix,
                              Window, WindowMismatchError, add, adjoint, apply,
                              decay_profile, embed, generate, load_matrix,
                              matrix_from_dict, matrix_to_dict, multiply,
-                             profile_to_csv, restrict, ring_count, save_matrix,
-                             scale, sequence_from_dict, sequence_to_dict)
+                             profile_to_csv, radial_matrix, read_rows, restrict,
+                             ring_counts, save_matrix, scale, sequence_from_dict,
+                             sequence_to_dict)
 
 
 def brute_profile(a, m_max):
@@ -28,6 +29,12 @@ def brute_profile(a, m_max):
     return np.array(out)
 
 
+def sup_dist(win):
+    """Independent oracle: |i - j|_inf for every pair of window points."""
+    ix = win.indices
+    return np.abs(ix[:, None] - ix[None]).max(-1)
+
+
 def rand_matrix(win, seed, density=0.5):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((win.size, win.size)) + 1j * rng.standard_normal((win.size, win.size))
@@ -40,11 +47,41 @@ class TestWindow:
         win = Window(2, 1)
         expected = list(itertools.product((-1, 0, 1), repeat=2))
         assert [tuple(ix) for ix in win.indices] == expected
+        win = Window(3, 2)
+        expected = list(itertools.product(range(-2, 3), repeat=3))
+        assert [tuple(ix) for ix in win.indices] == expected
+        assert win.indices.dtype == np.int64 and not win.indices.flags.writeable
 
-    def test_flat_roundtrip(self):
-        win = Window(2, 2)
-        for k, ix in enumerate(win.indices):
-            assert win.flat(tuple(ix)) == k
+    @given(st.integers(1, 3), st.integers(0, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_flat_roundtrip(self, d, r, data):
+        win = Window(d, r)
+        pos = win.flat(win.indices)
+        assert pos.dtype == np.int64
+        assert np.array_equal(pos, np.arange(win.size))
+        k = data.draw(st.integers(0, win.size - 1))
+        point = tuple(int(x) for x in win.indices[k])
+        assert win.flat(point) == k and type(win.flat(point)) is int
+        assert win.flat(np.array(point)) == k
+        if d == 1:
+            assert win.flat(point[0]) == k
+        # any leading shape: positions of a (2, size, d) stack
+        stack = np.stack([win.indices, win.indices[::-1]])
+        assert np.array_equal(win.flat(stack), [np.arange(win.size), np.arange(win.size)[::-1]])
+        with pytest.raises(ValueError):
+            win.flat(np.zeros((3, d + 1), dtype=np.int64))
+        far = np.array(win.indices)
+        far[k, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([-r - 1, r + 1]))
+        with pytest.raises(ValueError):
+            win.flat(far)
+        with pytest.raises(ValueError):
+            win.flat(far[k])
+
+    def test_out_of_range_message_prints_ints(self):
+        with pytest.raises(ValueError, match=r"index \(7,\) outside window radius 2"):
+            Window(1, 2).flat((7,))
+        with pytest.raises(ValueError, match=r"index \(0, -3\) outside"):
+            Window(2, 2).flat(np.array([[0, 0], [0, -3]]))
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -55,10 +92,11 @@ class TestWindow:
             Window(1, 2).flat((5,))
 
     def test_ring_count(self):
-        assert ring_count(0, 1) == 1
-        assert ring_count(3, 1) == 2
-        assert ring_count(1, 2) == 8
-        assert ring_count(2, 3) == 125 - 27
+        assert ring_counts(1, 3)[0] == 1
+        assert ring_counts(1, 3)[3] == 2
+        assert ring_counts(2, 1)[1] == 8
+        assert ring_counts(3, 2)[2] == 125 - 27
+        assert np.array_equal(ring_counts(2, 9, 4), ring_counts(2, 9)[4:])
 
 
 class TestDecayProfile:
@@ -75,7 +113,7 @@ class TestDecayProfile:
     def test_geometric(self):
         # a(i,j) = 2^{-|i-j|}: the ring sup sits on the inner boundary
         win = Window(1, 3)
-        a = LocalizedMatrix(win, 2.0 ** (-win.dist.astype(float)))
+        a = LocalizedMatrix(win, 2.0 ** (-sup_dist(win).astype(float)))
         assert np.array_equal(decay_profile(a).values, 0.5 ** np.arange(7.0))
 
     @pytest.mark.parametrize("d,r,seed", [(1, 4, 0), (1, 6, 1), (2, 2, 2), (3, 1, 3)])
@@ -213,14 +251,25 @@ class TestGenerate:
         assert np.array_equal(a.data, b.data)
         c = generate("banded_random", win, seed=8, bandwidth=2)
         assert not np.array_equal(a.data, c.data)
-        assert np.all(np.abs(a.data[win.dist > 2]) == 0)
+        assert np.all(np.abs(a.data[sup_dist(win) > 2]) == 0)
 
     def test_polynomial_decay_bound(self):
         win = Window(1, 6)
         alpha, amp = 2.5, 3.0
         a = generate("polynomial_decay_random", win, seed=1, alpha=alpha, amplitude=amp)
-        bound = amp * (1.0 + win.dist) ** (-alpha)
+        bound = amp * (1.0 + sup_dist(win)) ** (-alpha)
         assert np.all(np.abs(a.data) <= bound + 1e-15)
+
+    @pytest.mark.parametrize("d,r", [(1, 0), (1, 5), (2, 2), (3, 1)])
+    def test_radial_matrix(self, d, r):
+        win = Window(d, r)
+        values = (1.0 + np.arange(win.side)) ** -1.5
+        placed = radial_matrix(values, win)
+        assert placed.dtype == np.float64
+        assert np.array_equal(placed, values[sup_dist(win)])
+        assert np.array_equal(radial_matrix(np.arange(win.side) <= 1, win), sup_dist(win) <= 1)
+        with pytest.raises(ValueError):
+            radial_matrix(values[:-1], win)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -286,3 +335,31 @@ class TestSerialization:
     def test_bad_entry_length(self):
         with pytest.raises(ValueError):
             matrix_from_dict({"d": 2, "radius": 1, "entries": [[0, 0, 1.0, 0.0]]})
+
+    def test_duplicate_positions_refused(self):
+        # two rows at one position used to let the last row win silently
+        with pytest.raises(ValueError, match="same position"):
+            matrix_from_dict({"d": 1, "radius": 1,
+                              "entries": [[0, 1, 1.0, 0.0], [0, 1, 2.0, 0.0]]})
+        with pytest.raises(ValueError, match="same position"):
+            sequence_from_dict({"d": 2, "radius": 1,
+                                "entries": [[1, 0, 1.0, 0.0], [1, 0, 1.0, 0.0]]})
+        with pytest.raises(ValueError, match="same position"):
+            read_rows(Window(1, 2), [[0, 2.0], [1, 3.0], [0, 2.0]], 1, 1)
+        # the same point as row and as column is not a duplicate
+        a = matrix_from_dict({"d": 1, "radius": 1,
+                              "entries": [[0, 1, 1.0, 0.0], [1, 0, 2.0, 0.0]]})
+        assert a.nnz == 2
+
+    def test_values_read_exactly(self):
+        # complex(re, im) keeps a -0.0 real part and an infinite imaginary part
+        rows = [[-1, 0, -0.0, float("inf")], [0, 1, float("nan"), -0.0], [1, 1, 3, 4]]
+        a = matrix_from_dict({"d": 1, "radius": 1, "entries": rows})
+        want = np.zeros((3, 3), dtype=np.complex128)
+        for i, j, re, im in rows:
+            want[i + 1, j + 1] = complex(re, im)
+        assert a.data.tobytes() == want.tobytes()
+        # a cell that is not a number, or a point that is not an integer point
+        for row in ([0, 0, None, 0.0], [0.5, 0, 1.0, 0.0], [float("nan"), 0, 1.0, 0.0]):
+            with pytest.raises(ValueError):
+                matrix_from_dict({"d": 1, "radius": 1, "entries": [row]})

@@ -45,8 +45,10 @@ class TestBracket:
     def test_matches_svd_oracle(self):
         win = Window(1, 32)
         rng = np.random.default_rng(3)
+        ix = win.indices
+        band = np.abs(ix[:, None] - ix[None]).max(-1) <= 2
         a = LocalizedMatrix(win, np.eye(win.size) + 0.3 * rng.standard_normal((win.size, win.size))
-                            * (win.dist <= 2))
+                            * band)
         w = WeightSequence.power(win, 0.5)
         rep = stability_bracket(a, 2.0, w, band=4)
         lo, hi = oracle_sigma(a, w, 4)

@@ -132,12 +132,12 @@ def _exit_codes(fn):
     def verb(*args, **kwargs):
         try:
             fn(*args, **kwargs)
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(2)
         except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
             click.echo(f"validation error: {exc}", err=True)
             sys.exit(1)
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(2)
         except _Fail as exc:
             click.echo(str(exc), err=True)
             sys.exit(exc.code)

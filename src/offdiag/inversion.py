@@ -1,8 +1,8 @@
 """Constructive inversion by the preconditioned Neumann series.
 
-With a spectral bracket C1 I <= A*A <= C2 I the matrix
-B := I - (2/(C1+C2)) A*A contracts on l^2 with factor
-r0 = (C2-C1)/(C2+C1) < 1, and
+With the spectral bracket C1 I <= A*A <= C2 I (the extreme eigenvalues of
+A*A, from one dense eigensolve) the matrix B := I - (2/(C1+C2)) A*A
+contracts on l^2 with factor r0 = (C2-C1)/(C2+C1) < 1, and
 
     A^{-1} = (2/(C1+C2)) (sum_{n>=0} B^n) A*.
 
@@ -47,19 +47,18 @@ class SpectralBracket:
     c1: float
     c2: float
     r0: float
-    method: str
 
 
-def spectral_bracket(a: LocalizedMatrix, tol: float = 1e-10, force_power: bool = False) -> SpectralBracket:
-    """C1, C2 with C1 I <= A*A <= C2 I; C1 clamped at 0 for singular A."""
+def spectral_bracket(a: LocalizedMatrix) -> SpectralBracket:
+    """C1, C2 with C1 I <= A*A <= C2 I, the ends of A*A's spectrum; C1 >= 0."""
     if a.nnz == 0:
         raise ValueError("spectral bracket of the zero matrix")
     gram = a.data.conj().T @ a.data
-    lo, hi, method = hermitian_extremes(gram, tol=tol, force_power=force_power)
+    lo, hi = hermitian_extremes(gram)
     c1 = max(lo, 0.0)
     c2 = max(hi, 0.0)
     r0 = (c2 - c1) / (c2 + c1) if c2 > 0 else 1.0
-    return SpectralBracket(c1, c2, r0, method)
+    return SpectralBracket(c1, c2, r0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +89,7 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if bracket is None:
-        bracket = spectral_bracket(a, tol=min(tol, 1e-10))
+        bracket = spectral_bracket(a)
     c1, c2 = bracket.c1, bracket.c2
     if c1 <= 1e-14 * c2:
         raise SingularMatrixError(f"bracket collapsed: C1={c1:.3e}, C2={c2:.3e}")

@@ -9,9 +9,10 @@ emulate an infinite operator.
 
 Window geometry has one kernel, built without n x n index tables:
 ``diagonal_suprema`` (suprema along each diagonal i - j = k), ``ring_suprema``
-(their envelope over |k|_inf >= m) and the inverse placement of a (4R+1)^d
-diagonal array, which assembles Toeplitz matrices and, through
-``radial_matrix``, functions of |i - j|_inf from their 2R + 1 values.
+(their envelope over |k|_inf >= m, summed over the lattice by ``ring_lp``)
+and the inverse placement of a (4R+1)^d diagonal array, which assembles
+Toeplitz matrices and, through ``radial_matrix``, functions of |i - j|_inf
+from their 2R + 1 values.
 ``Window.flat`` maps one lattice point or an (..., d) array of them to
 positions.
 """
@@ -19,6 +20,7 @@ positions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -32,6 +34,7 @@ __all__ = [
     "DecayProfile",
     "WindowMismatchError",
     "ring_counts",
+    "ring_lp",
     "diagonal_suprema",
     "ring_suprema",
     "radial_matrix",
@@ -120,6 +123,17 @@ def ring_counts(d: int, m_max: int, m_min: int = 0) -> np.ndarray:
     """Number of k in Z^d with |k|_inf = m, for m = m_min .. m_max, as a float array."""
     m = np.arange(m_min, m_max + 1, dtype=np.float64)
     return (2 * m + 1) ** d - np.maximum(2 * m - 1, 0.0) ** d  # 1 at m = 0
+
+
+def ring_lp(h: np.ndarray, d: int, p: float = 1.0, m_min: int = 0) -> float:
+    """(sum_{m >= m_min} ring(m, d) h(m)^p)^{1/p} for a ring profile h(0..M).
+
+    This is the l^p norm over k in Z^d, |k|_inf >= m_min, of h(|k|_inf); with
+    a nonincreasing h the p = inf case is h(m_min).  Past the end it is 0.
+    """
+    if math.isinf(p):
+        return float(h[m_min]) if m_min < h.size else 0.0
+    return float(np.sum(ring_counts(d, h.size - 1, m_min) * h[m_min:] ** p) ** (1.0 / p))
 
 
 def _check_same_window(a, b):
@@ -438,9 +452,9 @@ def read_rows(window: Window, rows, points: int, values: int):
     Each row holds ``points`` lattice points of the window followed by
     ``values`` numbers.  Returns the row-major positions in the
     (size,)^points array and the (rows, values) float64 values.  A row of
-    another length, a cell that is not a number, a point that is not an
-    integer point of the window and two rows at the same position raise
-    ValueError.
+    another length, a cell that is not a number, a value that is not finite,
+    a point that is not an integer point of the window and two rows at the
+    same position raise ValueError.
     """
     d = window.d
     width = points * d + values
@@ -457,7 +471,10 @@ def read_rows(window: Window, rows, points: int, values: int):
     pos = np.ravel_multi_index(tuple(pts.T), (window.size,) * points)
     if np.unique(pos).size != pos.size:
         raise ValueError("two entry rows at the same position")
-    return pos, arr[:, points * d :].astype(np.float64)
+    vals = arr[:, points * d :].astype(np.float64)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("entry values must be finite numbers")
+    return pos, vals
 
 
 def _complex_values(pairs: np.ndarray) -> np.ndarray:

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LocalizedMatrix, decay_profile, diagonal_suprema, multiply,
-                      ring_counts)
+from .lattice import LocalizedMatrix, decay_profile, diagonal_suprema, multiply, ring_lp
 from .spectral import operator_norm_l2
 from .weights import ThetaFit
 
@@ -50,30 +49,21 @@ def _weighted_mag(a: LocalizedMatrix, weight) -> np.ndarray:
     return mag
 
 
-def _lp(values: np.ndarray, p: float, counts: np.ndarray | None = None) -> float:
-    if math.isinf(p):
-        return float(values.max(initial=0.0))
-    if counts is None:
-        return float(np.sum(values**p) ** (1.0 / p))
-    return float(np.sum(counts * values**p) ** (1.0 / p))
-
-
 def beurling_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """l^p over k in Z^d of h(|k|), h = ring suprema of |a| u.
 
     Rings beyond 2R are empty, so the sum over the infinite lattice is exact:
     h(0)^p + sum_{m>=1} ((2m+1)^d - (2m-1)^d) h(m)^p, then the p-th root.
     """
-    h = decay_profile(a, weight).values
-    if math.isinf(p):
-        return float(h[0])
-    counts = ring_counts(a.window.d, h.size - 1)
-    return _lp(h, p, counts)
+    return ring_lp(decay_profile(a, weight).values, a.window.d, p)
 
 
 def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """l^p over k in Z^d of the diagonal suprema sup_{i-j=k} |a(i,j)| u(i,j)."""
-    return _lp(diagonal_suprema(_weighted_mag(a, weight), a.window).ravel(), p)
+    diag = diagonal_suprema(_weighted_mag(a, weight), a.window).ravel()
+    if math.isinf(p):
+        return float(diag.max(initial=0.0))
+    return float(np.sum(diag**p) ** (1.0 / p))
 
 
 def schur_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
@@ -171,14 +161,12 @@ def dilation_fact_check(a: LocalizedMatrix, n: int) -> DilationReport:
         raise ValueError("N must be >= 1")
     d = a.window.d
     h = decay_profile(a).values
-    m_max = h.size - 1
-    base = float(np.sum(ring_counts(d, m_max) * h))
+    base = ring_lp(h, d)
     # |i-j| >= j0/N with integer distances means |i-j| >= ceil(j0/N);
     # contributions vanish once ceil(j0/N) exceeds the window diameter.
-    j_max = m_max * n
-    js = np.arange(0, j_max + 1)
+    js = np.arange(0, (h.size - 1) * n + 1)
     thresholds = -(-js // n)  # ceil division
-    lhs = float(np.sum(ring_counts(d, j_max) * h[thresholds]))
+    lhs = ring_lp(h[thresholds], d)
     rhs = n * (2 * n + 1) ** (d - 1) * base
     return DilationReport(lhs, rhs, rhs - lhs)
 

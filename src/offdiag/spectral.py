@@ -1,75 +1,23 @@
-"""Shared spectral helpers: power iterations and their dense fallbacks.
+"""Shared spectral helpers, one dense LAPACK path per quantity.
 
-Dense eigensolves take over below DENSE_CUTOFF indices (the accuracy oracle
-at desk scale); the iterative paths exist for larger windows and are covered
-by tests that force them explicitly.
+Every window is a dense matrix of desk-scale size, so the Hermitian ends come
+from ``eigvalsh`` and the spectral norm from the largest singular value.  Both
+are computed to roundoff, which is what the Neumann engine's bracket needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-DENSE_CUTOFF = 4096
-
-__all__ = ["DENSE_CUTOFF", "TopEig", "hermitian_top_eigenvalue", "hermitian_extremes", "operator_norm_l2"]
+__all__ = ["hermitian_extremes", "operator_norm_l2"]
 
 
-@dataclass(frozen=True)
-class TopEig:
-    value: float
-    iterations: int
-    residual: float
-    converged: bool
+def hermitian_extremes(m: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a Hermitian matrix."""
+    eigs = np.linalg.eigvalsh(m)
+    return float(eigs[0]), float(eigs[-1])
 
 
-def hermitian_top_eigenvalue(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000, seed: int = 0) -> TopEig:
-    """Largest eigenvalue of a Hermitian PSD matrix by power iteration."""
-    n = m.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    it = 0
-    rel = np.inf
-    for it in range(1, max_iter + 1):
-        w = m @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return TopEig(0.0, it, 0.0, True)
-        new_lam = float(np.real(np.vdot(v, w)))
-        v = w / nw
-        rel = abs(new_lam - lam) / max(abs(new_lam), 1e-300)
-        lam = new_lam
-        if rel <= tol:
-            return TopEig(lam, it, rel, True)
-    return TopEig(lam, it, rel, False)
-
-
-def hermitian_extremes(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000, force_power: bool = False):
-    """(lambda_min, lambda_max, method) for a Hermitian PSD matrix.
-
-    lambda_min is obtained from the shifted matrix lambda_max I - M, so for
-    the power path both ends carry the iteration tolerance.
-    """
-    n = m.shape[0]
-    if n <= DENSE_CUTOFF and not force_power:
-        eigs = np.linalg.eigvalsh(m)
-        return float(eigs[0]), float(eigs[-1]), "dense"
-    top = hermitian_top_eigenvalue(m, tol=tol, max_iter=max_iter)
-    shifted = hermitian_top_eigenvalue(top.value * np.eye(n) - m, tol=tol, max_iter=max_iter, seed=1)
-    if not (top.converged and shifted.converged):
-        raise ArithmeticError(
-            f"power iteration did not converge (residuals {top.residual:.3e}, {shifted.residual:.3e})"
-        )
-    return float(top.value - shifted.value), float(top.value), "power"
-
-
-def operator_norm_l2(data: np.ndarray, tol: float = 1e-10, force_power: bool = False) -> float:
-    """Spectral norm; dense SVD below the cutoff, A*A power iteration above."""
-    if data.shape[0] <= DENSE_CUTOFF and not force_power:
-        return float(np.linalg.norm(data, 2))
-    gram = data.conj().T @ data
-    top = hermitian_top_eigenvalue(gram, tol=tol)
-    return float(np.sqrt(max(top.value, 0.0)))
+def operator_norm_l2(data: np.ndarray) -> float:
+    """Spectral norm: the largest singular value."""
+    return float(np.linalg.norm(data, 2))

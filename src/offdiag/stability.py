@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (LatticeSequence, LocalizedMatrix, Window, decay_profile,
-                      restrict, ring_counts)
+                      restrict, ring_lp)
 from .muckenhoupt import WeightSequence, aq_bound, weighted_norm
 from .norms import beurling_norm
 from .weights import WeightMatrix, cross_norm
@@ -291,13 +291,12 @@ def commutator_diagnostic(a: LocalizedMatrix, n_scale: int, n, n_prime, q: float
 
     aq = aq_bound(w, q, win.side).bound
     h = decay_profile(a).values
-    rings = ring_counts(d, h.size - 1)
 
     if sep <= 8 * n_scale:
         case = "near"
         m0 = math.ceil(math.sqrt(n_scale) / 2.0)
-        tail = float(np.sum(rings[m0:] * h[m0:])) if m0 < h.size else 0.0
-        ring_norm = float(np.sum(rings * h))
+        tail = ring_lp(h, d, m_min=m0)
+        ring_norm = ring_lp(h, d)
         rhs = (2.0 ** (2 * d + 2 * d / q) * n_scale ** (-0.5) * aq ** (1.0 / q) * ring_norm
                + 2.0 ** (3 * d + 2 * d / q + 1) * aq ** (1.0 / q) * tail) * probe_norm
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LocalizedMatrix, Window, generate, ring_counts
+from .lattice import LocalizedMatrix, Window, generate, ring_lp
 from .muckenhoupt import WeightSequence
 from .stability import StabilityReport, ordered_map, stability_bracket
 
@@ -133,7 +133,7 @@ def astar_norm(a: SymbolCoeffs) -> float:
     tail_sup = np.maximum.accumulate(per_dist[::-1])[::-1]
     if a.d == 1:
         return float(np.sum(tail_sup))
-    return float(np.sum(ring_counts(a.d, m_max) * tail_sup))
+    return ring_lp(tail_sup, a.d)
 
 
 @dataclass(frozen=True)

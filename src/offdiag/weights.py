@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
 
-from .lattice import Window, diagonal_suprema, radial_matrix, ring_counts, ring_suprema
+from .lattice import Window, diagonal_suprema, radial_matrix, ring_counts, ring_lp, ring_suprema
 
 __all__ = [
     "WeightMatrix",
@@ -338,12 +338,7 @@ def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float, window: Window | None
     if window is None:
         raise ValueError("table-form cross norm needs a window")
     r = ring_suprema(diagonal_suprema(v.grid(window) / u.grid(window), window))
-    pp = _p_prime(p)
-    if math.isinf(pp):
-        val = float(r[0])
-    else:
-        rings = ring_counts(window.d, 2 * window.radius)
-        val = float(np.sum(rings * r**pp) ** (1.0 / pp))
+    val = ring_lp(r, window.d, _p_prime(p))
     return SeriesValue(val, val, 0.0, r.size, False)
 
 

@@ -191,6 +191,35 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         assert "validation error" in res.output and "np.int64" not in res.output
 
+    def test_linalg_failure_exit_code(self, runner, tmp_path, matrix_file, monkeypatch):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        res = runner.invoke(main, ["invert", "--matrix", str(matrix_file),
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "numerical failure" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("verb", ["norm", "invert", "maximal", "aq"])
+    def test_non_finite_value_exit_code(self, runner, tmp_path, verb, bad):
+        # json writes NaN and Infinity, and json.load reads them back
+        rows = {"norm": [[0, 0, 1.0, bad]], "invert": [[0, 0, bad, 0.0]],
+                "maximal": [[0, bad, 0.0]], "aq": [[0, bad]]}[verb]
+        payload = {"d": 1, "radius": 2, "entries": rows}
+        if verb == "aq":
+            payload = {"form": "table", "d": 1, "radius": 2, "values": rows}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        args = {"norm": ["norm", "--matrix"], "invert": ["invert", "--matrix"],
+                "maximal": ["weights", "maximal", "--seq"],
+                "aq": ["weights", "aq", "--radius", "2", "--q", "2", "--wseq"]}[verb]
+        res = runner.invoke(main, args + [str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert "finite" in res.output and "Traceback" not in res.output
+
     def test_vanishing_symbol_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1@0,-1@1",
                                    "--out", str(tmp_path / "o")])

@@ -5,7 +5,7 @@ from offdiag.inversion import (SingularMatrixError, inverse_closedness_experimen
                                left_inverse, neumann_term_envelope,
                                spectral_bracket, wiener_invert)
 from offdiag.lattice import LocalizedMatrix, Window, generate, scale
-from offdiag.spectral import hermitian_extremes, operator_norm_l2
+from offdiag.spectral import operator_norm_l2
 
 
 def toeplitz(win, coeffs):
@@ -46,34 +46,13 @@ class TestSpectralBracket:
         with pytest.raises(ValueError):
             spectral_bracket(LocalizedMatrix(win, np.zeros((win.size, win.size))))
 
-    def test_power_iteration_agrees_with_dense(self):
-        win = Window(1, 20)
-        a = generate("banded_random", win, seed=4, bandwidth=2)
-        dense = spectral_bracket(a)
-        power = spectral_bracket(a, tol=1e-12, force_power=True)
-        assert power.method == "power"
-        assert power.c2 == pytest.approx(dense.c2, rel=1e-8)
-        assert power.c1 == pytest.approx(dense.c1, abs=1e-6 * dense.c2)
-
 
 class TestSpectralHelpers:
     def test_operator_norm_paths(self):
         win = Window(1, 12)
         a = generate("banded_random", win, seed=1, bandwidth=2)
         dense = operator_norm_l2(a.data)
-        power = operator_norm_l2(a.data, tol=1e-13, force_power=True)
         assert dense == pytest.approx(np.linalg.norm(a.data, 2), rel=1e-13)
-        assert power == pytest.approx(dense, rel=1e-9)
-
-    def test_hermitian_extremes_power(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((30, 30))
-        m = m @ m.T
-        lo, hi, method = hermitian_extremes(m, tol=1e-13, force_power=True)
-        eigs = np.linalg.eigvalsh(m)
-        assert method == "power"
-        assert hi == pytest.approx(eigs[-1], rel=1e-9)
-        assert lo == pytest.approx(eigs[0], abs=1e-7 * eigs[-1])
 
 
 class TestWienerInvert:
@@ -241,3 +220,34 @@ class TestEnvelope:
         bare = inverse_closedness_experiment(
             lambda win: toeplitz(win, {0: 2.0, 1: 1.0}), (8,), p=1.0)
         assert bare[0].envelope_log10 is None
+
+
+class TestDemkoMossSmith:
+    """Decay of the computed inverse against the bound of Demko, Moss and Smith
+    (Math. Comp. 43, 1984), which owes nothing to the Neumann engine."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d, radius, b", [(1, 24, 2), (2, 5, 1), (3, 3, 1)])
+    def test_inverse_profile_within_bound(self, d, radius, b, seed):
+        win = Window(d, radius)
+        noise = generate("banded_random", win, seed=seed, bandwidth=b).data
+        a = LocalizedMatrix(win, 1.5 * (2 * b + 1) ** d * np.eye(win.size) + noise)
+        x, rep = wiener_invert(a)
+        # M = A*A is positive definite with lattice bandwidth 2b and spectrum
+        # in [lo, hi], so |M^{-1}(i, k)| <= C lam^{|i-k|}
+        eigs = np.linalg.eigvalsh(a.data.conj().T @ a.data)
+        lo, hi = eigs[0], eigs[-1]
+        kappa = hi / lo
+        lam = ((np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)) ** (1.0 / (2 * b))
+        big_c = max(1.0 / lo, (1 + np.sqrt(kappa)) ** 2 / (2 * hi))
+        # A^{-1} = M^{-1} A*: the band b of A* costs b rings and a row sum of A
+        row_sum = np.abs(a.data).sum(axis=1).max()
+        # X - A^{-1} = (XA - I) A^{-1}, entrywise at most max|XA - I| times
+        # the largest column l^1 norm of A^{-1}
+        dense = np.linalg.inv(a.data)
+        err = np.abs(x.data @ a.data - np.eye(win.size)).max() * np.abs(dense).sum(axis=0).max()
+        h = rep.inverse_profile.values
+        n = np.arange(h.size)
+        bound = big_c * row_sum * lam ** np.maximum(n - b, 0) + err
+        assert np.all(h <= bound)
+        assert h[-1] < 1e-3 * h[0]  # the bound is met with decay, not by a flat profile

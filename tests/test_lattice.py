@@ -352,14 +352,16 @@ class TestSerialization:
         assert a.nnz == 2
 
     def test_values_read_exactly(self):
-        # complex(re, im) keeps a -0.0 real part and an infinite imaginary part
-        rows = [[-1, 0, -0.0, float("inf")], [0, 1, float("nan"), -0.0], [1, 1, 3, 4]]
+        # complex(re, im) keeps a -0.0 real part and a subnormal imaginary part
+        rows = [[-1, 0, -0.0, 5e-324], [0, 1, 2.5, -0.0], [1, 1, 3, 4]]
         a = matrix_from_dict({"d": 1, "radius": 1, "entries": rows})
         want = np.zeros((3, 3), dtype=np.complex128)
         for i, j, re, im in rows:
             want[i + 1, j + 1] = complex(re, im)
         assert a.data.tobytes() == want.tobytes()
-        # a cell that is not a number, or a point that is not an integer point
-        for row in ([0, 0, None, 0.0], [0.5, 0, 1.0, 0.0], [float("nan"), 0, 1.0, 0.0]):
+        # a cell that is not a number, a value that is not finite, or a point
+        # that is not an integer point
+        for row in ([0, 0, None, 0.0], [0, 0, float("nan"), 0.0], [0, 0, 1.0, float("inf")],
+                    [0, 0, -float("inf"), 0.0], [0.5, 0, 1.0, 0.0], [float("nan"), 0, 1.0, 0.0]):
             with pytest.raises(ValueError):
                 matrix_from_dict({"d": 1, "radius": 1, "entries": [row]})

@@ -349,10 +349,13 @@ def _write_inversion(out, a_inv, rep, config, seed, prefix):
                        body.rstrip("\n").split("\n"), config, seed)
 
 
+_KMAX_HELP = "squaring doubles the series terms held while fewer than this are held"
+
+
 @main.command("invert")
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
 @click.option("--tol", default=1e-10, show_default=True)
-@click.option("--kmax", default=500, show_default=True)
+@click.option("--kmax", default=500, show_default=True, help=_KMAX_HELP)
 @click.option("--out", default="out", show_default=True)
 @_exit_codes
 def invert_cmd(matrix_path, tol, kmax, out):
@@ -365,18 +368,18 @@ def invert_cmd(matrix_path, tol, kmax, out):
     click.echo(f"residual={rep.residual!r} terms={rep.terms_used} "
                f"ring_norm={rep.inverse_ring_norm!r}")
     if not rep.converged:
-        raise _Fail(2, f"series not converged within {kmax} terms "
+        raise _Fail(2, f"series not converged at {rep.terms_used} terms "
                        f"(residual {rep.residual!r})")
 
 
 @main.command("leftinv")
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
 @click.option("--tol", default=1e-10, show_default=True)
-@click.option("--kmax", default=4000, show_default=True)
+@click.option("--kmax", default=4000, show_default=True, help=_KMAX_HELP)
 @click.option("--out", default="out", show_default=True)
 @_exit_codes
 def leftinv_cmd(matrix_path, tol, kmax, out):
-    """Left inverse (A*A)^{-1} A* via the Neumann engine."""
+    """Left inverse of a square window operand, which is its inverse A^{-1}."""
     a = load_matrix(matrix_path)
     b, rep = inversion.left_inverse(a, tol=tol, k_max=kmax)
     config = {"command": "leftinv", "matrix": str(matrix_path), "tol": tol,
@@ -384,7 +387,7 @@ def leftinv_cmd(matrix_path, tol, kmax, out):
     _write_inversion(out, b, rep, config, None, "left_inverse")
     click.echo(f"residual={rep.residual!r} terms={rep.terms_used}")
     if not rep.converged:
-        raise _Fail(2, f"series not converged within {kmax} terms")
+        raise _Fail(2, f"series not converged at {rep.terms_used} terms")
 
 
 @main.command("thetafit")

@@ -6,9 +6,11 @@ contracts on l^2 with factor r0 = (C2-C1)/(C2+C1) < 1, and
 
     A^{-1} = (2/(C1+C2)) (sum_{n>=0} B^n) A*.
 
-The running partial sum S_K = sum_{n<=K} B^n leaves the exact residual
-S_K (2/(C1+C2)) A*A - I = -B^{K+1}, which the iteration tracks entrywise.
-The decay profile and ring norm of the computed inverse are reported as the
+It is summed by squaring (the hyperpower form of Schulz): from
+X = (2/(C1+C2)) A*, each step X <- X (2I - AX) doubles the terms held, as
+I - XA = B^K after K terms.  Both max|XA - I| and max|AX - I| are measured
+on X at every step, and convergence requires both to meet tol.  The decay
+profile and ring norm of the computed inverse are reported as the
 inverse-closedness witness: for well-behaved families they stay bounded as
 the window grows.  Dense LU solves are oracle-only (tests), never the
 production path.
@@ -75,16 +77,18 @@ class InversionReport:
     two_sided_residual: float
 
 
-_FLUSH = 1e-300  # keep supports finite in spirit during series accumulation
+_FLUSH = 1e-300  # keep supports finite in spirit: flushed once, on the returned inverse
 
 
 def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500,
                   bracket: SpectralBracket | None = None):
-    """Invert by the preconditioned Neumann series.
+    """Invert by the preconditioned Neumann series, summed by squaring.
 
-    Returns (A_inv, report).  Raises SingularMatrixError when the bracket
-    collapses (C1 <= 0 beyond roundoff of C2); a non-converged series within
-    k_max is returned flagged, not raised.
+    Returns (A_inv, report).  Each pass measures both residuals of the
+    current X and then doubles the terms held, while fewer than k_max are
+    held.  Raises SingularMatrixError when the bracket collapses (C1 <= 0
+    beyond roundoff of C2); a non-converged series is returned flagged, not
+    raised.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -93,64 +97,33 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500,
     c1, c2 = bracket.c1, bracket.c2
     if c1 <= 1e-14 * c2:
         raise SingularMatrixError(f"bracket collapsed: C1={c1:.3e}, C2={c2:.3e}")
-    mu = 2.0 / (c1 + c2)
-    gram = a.data.conj().T @ a.data
-    b = np.eye(a.window.size) - mu * gram
-
+    data = a.data if a.data.imag.any() else a.data.real
     eye = np.eye(a.window.size)
-    s = np.eye(a.window.size, dtype=np.complex128)
-    residual_mat = -b  # S_0 (mu G) - I = -B
-    history = [float(np.abs(residual_mat).max())]
-    k = 0
+    x = (2.0 / (c1 + c2)) * data.conj().T  # B^0 only: I - XA = B
+    terms, history = 1, []
+    while True:
+        ax = data @ x
+        two_sided = float(np.abs(ax - eye).max())
+        history.append(float(np.abs(x @ data - eye).max()))
+        if (history[-1] <= tol and two_sided <= tol) or terms >= k_max:
+            break
+        x = x @ (2.0 * eye - ax)  # I - XA becomes (I - XA)^2: twice the terms
+        terms *= 2
 
-    def step():
-        nonlocal s, residual_mat, k
-        s = eye + b @ s
-        residual_mat = b @ residual_mat  # stays equal to -B^{k+1}
-        np.copyto(residual_mat, np.where(np.abs(residual_mat) < _FLUSH, 0.0, residual_mat))
-        history.append(float(np.abs(residual_mat).max()))
-        k += 1
-
-    while history[-1] > tol and k < k_max:
-        step()
-
-    def assemble():
-        inv = mu * (s @ a.data.conj().T)
-        np.copyto(inv, np.where(np.abs(inv) < _FLUSH, 0.0, inv))
-        return inv, float(np.abs(a.data @ inv - eye).max())
-
-    # the iterated residual is A_inv A - I exactly; the flipped product can
-    # lag by a conditioning factor, so top up until both sides meet tol
-    inv_data, two_sided = assemble()
-    while history[-1] <= tol < two_sided and k < k_max:
-        step()
-        inv_data, two_sided = assemble()
-
-    a_inv = LocalizedMatrix(a.window, inv_data, copy=False)
-    residual = history[-1]
-    profile = decay_profile(a_inv)
-    report = InversionReport(
-        # terms_used counts series terms B^0..B^k held in the partial sum
-        c1=c1, c2=c2, r0=bracket.r0, terms_used=k + 1, residual=residual,
-        residual_history=np.asarray(history), inverse_profile=profile,
+    x[np.abs(x) < _FLUSH] = 0.0
+    a_inv = LocalizedMatrix(a.window, x, copy=False)
+    return a_inv, InversionReport(
+        # terms_used counts series terms B^0..B^{terms-1} that X holds
+        c1=c1, c2=c2, r0=bracket.r0, terms_used=terms, residual=history[-1],
+        residual_history=np.asarray(history), inverse_profile=decay_profile(a_inv),
         inverse_ring_norm=beurling_norm(a_inv, 1.0, None),
-        converged=residual <= tol and two_sided <= tol,
-        two_sided_residual=two_sided,
-    )
-    return a_inv, report
+        converged=history[-1] <= tol and two_sided <= tol, two_sided_residual=two_sided)
 
 
 def left_inverse(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 4000):
-    """Left inverse B = (A*A)^{-1} A* via the Neumann engine on A*A.
-
-    B A = (A*A)^{-1} A*A, so the returned report's residual is exactly the
-    max-entry of B A - I.  The engine runs on A*A, whose own Gram squares the
-    condition number, hence the larger default term cap.
-    """
-    gram = LocalizedMatrix(a.window, a.data.conj().T @ a.data, copy=False)
-    gram_inv, report = wiener_invert(gram, tol=tol, k_max=k_max)
-    b = LocalizedMatrix(a.window, gram_inv.data @ a.data.conj().T, copy=False)
-    return b, report
+    """Left inverse (A*A)^{-1} A* = A^{-1}, since every window operand is square;
+    the engine runs on A, not on A*A, whose condition number is squared."""
+    return wiener_invert(a, tol=tol, k_max=k_max)
 
 
 @dataclass(frozen=True)

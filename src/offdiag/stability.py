@@ -181,6 +181,8 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     "sampled" — and upper is the boundedness constant; the verdict is
     transferred from the q = 2 certificate.
     """
+    if w.window != a.window:
+        raise ValueError(f"weight window {w.window} differs from the matrix window {a.window}")
     if q < 1 or not math.isfinite(q):
         raise ValueError("q must lie in [1, infinity)")
     win = a.window

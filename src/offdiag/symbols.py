@@ -2,11 +2,11 @@
 
 A finitely supported coefficient sequence a(n) generates the Toeplitz matrix
 (a(i-j)) and the symbol a_hat(xi) = sum a(n) exp(-i n xi).  Nonvanishing of
-the symbol is certified on a uniform grid with a Lipschitz slack from
-||n a(n)||_1, reciprocals come from adaptive grid doubling with aliasing
-control on the outer quarter of coefficients, and the stability criterion
-pairs the certified minimum modulus with bracket scaling over a radius
-ladder.
+the symbol is certified on a uniform grid with the Lipschitz slack
+(pi/G) sum |n|_1 |a(n)|, valid in every dimension; reciprocals come from
+adaptive grid doubling with aliasing control on the outer quarter of
+coefficients, and the stability criterion pairs the certified minimum
+modulus with bracket scaling over a radius ladder.
 """
 
 from __future__ import annotations
@@ -159,8 +159,10 @@ def _fold(a: SymbolCoeffs, g: int) -> np.ndarray:
 def symbol_min_modulus(a: SymbolCoeffs, grid_size: int | None = None) -> MinModulusReport:
     """Grid minimum of |a_hat| on [0, 2pi)^d plus a Lipschitz slack.
 
-    The slack ||n a(n)||_1 (2pi/G) dominates the off-grid variation for
-    d <= 2, so min - slack > 0 certifies nonvanishing on the whole torus.
+    Every point of the torus lies within pi/G of a grid point in each
+    coordinate, and |a_hat(xi) - a_hat(xi')| <= sum_n |n|_1 |a(n)| |xi - xi'|_inf,
+    so the slack (pi/G) sum_n |n|_1 |a(n)| bounds the off-grid variation in
+    every dimension and min - slack > 0 certifies nonvanishing on the torus.
     """
     diam = 2 * a.support_radius + 1
     g_min = max(8, 4 * diam)
@@ -172,8 +174,8 @@ def symbol_min_modulus(a: SymbolCoeffs, grid_size: int | None = None) -> MinModu
     flat = int(np.argmin(mods))
     pos = np.unravel_index(flat, mods.shape)
     xi = tuple(2.0 * math.pi * float(p) / g for p in pos)
-    lip = sum(max(abs(x) for x in n) * abs(v) for n, v in a.coeffs.items())
-    slack = lip * 2.0 * math.pi / g
+    lip = sum(sum(abs(x) for x in n) * abs(v) for n, v in a.coeffs.items())
+    slack = lip * math.pi / g
     mn = float(mods.flat[flat])
     return MinModulusReport(mn, xi, slack, mn - slack > 0.0, g)
 

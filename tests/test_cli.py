@@ -220,6 +220,20 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert "finite" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("cross, m_radius, w_radius", [(False, 0, 2), (True, 24, 16)])
+    def test_weight_window_mismatch_exit_code(self, runner, tmp_path, cross, m_radius, w_radius):
+        # a table weight laid on another window than the matrix's
+        m_path, w_path = tmp_path / "m.json", tmp_path / "w.json"
+        save_matrix(generate("identity", Window(1, m_radius)), m_path)
+        w_path.write_text(json.dumps({"form": "table", "d": 1, "radius": w_radius,
+                                      "values": [[0, 2.0]]}))
+        args = (["stability", "cross", "--matrix", str(m_path), "--pairs", f"2:{w_path}"]
+                if cross else ["stability", "--matrix", str(m_path), "--wseq", str(w_path)])
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "differs from the matrix window" in res.output and "Traceback" not in res.output
+
     def test_vanishing_symbol_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1@0,-1@1",
                                    "--out", str(tmp_path / "o")])

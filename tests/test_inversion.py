@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from offdiag.inversion import (SingularMatrixError, inverse_closedness_experiment,
                                left_inverse, neumann_term_envelope,
@@ -101,16 +103,58 @@ class TestWienerInvert:
         assert rep.converged
         assert np.abs(a_inv.data @ data - np.eye(win.size)).max() <= 1e-10
         assert np.abs(data @ a_inv.data - np.eye(win.size)).max() <= 1e-10
+        # capped at 64 terms, where XA - I meets tol but AX - I does not yet
+        _, capped = wiener_invert(LocalizedMatrix(win, data), tol=1.2e-9, k_max=64)
+        assert capped.residual <= 1.2e-9 < capped.two_sided_residual
+        assert not capped.converged
 
     def test_residual_monotone_until_tolerance(self):
         win = Window(1, 32)
         a = toeplitz(win, {0: 2.0, 1: 1.0})
         _, rep = wiener_invert(a, tol=1e-12, k_max=500)
         hist = rep.residual_history
+        assert rep.terms_used == 2 ** (hist.size - 1)
         assert np.all(np.diff(hist) <= 1e-14)
-        # contraction envelope: residual after k terms is at most ~r0^{k+1}
+        # contraction envelope: hist[k] is measured at 2^k terms, where
+        # XA - I = -B^{2^k} up to roundoff, at most r0^{2^k} entrywise
         ks = np.arange(hist.size)
-        assert np.all(hist <= rep.r0 ** (ks + 1) * (1 + 1e-9) + 1e-300)
+        assert np.all(hist <= rep.r0 ** (2.0 ** ks) * (1 + 1e-9) + 1e-14)
+
+    def test_converged_means_measured(self):
+        # 1.05I + S at a tolerance near roundoff, where the powers of B fall
+        # below tol well before the residuals of the computed inverse do
+        win = Window(1, 32)
+        a = toeplitz(win, {0: 1.05, 1: 1.0})
+        x, rep = wiener_invert(a, tol=1e-14, k_max=20000)
+        eye = np.eye(win.size)
+        left = np.abs(x.data @ a.data - eye).max()
+        right = np.abs(a.data @ x.data - eye).max()
+        # the engine multiplies real operands in real arithmetic: equal up to summation order
+        assert rep.residual == pytest.approx(left, abs=1e-15)
+        assert rep.two_sided_residual == pytest.approx(right, abs=1e-15)
+        assert not rep.converged or (left <= 1e-14 and right <= 1e-14)
+
+    @given(st.sampled_from([(1, 6), (1, 12), (2, 2), (2, 3), (3, 1)]), st.integers(0, 2 ** 16),
+           st.sampled_from([0.4, 0.6, 1.0, 2.0]),
+           st.sampled_from([1e-8, 1e-12, 1e-13, 1e-14, 1e-15]))
+    @settings(max_examples=60, deadline=None)
+    def test_converged_property_against_dense(self, shape, seed, shift, tol):
+        d, radius = shape
+        win = Window(d, radius)
+        noise = generate("banded_random", win, seed=seed, bandwidth=1).data
+        data = shift * 3 ** d * np.eye(win.size) + noise
+        assume(np.linalg.cond(data) <= 1e6)
+        x, rep = wiener_invert(LocalizedMatrix(win, data), tol=tol, k_max=4000)
+        eye = np.eye(win.size)
+        left = np.abs(x.data @ data - eye).max()
+        right = np.abs(data @ x.data - eye).max()
+        if rep.converged:
+            assert left <= tol and right <= tol
+            # X - D = ((XA - I) - (DA - I)) A^{-1} for the dense solve D, up to roundoff
+            dense = np.linalg.solve(data, eye)
+            dense_left = np.abs(dense @ data - eye).max()
+            assert (np.abs(x.data - dense).max()
+                    <= 2 * (left + dense_left) * np.abs(dense).sum(axis=0).max())
 
     def test_profile_nonincreasing(self):
         win = Window(1, 24)
@@ -156,8 +200,7 @@ class TestLeftInverse:
         a = generate("banded_random", win, seed=3, bandwidth=2)
         a = LocalizedMatrix(win, a.data + 4.0 * np.eye(win.size))
         b, rep = left_inverse(a, tol=1e-11)
-        assert np.abs(b.data @ a.data - np.eye(win.size)).max() == pytest.approx(
-            rep.residual, rel=1e-6)
+        assert np.abs(b.data @ a.data - np.eye(win.size)).max() == rep.residual
 
 
 class TestInverseClosedness:

@@ -88,12 +88,37 @@ class TestMinModulus:
 
     def test_d2_symbol(self):
         a = SymbolCoeffs(2, {(0, 0): 3.0, (1, 0): 1.0, (0, 1): 1.0})
-        coarse = symbol_min_modulus(a)  # minimal grid: slack 4pi/12 > min
+        coarse = symbol_min_modulus(a)  # minimal grid 12: slack 2pi/12 < min
         assert coarse.min_modulus == pytest.approx(1.0, abs=1e-12)
-        assert not coarse.certified
-        fine = symbol_min_modulus(a, grid_size=64)
-        assert fine.min_modulus == pytest.approx(1.0, abs=1e-12)
+        assert coarse.slack == pytest.approx(2 * math.pi / 12, rel=1e-15)
+        assert coarse.certified
+        near = SymbolCoeffs(2, {(0, 0): 2.2, (1, 0): 1.0, (0, 1): 1.0})
+        assert not symbol_min_modulus(near).certified  # slack 2pi/12 > min 0.2
+        fine = symbol_min_modulus(near, grid_size=64)
+        assert fine.min_modulus == pytest.approx(0.2, abs=1e-12)
         assert fine.certified
+
+    def test_d3_slack_counts_every_axis(self):
+        # the offset (1, 1, 1) moves the phase by up to 3 pi/G between grid points
+        rep = symbol_min_modulus(SymbolCoeffs(3, {(0, 0, 0): 2.0, (1, 1, 1): 1.0}))
+        assert rep.grid == 12
+        assert rep.slack == pytest.approx(3 * math.pi / 12, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_certified_min_holds_off_grid(self, d):
+        rng = np.random.default_rng(d)
+        coeffs = {tuple(int(x) for x in n): complex(*rng.uniform(-1, 1, 2))
+                  for n in rng.integers(-2, 3, (4, d))}
+        coeffs[(0,) * d] = 6.0
+        a = SymbolCoeffs(d, coeffs)
+        rep = symbol_min_modulus(a, grid_size=48)
+        assert rep.certified
+        # random points, and points within pi/G of the grid argmin per axis
+        xi = np.concatenate([rng.uniform(0, 2 * np.pi, (2000, d)),
+                             np.asarray(rep.argmin_xi)
+                             + rng.uniform(-np.pi / 48, np.pi / 48, (2000, d))])
+        vals = sum(v * np.exp(-1j * xi @ np.asarray(n)) for n, v in a.coeffs.items())
+        assert np.abs(vals).min() >= rep.certified_min
 
     def test_oracle_dense_evaluation(self):
         a = SymbolCoeffs(1, {-1: 0.3 + 0.1j, 0: 2.0, 2: -0.4})

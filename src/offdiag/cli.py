@@ -515,11 +515,11 @@ def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, threads, out
     """Symbol-side stability verdict with bracket-scaling corroboration."""
     a = _coeffs_arg(coeffs, d)
     rad = tuple(int(x) for x in radii.split(","))
-
-    def factory(win):
-        return parse_weight_sequence(wseq, win)
-
-    rep = symbols.toeplitz_stability_criterion(a, q, factory, rad,
+    top = Window(d, max(rad))
+    # one weight on the largest window, restricted per radius; a table that
+    # does not cover the ladder is refused before any bracket runs
+    ladder_w = parse_weight_sequence(wseq, top).restrict(top)
+    rep = symbols.toeplitz_stability_criterion(a, q, ladder_w.restrict, rad,
                                                trials=trials, seed=seed,
                                                threads=threads)
     config = {"command": "toeplitz stability", "coeffs": coeffs, "d": d,

@@ -9,11 +9,16 @@ scanned quantity is
     (avg_cube w) * (avg_cube w^{-1/(q-1)})^{q-1},
 
 the constant that the cube characterization inequality (and Hoelder) makes
-optimal; for q = 1 it is (avg_cube w) / (min_cube w).
+optimal; for q = 1 it is (avg_cube w) / (min_cube w).  The cube sums and
+minima of side N are assembled from those of side N - 1 by 3^d array slices,
+O(3^d side^d) work per N, and the scan only adds, or takes minima of,
+positive terms: no partial sums are subtracted, so each cube value keeps
+full relative accuracy however widely w spreads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,7 +80,7 @@ class WeightSequence:
 
     def restrict(self, window: Window) -> "WeightSequence":
         if window.d != self.window.d or window.radius > self.window.radius:
-            raise ValueError("restriction window must be a sub-window")
+            raise ValueError(f"restriction window {window} is not a sub-window of {self.window}")
         if self.form == "trivial":
             return WeightSequence.trivial(window)
         if self.form == "power":
@@ -101,9 +106,27 @@ class AqReport:
     n_cap: int
 
 
-def _cube_view(arr_nd: np.ndarray, n: int, d: int) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(arr_nd, (n,) * d)
-    return view.sum(axis=tuple(range(-d, 0)))
+def _cube_scan(arr_nd: np.ndarray, n_cap: int, op):
+    """Yield op-reductions of arr_nd over every cube a + [0, N-1]^d inside it,
+    for N = 1..n_cap (op is np.add or np.minimum).
+
+    box[A] holds the reduction over boxes of side N along the axes in the
+    subset A and side 1 along the rest.  Side N splits each axis in A into
+    side N-1 and its last point, so box_N[A](x) is the op of the 2^|A|
+    disjoint pieces box_{N-1}[A - T](x + (N-1) e_T), T ⊆ A: 3^d slices per
+    N in total, each entry reduced from non-negative terms only.
+    """
+    d, side = arr_nd.ndim, arr_nd.shape[0]
+    box = [arr_nd] * (1 << d)
+    yield arr_nd
+    for n in range(2, n_cap + 1):
+        head, last = slice(0, side - n + 1), slice(n - 1, side)
+        for a in reversed(range(1, 1 << d)):  # strict subsets of a still hold side n-1
+            pieces = [box[a & ~t][tuple(last if t >> ax & 1 else head if a >> ax & 1
+                                        else slice(None) for ax in range(d))]
+                      for t in range(1 << d) if not t & ~a]
+            box[a] = functools.reduce(op, pieces)
+        yield box[-1]
 
 
 def aq_bound(w: WeightSequence, q: float, n_cap: int) -> AqReport:
@@ -120,18 +143,18 @@ def aq_bound(w: WeightSequence, q: float, n_cap: int) -> AqReport:
     d, side = win.d, win.side
     w_nd = w.values.reshape((side,) * d)
     if q > 1:
-        g_nd = w.values.reshape((side,) * d) ** (-1.0 / (q - 1.0))
+        other = _cube_scan(w_nd ** (-1.0 / (q - 1.0)), n_cap, np.add)  # sums of w^{-1/(q-1)}
+    else:
+        other = _cube_scan(w_nd, n_cap, np.minimum)  # minima of w
     best = -math.inf
     best_anchor, best_n = None, 1
-    for n in range(1, n_cap + 1):
+    for n, (sum_w, other_n) in enumerate(zip(_cube_scan(w_nd, n_cap, np.add), other), start=1):
         vol = float(n**d)
-        avg_w = _cube_view(w_nd, n, d) / vol
+        avg_w = sum_w / vol
         if q > 1:
-            avg_g = _cube_view(g_nd, n, d) / vol
-            lhs = avg_w * avg_g ** (q - 1.0)
+            lhs = avg_w * (other_n / vol) ** (q - 1.0)
         else:
-            view = np.lib.stride_tricks.sliding_window_view(w_nd, (n,) * d)
-            lhs = avg_w / view.min(axis=tuple(range(-d, 0)))
+            lhs = avg_w / other_n
         pos = int(np.argmax(lhs))
         if float(lhs.flat[pos]) > best:
             best = float(lhs.flat[pos])

@@ -7,7 +7,9 @@ q != 2 ride on the q = 2 certificate, mirroring the transfer of stability
 across exponents and weights in the underlying theory; their raw sampled
 brackets are reported alongside and labeled as such.  "degrading" is the
 operational negation at desk scale: the certified lower bound losing a
-factor >= 2 when the window radius doubles.
+factor >= 2 when the window radius doubles.  A real operand (all imaginary
+parts zero) is conjugated and decomposed in real arithmetic, which gives the
+singular values of the complex path to roundoff and a cheaper LAPACK SVD.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ def _sigma_extremes(a: LocalizedMatrix, w: WeightSequence, band: int):
     if not mask.any():
         raise ValueError(f"empty interior (band {band} >= radius {a.window.radius})")
     sq = np.sqrt(w.values)
-    conj = (sq[:, None] * a.data) / sq[None, :]
+    data = a.data if a.data.imag.any() else a.data.real
+    conj = (sq[:, None] * data) / sq[None, :]
     s = np.linalg.svd(conj[:, mask], compute_uv=False)
     return float(s[-1]), float(s[0])
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from offdiag import stability
+from offdiag import stability, symbols
 from offdiag.cli import main
 from offdiag.lattice import Window, generate, save_matrix, save_sequence
 from offdiag.lattice import LatticeSequence
+from offdiag.muckenhoupt import WeightSequence
+from offdiag.symbols import SymbolCoeffs, toeplitz_matrix
 
 
 @pytest.fixture
@@ -143,6 +145,25 @@ class TestVerbs:
         doc = json.loads((out / "toeplitz_stability.json").read_text())
         assert doc["verdict"] == "degrading"
 
+    def test_toeplitz_stability_table_ladder(self, runner, tmp_path):
+        # one radius-32 table serves every rung of the ladder, restricted per radius
+        top = Window(1, 32)
+        vals = 1.0 + 0.5 * np.cos(top.indices[:, 0])
+        w_path, out = tmp_path / "w.json", tmp_path / "o"
+        w_path.write_text(json.dumps({"form": "table", "d": 1, "radius": 32, "values":
+                                      [[int(i), float(v)] for i, v in zip(top.indices[:, 0], vals)]}))
+        res = _invoke(runner, ["toeplitz", "stability", "--coeffs", "2@0,1@1",
+                               "--wseq", str(w_path), "--radii", "16,32", "--out", str(out)])
+        assert res.exit_code == 0
+        doc = json.loads((out / "toeplitz_stability.json").read_text())
+        w_top = WeightSequence.table(top, vals)
+        for row, r in zip(doc["brackets"], (16, 32)):
+            win = Window(1, r)
+            a = toeplitz_matrix(SymbolCoeffs(1, {0: 2.0, 1: 1.0}), win)
+            rep = stability.stability_bracket(a, 2.0, w_top.restrict(win))
+            assert (row["radius"], row["lower"], row["upper"]) == (r, rep.lower, rep.upper)
+        assert "table(R=16)" in (out / "toeplitz_stability.csv").read_text()
+
     def test_coeffs_from_json_file(self, runner, tmp_path):
         from offdiag.symbols import SymbolCoeffs, symbol_to_dict
 
@@ -233,6 +254,20 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert "differs from the matrix window" in res.output and "Traceback" not in res.output
+
+    def test_toeplitz_ladder_past_table_exit_code(self, runner, tmp_path, monkeypatch):
+        # refused before any bracket runs
+        w_path = tmp_path / "w.json"
+        w_path.write_text(json.dumps({"form": "table", "d": 1, "radius": 16,
+                                      "values": [[0, 2.0]]}))
+        monkeypatch.setattr(symbols, "toeplitz_stability_criterion",
+                            lambda *a, **k: pytest.fail("ladder ran"))
+        res = runner.invoke(main, ["toeplitz", "stability", "--coeffs", "2@0,1@1",
+                                   "--wseq", str(w_path), "--radii", "8,16,32",
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "not a sub-window" in res.output and "Traceback" not in res.output
 
     def test_vanishing_symbol_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1@0,-1@1",

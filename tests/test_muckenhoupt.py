@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offdiag.lattice import LatticeSequence, Window
 from offdiag.muckenhoupt import (WeightSequence, aq_bound,
                                  aq_characterization_check, maximal,
                                  maximal_weak_type_check, weighted_norm)
+
+
+def cube_aq(cube, q):
+    """The A_q quantity of one cube of weight values, evaluated directly."""
+    if q > 1:
+        return cube.mean() * (cube ** (-1.0 / (q - 1.0))).mean() ** (q - 1.0)
+    return cube.mean() / cube.min()
 
 
 def brute_aq(w, q, n_cap):
@@ -18,13 +27,7 @@ def brute_aq(w, q, n_cap):
     for n in range(1, min(n_cap, side) + 1):
         for anchor in np.ndindex(*((side - n + 1,) * d)):
             sl = tuple(slice(a, a + n) for a in anchor)
-            cube = vals[sl]
-            avg_w = cube.mean()
-            if q > 1:
-                lhs = avg_w * (cube ** (-1.0 / (q - 1.0))).mean() ** (q - 1.0)
-            else:
-                lhs = avg_w / cube.min()
-            best = max(best, lhs)
+            best = max(best, cube_aq(vals[sl], q))
     return best
 
 
@@ -80,6 +83,27 @@ class TestAqBound:
         w = WeightSequence.table(win, rng.uniform(0.5, 4.0, win.size))
         rep = aq_bound(w, q, 4)
         assert rep.bound == pytest.approx(brute_aq(w, q, 4), rel=1e-13)
+
+    @given(st.sampled_from([(1, 3), (1, 12), (2, 2), (2, 4), (3, 1), (3, 2)]),
+           st.integers(0, 2 ** 16), st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+           st.integers(1, 26), st.integers(0, 26))
+    @settings(max_examples=80, deadline=None)
+    def test_oracle_property(self, shape, seed, q, n_cap, extra):
+        # weights spanning six decades: sums of side-n cubes must stay exact to
+        # roundoff, which rules out differences of partial sums
+        d, radius = shape
+        win = Window(d, radius)
+        rng = np.random.default_rng(seed)
+        w = WeightSequence.table(win, 10.0 ** rng.uniform(-3.0, 3.0, win.size))
+        rep = aq_bound(w, q, n_cap)
+        assert rep.n_cap == min(n_cap, win.side)
+        assert rep.bound == pytest.approx(brute_aq(w, q, n_cap), rel=1e-12, abs=0)
+        start = [a + radius for a in rep.argmax_anchor]
+        vals = w.values.reshape((win.side,) * d)
+        cube = vals[tuple(slice(s, s + rep.argmax_n) for s in start)]
+        assert cube.shape == (rep.argmax_n,) * d and rep.argmax_n <= rep.n_cap
+        assert cube_aq(cube, q) == pytest.approx(rep.bound, rel=1e-12, abs=0)
+        assert aq_bound(w, q, n_cap + extra).bound >= rep.bound
 
     def test_bound_at_least_one_and_equality_iff_constant(self):
         win = Window(1, 6)

@@ -55,6 +55,28 @@ class TestBracket:
         assert rep.lower == pytest.approx(lo, abs=1e-8)
         assert rep.upper == pytest.approx(hi, abs=1e-8)
 
+    @pytest.mark.parametrize("coeffs", [{0: 2.0, 1: 1.0}, {0: 1.0, 1: -1.0}])
+    @pytest.mark.parametrize("radius", [16, 64])
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_real_path_matches_complex_path(self, monkeypatch, coeffs, radius, alpha):
+        # e^{0.7i} A has the singular values of A but takes the complex SVD
+        win = Window(1, radius)
+        a = toeplitz(win, coeffs)
+        rot = LocalizedMatrix(win, np.exp(0.7j) * a.data)
+        w = WeightSequence.trivial(win) if alpha is None else WeightSequence.power(win, alpha)
+        svd, dtypes = np.linalg.svd, []
+
+        def spy(m, **kw):
+            dtypes.append(m.dtype)
+            return svd(m, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        real, cplx = stability_bracket(a, 2.0, w), stability_bracket(rot, 2.0, w)
+        assert dtypes == [np.float64] * 2 + [np.complex128] * 2  # full and half radius
+        for field in ("lower", "upper", "cert_lower_full", "cert_lower_half"):
+            assert abs(getattr(cplx, field) - getattr(real, field)) <= 1e-13 * real.upper
+        assert cplx.verdict == real.verdict
+
     def test_vanishing_symbol_degrades(self):
         sig = {}
         for r in (32, 256):

@@ -3,7 +3,7 @@
 Every verb reads/writes the documented JSON/CSV formats, stamps each artifact
 with a schema version, the seed, and a hash of the invoking configuration,
 and does no arithmetic of its own beyond formatting.  Exit codes: 0 success,
-1 validation failure, 2 numerical failure.
+1 validation failure (click's usage errors included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import inversion, muckenhoupt, norms, stability, symbols, weights
-from .lattice import (Window, generate, load_matrix, load_sequence,
+from .lattice import (Window, generate, json_object, load_matrix, load_sequence,
                       matrix_to_dict, profile_to_csv, read_rows, sequence_to_dict)
 from .muckenhoupt import WeightSequence
 from .symbols import parse_coeffs, symbol_from_dict
@@ -55,7 +55,7 @@ def parse_weight_matrix(spec: str, d: int) -> WeightMatrix:
     spec = spec.strip()
     if spec.endswith(".json"):
         with open(spec) as fh:
-            payload = json.load(fh)
+            payload = json_object(json.load(fh), "a weight file")
         form = payload["form"]
         if form == "trivial":
             return WeightMatrix.trivial(d)
@@ -84,7 +84,7 @@ def parse_weight_sequence(spec: str, window: Window) -> WeightSequence:
     spec = spec.strip()
     if spec.endswith(".json"):
         with open(spec) as fh:
-            payload = json.load(fh)
+            payload = json_object(json.load(fh), "a weight-sequence file")
         form = payload["form"]
         if form == "trivial":
             return WeightSequence.trivial(window)
@@ -135,7 +135,7 @@ def _exit_codes(fn):
         except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(2)
-        except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
             click.echo(f"validation error: {exc}", err=True)
             sys.exit(1)
         except _Fail as exc:
@@ -145,7 +145,29 @@ def _exit_codes(fn):
     return verb
 
 
-@click.group()
+class _Cli(click.Group):
+    """The root group: click's usage errors exit 1, as validation failures.
+
+    Every parse of an argument list, the root's and each verb's, runs inside
+    one of these two calls, and click keeps its own message.
+    """
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+
+@click.group(cls=_Cli)
 def main():
     """Numerical laboratory for matrix algebras with off-diagonal decay."""
 

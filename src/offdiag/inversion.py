@@ -92,6 +92,8 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if bracket is None:
         bracket = spectral_bracket(a)
     c1, c2 = bracket.c1, bracket.c2

@@ -54,6 +54,7 @@ __all__ = [
     "sequence_to_dict",
     "sequence_from_dict",
     "read_rows",
+    "json_object",
     "save_sequence",
     "load_sequence",
     "profile_to_csv",
@@ -477,12 +478,20 @@ def read_rows(window: Window, rows, points: int, values: int):
     return pos, vals
 
 
+def json_object(payload, what: str) -> dict:
+    """A parsed JSON document that must be an object; ValueError otherwise."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return payload
+
+
 def _complex_values(pairs: np.ndarray) -> np.ndarray:
     """complex(re, im) of each (re, im) row, exactly: a view of the float pairs."""
     return np.ascontiguousarray(pairs).view(np.complex128)[:, 0]
 
 
 def matrix_from_dict(payload: dict) -> LocalizedMatrix:
+    json_object(payload, "a matrix file")
     window = Window(int(payload["d"]), int(payload["radius"]))
     pos, vals = read_rows(window, payload["entries"], 2, 2)
     data = np.zeros(window.size**2, dtype=np.complex128)
@@ -510,6 +519,7 @@ def sequence_to_dict(c: LatticeSequence) -> dict:
 
 
 def sequence_from_dict(payload: dict) -> LatticeSequence:
+    json_object(payload, "a sequence file")
     window = Window(int(payload["d"]), int(payload["radius"]))
     pos, vals = read_rows(window, payload["entries"], 1, 2)
     data = np.zeros(window.size, dtype=np.complex128)

@@ -104,6 +104,8 @@ def boundedness_check(a: LocalizedMatrix, q: float, w: WeightSequence, p: float,
     standing in for the infimal companion bound."""
     from .weights import default_companion
 
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     win = a.window
     if v is None:
         v = default_companion(u, p)
@@ -188,6 +190,8 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
         raise ValueError(f"weight window {w.window} differs from the matrix window {a.window}")
     if q < 1 or not math.isfinite(q):
         raise ValueError("q must lie in [1, infinity)")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     win = a.window
     if band is None:
         band = min(2 * effective_bandwidth(a), max(win.radius - 1, 0))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LocalizedMatrix, Window, generate, ring_lp
+from .lattice import LocalizedMatrix, Window, generate, json_object, ring_lp
 from .muckenhoupt import WeightSequence
 from .stability import StabilityReport, ordered_map, stability_bracket
 
@@ -86,6 +86,7 @@ def symbol_to_dict(a: SymbolCoeffs) -> dict:
 
 
 def symbol_from_dict(payload: dict) -> SymbolCoeffs:
+    json_object(payload, "a symbol file")
     d = int(payload["d"])
     coeffs = {}
     for row in payload["coeffs"]:

@@ -5,6 +5,8 @@ cross-norm C_p(v, u) and the scale-indexed quantities A_N, B_N(p) reduce to
 ring-weighted series over Z^d with exact ring cardinalities
 (2m+1)^d - (2m-1)^d.  Partial sums are extended adaptively and closed with
 integral-comparison tail bounds; reported values are certified upper bounds.
+scipy serves only the incomplete-gamma tail of subexponential series, so it
+is imported there, on first use, and not with the package.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn
 
 from .lattice import Window, diagonal_suprema, radial_matrix, ring_counts, ring_lp, ring_suprema
 
@@ -260,6 +261,8 @@ def _exp_tail(scale_pp: float, beta: float, lam2: float, delta: float, d: int, m
     polynomial envelope times one factor at its tail sup, and integrates the
     other exactly via the upper incomplete gamma function.
     """
+    from scipy.special import gammaincc, gamma as gamma_fn
+
     lam = lam2 / 2.0
     envelope = RadialForm(scale=1.0, alpha=beta, tau=-lam, delta=delta)
     k_sup = float(envelope.tail_sup(np.array([m_end]))[0])

@@ -269,6 +269,75 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         assert "not a sub-window" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("args", [
+        ["stability", "--q", "4", "--trials", "0"],
+        ["stability", "cross", "--trials", "0"],
+        ["invert", "--kmax", "0"],
+        ["leftinv", "--kmax", "0"],
+    ], ids=["stability", "cross", "invert", "leftinv"])
+    def test_count_below_one_exit_code(self, runner, tmp_path, matrix_file, args):
+        # a validation error, not "bracket inverted" or "not converged"
+        res = runner.invoke(main, args + ["--matrix", str(matrix_file),
+                                          "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "must be >= 1" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("doc", [[], [1, 2], "text", None],
+                             ids=["empty-array", "array", "string", "null"])
+    @pytest.mark.parametrize("verb", ["matrix", "weight", "wseq", "seq", "coeffs"])
+    def test_not_an_object_exit_code(self, runner, tmp_path, matrix_file, verb, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        args = {"matrix": ["norm", "--matrix", str(path)],
+                "weight": ["norm", "--matrix", str(matrix_file), "--weight", str(path)],
+                "wseq": ["stability", "--matrix", str(matrix_file), "--wseq", str(path)],
+                "seq": ["weights", "maximal", "--seq", str(path)],
+                "coeffs": ["toeplitz", "minmod", "--coeffs", str(path)]}[verb]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "JSON object" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("verb", ["matrix", "weight", "wseq", "coeffs"])
+    def test_unreadable_path_exit_code(self, runner, tmp_path, matrix_file, verb):
+        # a directory named like a JSON file: open() raises IsADirectoryError
+        path = tmp_path / "dir.json"
+        path.mkdir()
+        args = {"matrix": ["invert", "--matrix", str(path)],
+                "weight": ["norm", "--matrix", str(matrix_file), "--weight", str(path)],
+                "wseq": ["weights", "aq", "--q", "2", "--wseq", str(path)],
+                "coeffs": ["toeplitz", "recip", "--coeffs", str(path)]}[verb]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("args, message", [
+        (["norm", "--matrix", "/nonexistent.json"], "does not exist"),
+        (["invert"], "Missing option '--matrix'"),
+        (["norm", "--matrix", "{matrix}", "--p", "abc"], "is not a valid float"),
+        (["frobnicate"], "No such command"),
+        (["stability", "cross", "--matrix", "{matrix}", "--bogus"], "No such option"),
+    ], ids=["missing-file", "missing-option", "bad-float", "unknown-verb", "unknown-option"])
+    def test_usage_error_exit_code(self, runner, tmp_path, matrix_file, args, message):
+        # click's own usage errors are validation failures, not numerical ones
+        args = [a.format(matrix=matrix_file) for a in args]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert message in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("args", [["--help"], ["invert", "--help"],
+                                      ["toeplitz", "stability", "--help"]],
+                             ids=["root", "verb", "nested-verb"])
+    def test_help_exit_code(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert "Usage:" in res.output
+
     def test_vanishing_symbol_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1@0,-1@1",
                                    "--out", str(tmp_path / "o")])

@@ -184,6 +184,12 @@ class TestWienerInvert:
         with pytest.raises(ValueError):
             wiener_invert(generate("identity", Window(1, 4)), tol=0.0)
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_kmax_below_one_rejected(self, k_max):
+        # a validation error, not a series reported unconverged at 1 term
+        with pytest.raises(ValueError, match="k_max"):
+            wiener_invert(generate("identity", Window(1, 4)), k_max=k_max)
+
 
 class TestLeftInverse:
     def test_invertible_matches_inverse(self):

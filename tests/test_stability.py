@@ -109,6 +109,14 @@ class TestBracket:
         with pytest.raises(ValueError):
             stability_bracket(a, math.inf, WeightSequence.trivial(win))
 
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_trials_below_one_rejected(self, q):
+        # at q != 2 no probe would run, and lower would stay inf
+        win = Window(1, 8)
+        a = generate("identity", win)
+        with pytest.raises(ValueError, match="trials"):
+            stability_bracket(a, q, WeightSequence.trivial(win), trials=0)
+
     def test_effective_bandwidth(self):
         win = Window(1, 8)
         assert effective_bandwidth(generate("identity", win)) == 0
@@ -173,6 +181,13 @@ class TestBoundedness:
         rep = boundedness_check(a, 1.0, WeightSequence.trivial(win), 1.0,
                                 WeightMatrix.trivial(1), trials=3, seed=2)
         assert rep.worst_margin >= 0.0
+
+    def test_trials_below_one_rejected(self):
+        # no probe would leave worst_margin at inf, a pass that checked nothing
+        win = Window(1, 8)
+        with pytest.raises(ValueError, match="trials"):
+            boundedness_check(generate("identity", win), 2.0, WeightSequence.trivial(win),
+                              1.0, WeightMatrix.trivial(1), trials=0)
 
     @pytest.mark.parametrize("q,alpha", [(1.0, -0.25), (2.0, 0.5), (4.0, 1.0)])
     def test_weighted_margins(self, q, alpha):

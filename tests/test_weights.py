@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import offdiag
 from offdiag.lattice import Window
 from offdiag.weights import (RadialForm, WeightMatrix, WeightValidationError,
                              check_submultiplicative, cross_norm,
@@ -253,3 +259,44 @@ class TestRadialForm:
     def test_divergent(self):
         r = RadialForm(scale=1.0, alpha=1.0)
         assert math.isinf(r.tail_sup(np.array([5]))[0])
+
+
+_COLD_PROCESS = """
+import importlib, json, pkgutil, sys
+import offdiag
+for mod in pkgutil.iter_modules(offdiag.__path__):
+    importlib.import_module("offdiag." + mod.name)
+from offdiag import suite
+from offdiag.weights import WeightMatrix, cross_norm, default_companion
+
+scipy_of = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+passed = all(r.passed for r in suite.run_all(seed=1, quick=True, out_dir=sys.argv[1]))
+after_suite = scipy_of()
+values = {}
+for d in (1, 2):
+    u = WeightMatrix.subexponential(0.5, 1.0, d)
+    values[d] = float(cross_norm(u, default_companion(u, 2.0), 2.0).value)
+print(json.dumps({"passed": passed, "after_suite": after_suite, "values": values,
+                  "special_loaded": "scipy.special" in sys.modules}))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_process(tmp_path_factory):
+    """One fresh interpreter: every offdiag module, a quick suite, then a subexponential tail."""
+    env = dict(os.environ, PYTHONPATH=str(Path(offdiag.__file__).parents[1]))
+    out_dir = str(tmp_path_factory.mktemp("suite"))
+    out = subprocess.run([sys.executable, "-c", _COLD_PROCESS, out_dir],
+                         capture_output=True, text=True, env=env, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestScipyIsLazy:
+    def test_package_and_suite_never_import_scipy(self, cold_process):
+        assert cold_process["passed"]
+        assert cold_process["after_suite"] == []
+
+    def test_subexponential_tail_loads_scipy_and_keeps_values(self, cold_process):
+        # pinned: importing scipy on first use must not move a bit of the tail
+        assert cold_process["values"] == {"1": 2.0834619353212767, "2": 9.824883965332074}
+        assert cold_process["special_loaded"]

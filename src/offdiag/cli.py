@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import inversion, muckenhoupt, norms, stability, symbols, weights
-from .lattice import (Window, generate, json_object, load_matrix, load_sequence,
+from .lattice import (Window, generate, json_number, json_object, load_matrix, load_sequence,
                       matrix_to_dict, profile_to_csv, read_rows, sequence_to_dict)
 from .muckenhoupt import WeightSequence
 from .symbols import parse_coeffs, symbol_from_dict
@@ -33,12 +33,29 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _strict_json(obj):
+    """obj in JSON's own types: +inf, -inf and nan as "inf", "-inf" and "nan",
+    numpy scalars and arrays as Python values, tuples as lists, keys as strings."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float(obj)
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _strict_json(obj.tolist())
+    return obj
+
+
 def write_json_artifact(path, payload: dict, config: dict, seed) -> None:
+    """Write strict JSON (no NaN or Infinity literals) with the artifact stamp."""
     doc = {"schema_version": SCHEMA_VERSION, "config_hash": config_hash(config),
            "seed": seed, **payload}
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(_strict_json(doc), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -60,11 +77,12 @@ def parse_weight_matrix(spec: str, d: int) -> WeightMatrix:
         if form == "trivial":
             return WeightMatrix.trivial(d)
         if form == "polynomial":
-            return WeightMatrix.polynomial(payload["alpha"], d)
+            return WeightMatrix.polynomial(json_number(payload, "alpha"), d)
         if form == "constant":
-            return WeightMatrix.constant(payload["c"], d)
+            return WeightMatrix.constant(json_number(payload, "c"), d)
         if form == "subexponential":
-            return WeightMatrix.subexponential(payload["delta"], payload["tau"], d)
+            return WeightMatrix.subexponential(json_number(payload, "delta"),
+                                               json_number(payload, "tau"), d)
         raise ValueError(f"unsupported weight form {form!r} in {spec}")
     name, _, args = spec.partition(":")
     if name == "trivial":
@@ -89,9 +107,9 @@ def parse_weight_sequence(spec: str, window: Window) -> WeightSequence:
         if form == "trivial":
             return WeightSequence.trivial(window)
         if form == "power":
-            return WeightSequence.power(window, payload["alpha"])
+            return WeightSequence.power(window, json_number(payload, "alpha"))
         if form == "table":
-            win = Window(int(payload["d"]), int(payload["radius"]))
+            win = Window(json_number(payload, "d", int), json_number(payload, "radius", int))
             pos, rows = read_rows(win, payload["values"], 1, 1)
             vals = np.ones(win.size)
             vals[pos] = rows[:, 0]
@@ -258,7 +276,7 @@ def weights_aq_cmd(wseq, d, radius, q, ncap, out):
     config = {"command": "weights aq", "wseq": wseq, "d": d, "radius": radius,
               "q": q, "ncap": ncap}
     write_json_artifact(_out_dir(out) / "aq_report.json", {
-        "q": q, "bound": rep.bound, "argmax_anchor": list(rep.argmax_anchor),
+        "q": q, "bound": rep.bound, "argmax_anchor": rep.argmax_anchor,
         "argmax_n": rep.argmax_n, "n_cap": rep.n_cap, "weight_id": w.descriptor(),
     }, config, None)
     click.echo(f"A_q bound {rep.bound!r} at anchor {rep.argmax_anchor}, N={rep.argmax_n}")
@@ -330,16 +348,14 @@ def stability_group(ctx, matrix_path, q, wseq, band, trials, seed, out):
               show_default=True)
 @click.option("--trials", default=200, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--threads", default=1, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @_exit_codes
-def stability_cross_cmd(matrix_path, pairs, trials, seed, threads, out):
+def stability_cross_cmd(matrix_path, pairs, trials, seed, out):
     """Stability verdicts across several (q, w) pairs plus a consistency flag."""
     a = load_matrix(matrix_path)
     parsed = _parse_pairs(pairs)
     pair_args = [(q, parse_weight_sequence(w_s, a.window)) for q, w_s in parsed]
-    res = stability.cross_stability_verdicts(a, pair_args, trials=trials,
-                                              seed=seed, threads=threads)
+    res = stability.cross_stability_verdicts(a, pair_args, trials=trials, seed=seed)
     config = {"command": "stability cross", "matrix": str(matrix_path),
               "pairs": pairs, "trials": trials}
     rows = [f"{r.q!r},{r.weight_id},{r.lower!r},{r.upper!r},{r.verdict},{r.method}"
@@ -431,21 +447,12 @@ def thetafit_cmd(u_spec, v_spec, p, d, nmax, tmax, tpoints, out):
     fit = weights.theta_fit(u, v, p, d, n_max=nmax, t_grid=t_grid)
     config = {"command": "thetafit", "u": u_spec, "v": v_spec, "p": p, "d": d,
               "nmax": nmax, "tmax": tmax, "tpoints": tpoints}
-
-    def finite(values):
-        return [v if math.isfinite(v) else ("inf" if v > 0 else "nan")
-                for v in map(float, values)]
-
     write_json_artifact(_out_dir(out) / "thetafit.json", {
-        "D": fit.D if math.isfinite(fit.D) else "inf",
-        "theta": fit.theta if math.isfinite(fit.theta) else "nan",
+        "D": fit.D, "theta": fit.theta,
         "satisfied": fit.satisfied, "diverged": fit.diverged,
-        "t_grid": list(fit.t_grid), "min_values": finite(fit.min_values),
-        "margins": finite(fit.margins),
-        "n_grid": [int(n) for n in fit.n_grid],
-        "a_values": finite(fit.a_values), "b_values": finite(fit.b_values),
-        "b_tail_bound": fit.b_tail_bound
-        if math.isfinite(fit.b_tail_bound) else "inf",
+        "t_grid": fit.t_grid, "min_values": fit.min_values, "margins": fit.margins,
+        "n_grid": fit.n_grid, "a_values": fit.a_values, "b_values": fit.b_values,
+        "b_tail_bound": fit.b_tail_bound,
     }, config, None)
     click.echo(f"theta={fit.theta!r} D={fit.D!r} satisfied={fit.satisfied}")
 
@@ -469,7 +476,7 @@ def radius_cmd(matrix_path, p, weight, nmax, seed, out):
                        [f"{n + 1},{float(r)!r}" for n, r in enumerate(rep.roots)],
                        config, seed)
     write_json_artifact(_out_dir(out) / "radius_report.json", {
-        "roots": [float(r) for r in rep.roots], "opnorm_l2": rep.opnorm_l2,
+        "roots": rep.roots, "opnorm_l2": rep.opnorm_l2,
         "radius_estimate": rep.radius_estimate, "gap": rep.gap,
     }, config, seed)
     click.echo(f"root[{nmax}]={float(rep.roots[-1])!r} "
@@ -493,7 +500,7 @@ def toeplitz_minmod_cmd(coeffs, d, grid, out):
     rep = symbols.symbol_min_modulus(a, grid)
     config = {"command": "toeplitz minmod", "coeffs": coeffs, "d": d, "grid": grid}
     write_json_artifact(_out_dir(out) / "minmod.json", {
-        "min_modulus": rep.min_modulus, "argmin_xi": list(rep.argmin_xi),
+        "min_modulus": rep.min_modulus, "argmin_xi": rep.argmin_xi,
         "slack": rep.slack, "certified": rep.certified, "grid": rep.grid,
     }, config, None)
     click.echo(f"min|a_hat|={rep.min_modulus!r} at xi={rep.argmin_xi} "
@@ -530,10 +537,9 @@ def toeplitz_recip_cmd(coeffs, tol, out):
 @click.option("--radii", default="16,32,64,128", show_default=True)
 @click.option("--trials", default=200, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--threads", default=1, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @_exit_codes
-def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, threads, out):
+def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, out):
     """Symbol-side stability verdict with bracket-scaling corroboration."""
     a = _coeffs_arg(coeffs, d)
     rad = tuple(int(x) for x in radii.split(","))
@@ -541,9 +547,7 @@ def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, threads, out
     # one weight on the largest window, restricted per radius; a table that
     # does not cover the ladder is refused before any bracket runs
     ladder_w = parse_weight_sequence(wseq, top).restrict(top)
-    rep = symbols.toeplitz_stability_criterion(a, q, ladder_w.restrict, rad,
-                                               trials=trials, seed=seed,
-                                               threads=threads)
+    rep = symbols.toeplitz_stability_criterion(a, q, ladder_w, rad, trials=trials, seed=seed)
     config = {"command": "toeplitz stability", "coeffs": coeffs, "d": d,
               "q": q, "wseq": wseq, "radii": radii, "trials": trials}
     rows = [f"{r.q!r},{r.weight_id},{rad[k]},{r.lower!r},{r.upper!r},{r.verdict}"

@@ -80,8 +80,7 @@ class InversionReport:
 _FLUSH = 1e-300  # keep supports finite in spirit: flushed once, on the returned inverse
 
 
-def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500,
-                  bracket: SpectralBracket | None = None):
+def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
     """Invert by the preconditioned Neumann series, summed by squaring.
 
     Returns (A_inv, report).  Each pass measures both residuals of the
@@ -94,8 +93,7 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500,
         raise ValueError("tol must be positive")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if bracket is None:
-        bracket = spectral_bracket(a)
+    bracket = spectral_bracket(a)
     c1, c2 = bracket.c1, bracket.c2
     if c1 <= 1e-14 * c2:
         raise SingularMatrixError(f"bracket collapsed: C1={c1:.3e}, C2={c2:.3e}")

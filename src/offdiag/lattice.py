@@ -55,6 +55,7 @@ __all__ = [
     "sequence_from_dict",
     "read_rows",
     "json_object",
+    "json_number",
     "save_sequence",
     "load_sequence",
     "profile_to_csv",
@@ -114,10 +115,6 @@ class Window:
             raise ValueError(f"index {bad} outside window radius {self.radius}")
         pos = coord @ self.side ** np.arange(self.d - 1, -1, -1)
         return int(pos) if idx.ndim == 1 else pos
-
-    def contains(self, index) -> bool:
-        idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
-        return idx.shape == (self.d,) and bool(np.all(np.abs(idx) <= self.radius))
 
 
 def ring_counts(d: int, m_max: int, m_min: int = 0) -> np.ndarray:
@@ -453,12 +450,14 @@ def read_rows(window: Window, rows, points: int, values: int):
     Each row holds ``points`` lattice points of the window followed by
     ``values`` numbers.  Returns the row-major positions in the
     (size,)^points array and the (rows, values) float64 values.  A row of
-    another length, a cell that is not a number, a value that is not finite,
-    a point that is not an integer point of the window and two rows at the
-    same position raise ValueError.
+    another length, rows or a row that is not a list, a cell that is not a
+    number, a value that is not finite, a point that is not an integer point
+    of the window and two rows at the same position raise ValueError.
     """
     d = window.d
     width = points * d + values
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("entry rows must be a list of lists")
     for row in rows:
         if len(row) != width:
             raise ValueError(f"entry row of length {len(row)} for d={d}")
@@ -485,6 +484,15 @@ def json_object(payload, what: str) -> dict:
     return payload
 
 
+def json_number(payload: dict, key: str, kind=float):
+    """kind(payload[key]); a field of the wrong type raises ValueError."""
+    value = payload[key]
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"field {key!r} must be a number, got {value!r}") from None
+
+
 def _complex_values(pairs: np.ndarray) -> np.ndarray:
     """complex(re, im) of each (re, im) row, exactly: a view of the float pairs."""
     return np.ascontiguousarray(pairs).view(np.complex128)[:, 0]
@@ -492,7 +500,7 @@ def _complex_values(pairs: np.ndarray) -> np.ndarray:
 
 def matrix_from_dict(payload: dict) -> LocalizedMatrix:
     json_object(payload, "a matrix file")
-    window = Window(int(payload["d"]), int(payload["radius"]))
+    window = Window(json_number(payload, "d", int), json_number(payload, "radius", int))
     pos, vals = read_rows(window, payload["entries"], 2, 2)
     data = np.zeros(window.size**2, dtype=np.complex128)
     data[pos] = _complex_values(vals)
@@ -520,7 +528,7 @@ def sequence_to_dict(c: LatticeSequence) -> dict:
 
 def sequence_from_dict(payload: dict) -> LatticeSequence:
     json_object(payload, "a sequence file")
-    window = Window(int(payload["d"]), int(payload["radius"]))
+    window = Window(json_number(payload, "d", int), json_number(payload, "radius", int))
     pos, vals = read_rows(window, payload["entries"], 1, 2)
     data = np.zeros(window.size, dtype=np.complex128)
     data[pos] = _complex_values(vals)

@@ -220,16 +220,15 @@ class CharacterizationReport:
         return self.worst_margin >= 0.0
 
 
-def aq_characterization_check(w: WeightSequence, q: float, trials: int, seed: int = 0,
-                              report: AqReport | None = None) -> CharacterizationReport:
+def aq_characterization_check(w: WeightSequence, q: float, trials: int,
+                              seed: int = 0) -> CharacterizationReport:
     """Monte Carlo check of the cube characterization
 
     (avg |c|)^q (avg w) <= A_q(w) avg(|c|^q w)   on cubes inside the window,
     using the scanned bound (cubes drawn with N <= the scan's N_cap).
     """
     win = w.window
-    if report is None:
-        report = aq_bound(w, q, win.side)
+    report = aq_bound(w, q, win.side)
     rng = np.random.default_rng(seed)
     d, side, r = win.d, win.side, win.radius
     w_nd = w.values.reshape((side,) * d)

@@ -49,17 +49,25 @@ def _weighted_mag(a: LocalizedMatrix, weight) -> np.ndarray:
     return mag
 
 
+def _check_exponent(p: float) -> None:
+    """The norms are defined for 1 <= p <= infinity; anything else (NaN too) is refused."""
+    if not p >= 1:
+        raise ValueError(f"p must lie in [1, infinity], got {p}")
+
+
 def beurling_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """l^p over k in Z^d of h(|k|), h = ring suprema of |a| u.
 
     Rings beyond 2R are empty, so the sum over the infinite lattice is exact:
     h(0)^p + sum_{m>=1} ((2m+1)^d - (2m-1)^d) h(m)^p, then the p-th root.
     """
+    _check_exponent(p)
     return ring_lp(decay_profile(a, weight).values, a.window.d, p)
 
 
 def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """l^p over k in Z^d of the diagonal suprema sup_{i-j=k} |a(i,j)| u(i,j)."""
+    _check_exponent(p)
     diag = diagonal_suprema(_weighted_mag(a, weight), a.window).ravel()
     if math.isinf(p):
         return float(diag.max(initial=0.0))
@@ -68,6 +76,7 @@ def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
 
 def schur_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """max over rows/columns of the weighted l^p of a single row / column."""
+    _check_exponent(p)
     mag = _weighted_mag(a, weight)
     if math.isinf(p):
         return float(mag.max(initial=0.0))
@@ -181,33 +190,36 @@ class BrandenburgReport:
 
 
 def brandenburg_radii(a: LocalizedMatrix, p: float, weight=None, n_max: int = 16,
-                      seed: int = 0, probes: int = 3) -> BrandenburgReport:
+                      seed: int = 0) -> BrandenburgReport:
     """Root sequence ||A^n||^{1/n} next to an l^2 growth estimate.
 
     The l^2 spectral-radius estimate is deflation-free modulus tracking:
     the n_max-step growth factor (||A^{n_max} x|| / ||x||)^{1/n_max},
     maximized over seeded probes — the l^2 Gelfand root at the same horizon
-    as the algebra-norm roots it is compared against.
+    as the algebra-norm roots it is compared against.  A root or a growth
+    factor that overflows raises ArithmeticError.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     roots = np.empty(n_max, dtype=np.float64)
-    power = a
-    for n in range(1, n_max + 1):
-        if n > 1:
-            power = multiply(power, a)
-        roots[n - 1] = beurling_norm(power, p, weight) ** (1.0 / n)
+    growth = []
     rng = np.random.default_rng(seed)
-    est = 0.0
     size = a.window.size
-    for _ in range(probes):
-        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        x0 = np.linalg.norm(x)
-        for _ in range(n_max):
-            x = a.data @ x
-        growth = np.linalg.norm(x) / x0
-        if growth > 0:
-            est = max(est, float(growth ** (1.0 / n_max)))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are refused below
+        power = a
+        for n in range(1, n_max + 1):
+            if n > 1:
+                power = multiply(power, a)
+            roots[n - 1] = beurling_norm(power, p, weight) ** (1.0 / n)
+        for _ in range(3):  # seeded probes
+            x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            x0 = np.linalg.norm(x)
+            for _ in range(n_max):
+                x = a.data @ x
+            growth.append(np.linalg.norm(x) / x0)
+    if not (np.all(np.isfinite(roots)) and np.all(np.isfinite(growth))):
+        raise ArithmeticError(f"||A^n|| overflows within n_max = {n_max} powers")
+    est = max((float(g ** (1.0 / n_max)) for g in growth if g > 0), default=0.0)
     opnorm = operator_norm_l2(a.data)
     return BrandenburgReport(roots, opnorm, est, float(roots[-1] - est), n_max)
 

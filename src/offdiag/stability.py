@@ -15,7 +15,6 @@ singular values of the complex path to roundoff and a cheaper LAPACK SVD.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,9 @@ __all__ = [
 ]
 
 
-def effective_bandwidth(a: LocalizedMatrix, tol: float = 1e-12) -> int:
-    """Largest |i-j|_inf carrying an entry above tol."""
-    above = np.flatnonzero(decay_profile(a).values > tol)
+def effective_bandwidth(a: LocalizedMatrix) -> int:
+    """Largest |i-j|_inf carrying an entry above 1e-12."""
+    above = np.flatnonzero(decay_profile(a).values > 1e-12)
     return int(above[-1]) if above.size else 0
 
 
@@ -230,36 +229,19 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     return report
 
 
-def ordered_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], on a pool of ``threads`` threads when threads > 1."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class CrossStabilityResult:
     reports: tuple
     consistent: bool
 
 
-def cross_stability_verdicts(a: LocalizedMatrix, pairs, band: int | None = None,
-                             trials: int = 200, seed: int = 0,
-                             threads: int = 1) -> CrossStabilityResult:
-    """Run stability brackets over (q, weight-factory) pairs; the consistency
-    flag records whether all verdicts coincide (the transfer prediction).
-
-    Pairs are independent; with threads > 1 they run on a pool, collected in
-    input order with per-pair seeds, so the result is thread-count invariant.
-    """
-
-    def one(item):
-        k, (q, w_factory) = item
-        w = w_factory(a.window) if callable(w_factory) else w_factory
-        return stability_bracket(a, q, w, band=band, trials=trials, seed=seed + k)
-
-    reports = ordered_map(one, list(enumerate(pairs)), threads)
+def cross_stability_verdicts(a: LocalizedMatrix, pairs, trials: int = 200,
+                             seed: int = 0) -> CrossStabilityResult:
+    """Run stability brackets over (q, WeightSequence) pairs, the k-th with
+    seed + k; the consistency flag records whether all verdicts coincide
+    (the transfer prediction)."""
+    reports = [stability_bracket(a, q, w, trials=trials, seed=seed + k)
+               for k, (q, w) in enumerate(pairs)]
     verdicts = {r.verdict for r in reports}
     return CrossStabilityResult(tuple(reports), len(verdicts) == 1)
 

@@ -250,7 +250,7 @@ def c06_inverse_closedness(seed: int, quick: bool) -> CriterionResult:
         "C06", "inverse ring norms stabilize along the radius ladder", passed,
         f"last-two spread {_fmt(spread)}; norms "
         + ", ".join(_fmt(r.inverse_norm) for r in rows),
-        {"radii": list(radii), "norms": [r.inverse_norm for r in rows], "spread": spread},
+        {"radii": radii, "norms": [r.inverse_norm for r in rows], "spread": spread},
         elapsed)
 
 
@@ -298,8 +298,8 @@ def c09_cross_consistency(seed: int, quick: bool) -> CriterionResult:
     trials = 20 if quick else 60
     t0 = time.perf_counter()
     win = Window(1, r)
-    pairs = [(1.0, WeightSequence.trivial), (2.0, WeightSequence.trivial),
-             (2.0, lambda w: WeightSequence.power(w, 1.0)), (4.0, WeightSequence.trivial)]
+    trivial = WeightSequence.trivial(win)
+    pairs = [(1.0, trivial), (2.0, trivial), (2.0, WeightSequence.power(win, 1.0)), (4.0, trivial)]
     stable_mat = generate("toeplitz_from_coeffs", win, coeffs={0: 2.0, 1: 1.0})
     degrading_mat = generate("toeplitz_from_coeffs", win, coeffs={0: 1.0, 1: -1.0})
     res_s = stability.cross_stability_verdicts(stable_mat, pairs, trials=trials, seed=seed)
@@ -492,7 +492,7 @@ def run_all(seed: int = 42, quick: bool = False, out_dir=None, skip=()):
         payload = {
             "criteria": [
                 {"cid": r.cid, "title": r.title, "passed": r.passed,
-                 "summary": r.summary, "details": _jsonable(r.details)}
+                 "summary": r.summary, "details": r.details}
                 for r in results
             ],
         }
@@ -503,16 +503,3 @@ def run_all(seed: int = 42, quick: bool = False, out_dir=None, skip=()):
         (out / "suite_table.csv").write_text("\n".join(lines) + "\n")
     return results
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LocalizedMatrix, Window, generate, json_object, ring_lp
+from .lattice import LocalizedMatrix, Window, generate, json_number, json_object, ring_lp
 from .muckenhoupt import WeightSequence
-from .stability import StabilityReport, ordered_map, stability_bracket
+from .stability import stability_bracket
 
 __all__ = [
     "SymbolCoeffs",
@@ -87,9 +87,13 @@ def symbol_to_dict(a: SymbolCoeffs) -> dict:
 
 def symbol_from_dict(payload: dict) -> SymbolCoeffs:
     json_object(payload, "a symbol file")
-    d = int(payload["d"])
+    d = json_number(payload, "d", int)
+    rows = payload["coeffs"]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and all(isinstance(x, (int, float)) for row in rows for x in row)):
+        raise ValueError("coefficient rows must be lists of numbers")
     coeffs = {}
-    for row in payload["coeffs"]:
+    for row in rows:
         if len(row) != d + 2:
             raise ValueError(f"coefficient row of length {len(row)} for d={d}")
         coeffs[tuple(int(x) for x in row[:d])] = complex(row[d], row[d + 1])
@@ -189,13 +193,14 @@ class ReciprocalReport:
     min_modulus: float
 
 
-def reciprocal_coeffs(a: SymbolCoeffs, tol: float = 1e-10, g_max: int = 1 << 20):
+def reciprocal_coeffs(a: SymbolCoeffs, tol: float = 1e-10):
     """Coefficients of 1 / a_hat by adaptive grid doubling (d = 1).
 
     Doubles the grid until the outermost quarter of the unfolded
     coefficients carries l^1 mass <= tol (aliasing control).  Refuses
     symbols whose nonvanishing cannot be certified.
     """
+    g_max = 1 << 20  # grid cap
     if a.d != 1:
         raise ValueError("reciprocal coefficients are defined for d = 1 symbols")
     if tol <= 0:
@@ -261,29 +266,26 @@ class ToeplitzStabilityReport:
     brackets: tuple
 
 
-def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, weight_factory=None,
-                                 radii=(16, 32, 64, 128), grid_size: int | None = None,
-                                 trials: int = 200, seed: int = 0,
-                                 threads: int = 1) -> ToeplitzStabilityReport:
+def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, w: WeightSequence | None = None,
+                                 radii=(16, 32, 64, 128), trials: int = 200,
+                                 seed: int = 0) -> ToeplitzStabilityReport:
     """Stability verdict from the symbol: stable iff the certified minimum
     modulus is positive; a grid zero means a vanishing symbol (degrading),
     and an uncertified positive grid minimum is inconclusive.  Bracket
-    scaling over the radius ladder is attached as empirical corroboration;
-    radii are independent and may run on a pool (order-preserving).
+    scaling over the radius ladder is attached as empirical corroboration,
+    under the weight w (trivial when None) restricted to each radius; a w
+    that does not reach the largest radius is refused before any bracket runs.
     """
-    mm = symbol_min_modulus(a, grid_size)
+    mm = symbol_min_modulus(a)
     if mm.certified:
         verdict = "stable"
     elif mm.min_modulus == 0.0:
         verdict = "degrading"
     else:
         verdict = "inconclusive"
-    if weight_factory is None:
-        weight_factory = WeightSequence.trivial
-
-    def one(r) -> StabilityReport:
-        win = Window(a.d, int(r))
-        mat = toeplitz_matrix(a, win)
-        return stability_bracket(mat, q, weight_factory(win), trials=trials, seed=seed)
-
-    return ToeplitzStabilityReport(verdict, mm, tuple(ordered_map(one, radii, threads)))
+    if w is None:
+        w = WeightSequence.trivial(Window(a.d, int(max(radii, default=0))))
+    ws = [w.restrict(Window(a.d, int(r))) for r in radii]
+    return ToeplitzStabilityReport(verdict, mm, tuple(
+        stability_bracket(toeplitz_matrix(a, w_r.window), q, w_r, trials=trials, seed=seed)
+        for w_r in ws))

@@ -448,6 +448,9 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
     if t_grid is None:
         t_grid = np.geomspace(1.0, 1e6, 61)
     t_grid = np.asarray(t_grid, dtype=np.float64)
+    distinct = np.unique(t_grid).size
+    if distinct < 2:
+        raise ValueError(f"t_grid needs 2 distinct points to fit a slope, got {distinct}")
     if np.any(t_grid < 1.0):
         raise ValueError("t_grid must lie in [1, inf)")
     ur, vr = u.radial(), v.radial()

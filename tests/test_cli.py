@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from offdiag import stability, symbols
-from offdiag.cli import main
+from offdiag.cli import main, write_json_artifact
 from offdiag.lattice import Window, generate, save_matrix, save_sequence
 from offdiag.lattice import LatticeSequence
 from offdiag.muckenhoupt import WeightSequence
@@ -139,8 +139,7 @@ class TestVerbs:
         assert abs(float(row0.split(",")[1]) - 0.5) < 1e-10
 
         res = _invoke(runner, ["toeplitz", "stability", "--coeffs", "1@0,-1@1",
-                               "--radii", "8,16", "--trials", "5", "--threads", "2",
-                               "--out", str(out)])
+                               "--radii", "8,16", "--trials", "5", "--out", str(out)])
         assert res.exit_code == 0
         doc = json.loads((out / "toeplitz_stability.json").read_text())
         assert doc["verdict"] == "degrading"
@@ -321,7 +320,10 @@ class TestExitCodes:
         (["norm", "--matrix", "{matrix}", "--p", "abc"], "is not a valid float"),
         (["frobnicate"], "No such command"),
         (["stability", "cross", "--matrix", "{matrix}", "--bogus"], "No such option"),
-    ], ids=["missing-file", "missing-option", "bad-float", "unknown-verb", "unknown-option"])
+        (["stability", "cross", "--matrix", "{matrix}", "--threads", "2"], "No such option"),
+        (["toeplitz", "stability", "--coeffs", "2@0,1@1", "--threads", "2"], "No such option"),
+    ], ids=["missing-file", "missing-option", "bad-float", "unknown-verb", "unknown-option",
+            "cross-threads", "toeplitz-threads"])
     def test_usage_error_exit_code(self, runner, tmp_path, matrix_file, args, message):
         # click's own usage errors are validation failures, not numerical ones
         args = [a.format(matrix=matrix_file) for a in args]
@@ -338,10 +340,106 @@ class TestExitCodes:
         assert res.exit_code == 0
         assert "Usage:" in res.output
 
+    def test_radius_overflow_exit_code(self, runner, tmp_path):
+        # ||A^2|| overflows: refused, not reported as root nan and estimate 0.0
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"d": 1, "radius": 1,
+                                    "entries": [[0, 0, 1e200, 0], [1, 0, 1, 0]]}))
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["radius", "--matrix", str(path), "--out", str(out)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "numerical failure" in res.output and "overflows" in res.output
+        assert "Traceback" not in res.output
+        assert not (out / "radius_report.json").exists()
+
+    @pytest.mark.parametrize("p", ["0.5", "-1", "nan"])
+    @pytest.mark.parametrize("verb", ["norm", "radius"])
+    def test_exponent_below_one_exit_code(self, runner, tmp_path, matrix_file, verb, p):
+        res = runner.invoke(main, [verb, "--matrix", str(matrix_file), f"--p={p}",
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "p must lie in" in res.output
+        assert "Traceback" not in res.output
+
+    def test_norm_p_zero_reads_as_infinity(self, runner, tmp_path, matrix_file):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["norm", "--matrix", str(matrix_file), "--p", "0",
+                                   "--out", str(out)])
+        assert res.exit_code == 0
+        doc = json.loads((out / "norm_report.json").read_text())
+        assert doc["p"] == "inf" and doc["beurling"] == doc["jaffard"] == 2.0
+
+    @pytest.mark.parametrize("args", [["--tpoints", "0"], ["--tpoints", "1"],
+                                      ["--tpoints", "2", "--tmax", "1"]],
+                             ids=["no-point", "one-point", "one-distinct-point"])
+    def test_short_t_grid_exit_code(self, runner, tmp_path, args):
+        res = runner.invoke(main, ["thetafit", "--u", "polynomial:2", *args,
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "2 distinct points" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("verb, doc", [
+        ("matrix", {"d": 1, "radius": 2, "entries": 5}),
+        ("matrix", {"d": 1, "radius": 2, "entries": [5]}),
+        ("matrix", {"d": None, "radius": 2, "entries": []}),
+        ("coeffs", {"d": 1, "coeffs": [5]}),
+        ("coeffs", {"d": 1, "coeffs": 5}),
+        ("coeffs", {"d": 1, "coeffs": [[0, "x", 0]]}),
+        ("wseq", {"form": "power", "alpha": "x"}),
+        ("wseq", {"form": "power", "alpha": None}),
+        ("wseq", {"form": "table", "d": 1, "radius": [16], "values": []}),
+        ("weight", {"form": "polynomial", "alpha": None}),
+    ], ids=["entries-number", "entry-row-number", "d-null", "coeff-row-number",
+            "coeffs-number", "coeff-cell-string", "alpha-string", "alpha-null",
+            "radius-list", "weight-alpha-null"])
+    def test_wrong_field_type_exit_code(self, runner, tmp_path, matrix_file, verb, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        args = {"matrix": ["norm", "--matrix", str(path)],
+                "weight": ["norm", "--matrix", str(matrix_file), "--weight", str(path)],
+                "wseq": ["stability", "--matrix", str(matrix_file), "--wseq", str(path)],
+                "coeffs": ["toeplitz", "minmod", "--coeffs", str(path)]}[verb]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "Traceback" not in res.output
+
     def test_vanishing_symbol_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1@0,-1@1",
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+
+class TestStrictJson:
+    def test_non_finite_and_numpy_values_become_json_types(self, tmp_path):
+        path = tmp_path / "a.json"
+        payload = {"pos": np.float64(np.inf), "neg": -np.inf, "nan": [np.nan, 1.5],
+                   "array": np.array([[1.0, np.inf], [2.0, 3.0]]), "pair": (1, np.int64(2)),
+                   "flag": np.bool_(True), "keyed": {128: np.float32(0.5)}}
+        write_json_artifact(path, payload, {"command": "test"}, None)
+
+        def refuse(literal):
+            raise AssertionError(f"non-strict literal {literal}")
+
+        doc = json.loads(path.read_text(), parse_constant=refuse)
+        assert (doc["pos"], doc["neg"], doc["nan"]) == ("inf", "-inf", ["nan", 1.5])
+        assert doc["array"] == [[1.0, "inf"], [2.0, 3.0]] and doc["pair"] == [1, 2]
+        assert doc["flag"] is True and doc["keyed"] == {"128": 0.5}
+
+    def test_thetafit_divergent_pair_writes_strings(self, runner, tmp_path):
+        out = tmp_path / "o"
+        res = _invoke(runner, ["thetafit", "--u", "trivial", "--v", "polynomial:1",
+                               "--tpoints", "5", "--out", str(out)])
+        assert res.exit_code == 0
+        text = (out / "thetafit.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        doc = json.loads(text)
+        assert doc["diverged"] is True and (doc["D"], doc["theta"]) == ("inf", "nan")
+        assert doc["b_tail_bound"] == "inf" and set(doc["margins"]) == {"nan"}
 
 
 class TestDeterminism:

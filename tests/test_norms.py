@@ -239,6 +239,36 @@ class TestBrandenburg:
         assert rep.opnorm_l2 == pytest.approx(np.linalg.norm(a.data, 2), rel=1e-12)
 
 
+class TestExponentRange:
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("norm", [beurling_norm, sjostrand_norm, schur_norm],
+                             ids=["beurling", "sjostrand", "schur"])
+    def test_exponent_below_one_rejected(self, norm, p):
+        a = rand_matrix(Window(1, 4), 1)
+        with pytest.raises(ValueError, match="p must lie in"):
+            norm(a, p)
+
+    def test_brandenburg_exponent_below_one_rejected(self):
+        with pytest.raises(ValueError, match="p must lie in"):
+            brandenburg_radii(generate("identity", Window(1, 4)), 0.5, None, n_max=4)
+
+
+class TestBrandenburgOverflow:
+    def test_overflowing_powers_raise(self):
+        # 1e200 squared overflows: a root would be inf, then nan
+        data = np.zeros((3, 3), dtype=np.complex128)
+        data[1, 1], data[2, 1] = 1e200, 1.0
+        with pytest.raises(ArithmeticError, match="overflows"):
+            brandenburg_radii(LocalizedMatrix(Window(1, 1), data), 1.0, None, n_max=16)
+
+    def test_overflowing_probe_growth_raises(self):
+        # A^2 = 1e308 I keeps both roots finite, but the l2 norm of A^2 x overflows
+        a = scale(1e154, generate("identity", Window(1, 2)))
+        assert np.all(np.isfinite(multiply(a, a).data))
+        with pytest.raises(ArithmeticError, match="overflows"):
+            brandenburg_radii(a, 1.0, None, n_max=2)
+
+
 class TestSquareGrowth:
     def test_requires_certificate(self):
         fit = theta_fit(WeightMatrix.trivial(1), WeightMatrix.trivial(1), 1.0, 1)

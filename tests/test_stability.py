@@ -128,27 +128,29 @@ class TestBracket:
 
 
 class TestCrossVerdicts:
-    PAIRS = [(1.0, WeightSequence.trivial), (2.0, WeightSequence.trivial),
-             (2.0, lambda w: WeightSequence.power(w, 1.0)),
-             (4.0, WeightSequence.trivial)]
+    @staticmethod
+    def pairs(win):
+        trivial = WeightSequence.trivial(win)
+        return [(1.0, trivial), (2.0, trivial), (2.0, WeightSequence.power(win, 1.0)),
+                (4.0, trivial)]
 
     def test_bounded_family_all_stable(self):
         win = Window(1, 48)
-        res = cross_stability_verdicts(toeplitz(win, {0: 2.0, 1: 1.0}), self.PAIRS,
+        res = cross_stability_verdicts(toeplitz(win, {0: 2.0, 1: 1.0}), self.pairs(win),
                                        trials=30, seed=0)
         assert res.consistent
         assert {r.verdict for r in res.reports} == {"stable"}
 
     def test_vanishing_family_all_degrading(self):
         win = Window(1, 48)
-        res = cross_stability_verdicts(toeplitz(win, {0: 1.0, 1: -1.0}), self.PAIRS,
+        res = cross_stability_verdicts(toeplitz(win, {0: 1.0, 1: -1.0}), self.pairs(win),
                                        trials=30, seed=0)
         assert res.consistent
         assert {r.verdict for r in res.reports} == {"degrading"}
 
     def test_identity_all_stable_lower_one(self):
         win = Window(1, 32)
-        res = cross_stability_verdicts(generate("identity", win), self.PAIRS,
+        res = cross_stability_verdicts(generate("identity", win), self.pairs(win),
                                        trials=30, seed=0)
         assert res.consistent
         for rep in res.reports:

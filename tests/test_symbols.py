@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from offdiag import symbols
 from offdiag.lattice import Window, multiply, restrict
+from offdiag.muckenhoupt import WeightSequence
 from offdiag.norms import beurling_norm
+from offdiag.stability import stability_bracket
 from offdiag.symbols import (SymbolCoeffs, VanishingSymbolError, astar_norm,
                              convolve, parse_coeffs, reciprocal_coeffs,
                              symbol_from_dict, symbol_min_modulus,
@@ -196,6 +199,35 @@ class TestStabilityCriterion:
         assert rep.verdict == "stable"
         assert rep.brackets[0].lower == pytest.approx(1.0, abs=1e-12)
         assert rep.brackets[0].upper == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStabilityCriterionWeight:
+    def test_table_short_of_the_ladder_refused_before_any_bracket(self, monkeypatch):
+        monkeypatch.setattr(symbols, "stability_bracket",
+                            lambda *a, **k: pytest.fail("bracket ran"))
+        w = WeightSequence.table(Window(1, 16), np.full(33, 2.0))
+        with pytest.raises(ValueError, match="not a sub-window"):
+            toeplitz_stability_criterion(SymbolCoeffs(1, {0: 2.0, 1: 1.0}), 2.0, w,
+                                         radii=(8, 16, 32))
+
+    def test_one_weight_restricted_to_each_radius(self):
+        a = SymbolCoeffs(1, {0: 2.0, 1: 1.0})
+        top = Window(1, 32)
+        w = WeightSequence.table(top, 1.0 + 0.5 * np.cos(top.indices[:, 0]))
+        rep = toeplitz_stability_criterion(a, 4.0, w, radii=(16, 32), trials=10, seed=3)
+        for r, got in zip((16, 32), rep.brackets):
+            win = Window(1, r)
+            want = stability_bracket(toeplitz_matrix(a, win), 4.0, w.restrict(win),
+                                     trials=10, seed=3)
+            assert (got.weight_id, got.lower, got.upper) == (want.weight_id, want.lower, want.upper)
+
+    def test_default_weight_is_trivial(self):
+        a = SymbolCoeffs(1, {0: 1.0, 1: -1.0})
+        plain = toeplitz_stability_criterion(a, 2.0, radii=(8, 16))
+        trivial = toeplitz_stability_criterion(a, 2.0, WeightSequence.trivial(Window(1, 16)),
+                                               radii=(8, 16))
+        assert [(r.weight_id, r.lower, r.upper) for r in plain.brackets] == \
+            [(r.weight_id, r.lower, r.upper) for r in trivial.brackets]
 
 
 class TestSerialization:

@@ -208,6 +208,15 @@ class TestThetaFit:
         with pytest.raises(ValueError):
             theta_fit(u, v, 2.0, 1, t_grid=np.array([0.5, 2.0]))
 
+    @pytest.mark.parametrize("t_grid", [[], [10.0], [3.0, 3.0]],
+                             ids=["empty", "one-point", "one-distinct-point"])
+    def test_t_grid_without_two_points_rejected(self, t_grid):
+        # one point cannot fit a slope: refused before the least-squares fit
+        u = WeightMatrix.polynomial(2.0, D1)
+        v = WeightMatrix.constant(4.0, D1)
+        with pytest.raises(ValueError, match="2 distinct points"):
+            theta_fit(u, v, 2.0, 1, t_grid=np.array(t_grid))
+
     def test_subexponential_pair(self):
         u = WeightMatrix.subexponential(0.5, 1.0, D1)
         v = default_companion(u, 2.0)

@@ -129,6 +129,11 @@ def _out_dir(out) -> Path:
     return path
 
 
+# --p of `norm` and `radius`: a norm exponent in [1, infinity], where 0 reads as infinity
+_exponent_option = click.option("--p", default=1.0, show_default=True,
+                                callback=lambda _ctx, _param, p: math.inf if p == 0 else p)
+
+
 def _coeffs_arg(spec: str, d: int):
     """Inline '2@0,1@1' syntax or a SymbolCoeffs JSON path."""
     if spec.strip().endswith(".json"):
@@ -235,7 +240,7 @@ def gen_cmd(kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coeffs, 
 
 @main.command("norm")
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--p", default=1.0, show_default=True)
+@_exponent_option
 @click.option("--weight", default="trivial", show_default=True)
 @click.option("--out", default="out", show_default=True)
 @_exit_codes
@@ -243,14 +248,13 @@ def norm_cmd(matrix_path, p, weight, out):
     """Norm report (ring / diagonal / row-column / sup families)."""
     a = load_matrix(matrix_path)
     u = parse_weight_matrix(weight, a.window.d)
-    pv = math.inf if p in (0, math.inf) else p
-    rep = norms.norm_report(a, pv, u)
-    config = {"command": "norm", "matrix": str(matrix_path), "p": str(pv),
+    rep = norms.norm_report(a, p, u)
+    config = {"command": "norm", "matrix": str(matrix_path), "p": str(p),
               "weight": weight}
     write_json_artifact(_out_dir(out) / "norm_report.json", {
         "beurling": rep.beurling, "sjostrand": rep.sjostrand,
         "schur": rep.schur, "jaffard": rep.jaffard,
-        "p": str(pv), "weight_id": rep.weight_id,
+        "p": str(p), "weight_id": rep.weight_id,
     }, config, None)
     click.echo(f"beurling={rep.beurling!r} sjostrand={rep.sjostrand!r} "
                f"schur={rep.schur!r} jaffard={rep.jaffard!r}")
@@ -459,7 +463,7 @@ def thetafit_cmd(u_spec, v_spec, p, d, nmax, tmax, tpoints, out):
 
 @main.command("radius")
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--p", default=1.0, show_default=True)
+@_exponent_option
 @click.option("--weight", default="trivial", show_default=True)
 @click.option("--nmax", default=16, show_default=True)
 @click.option("--seed", default=0, show_default=True)

@@ -12,13 +12,13 @@ I - XA = B^K after K terms.  Both max|XA - I| and max|AX - I| are measured
 on X at every step, and convergence requires both to meet tol.  The decay
 profile and ring norm of the computed inverse are reported as the
 inverse-closedness witness: for well-behaved families they stay bounded as
-the window grows.  Dense LU solves are oracle-only (tests), never the
+the window grows, which ``inverse_closedness_experiment`` tabulates along a
+radius ladder.  Dense LU solves are oracle-only (tests), never the
 production path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "left_inverse",
     "InverseClosednessRow",
     "inverse_closedness_experiment",
-    "neumann_term_envelope",
 ]
 
 
@@ -133,64 +132,24 @@ class InverseClosednessRow:
     residual: float
     r0: float
     terms_used: int
-    envelope_log10: float | None = None
 
 
 def inverse_closedness_experiment(make_matrix, radii, p: float = 1.0, weight=None,
-                                  d: int = 1, tol: float = 1e-10, k_max: int = 2000,
-                                  growth_cert=None):
+                                  d: int = 1, tol: float = 1e-10, k_max: int = 2000):
     """Invert a generator family at growing radii and tabulate ||A^{-1}||_{p,u}.
 
     Bounded inverse norms along the radius ladder are the desk-scale witness
     of inverse-closedness.  ``make_matrix(window)`` produces the family
-    member at each radius.  With ``growth_cert = (theta_fit, mpu_bound)``
-    each row also carries the proof-side bound (log10) on the last Neumann
-    term used -- a conservative envelope for context, not a prediction.
+    member at each radius.
     """
     rows = []
     for r in radii:
-        win = Window(d, int(r))
-        a = make_matrix(win)
-        a_inv, rep = wiener_invert(a, tol=tol, k_max=k_max)
-        env_val = None
-        if growth_cert is not None and rep.terms_used >= 1 and 0.0 < rep.r0 < 1.0:
-            fit, mpu = growth_cert
-            gram = a.data.conj().T @ a.data
-            b_mat = LocalizedMatrix(win, np.eye(win.size) - (2.0 / (rep.c1 + rep.c2)) * gram,
-                                    copy=False)
-            env = neumann_term_envelope(rep.terms_used, rep.r0,
-                                        beurling_norm(b_mat, p, weight),
-                                        fit.D, fit.theta, mpu, p, win.d)
-            env_val = float(env[-1])
+        a_inv, rep = wiener_invert(make_matrix(Window(d, int(r))), tol=tol, k_max=k_max)
         rows.append(InverseClosednessRow(
             radius=int(r),
             inverse_norm=beurling_norm(a_inv, p, weight),
             residual=rep.residual,
             r0=rep.r0,
             terms_used=rep.terms_used,
-            envelope_log10=env_val,
         ))
     return rows
-
-
-def neumann_term_envelope(n_terms: int, r0: float, b_ring_norm: float, big_d: float,
-                          theta: float, mpu: float, p: float, d: int) -> np.ndarray:
-    """log10 of the proof-side growth bound on ||B^n|| in the decay algebra:
-
-        C^{log2 n} (C r0^{-1} ||B||)^{n^{log2(1+theta)}} r0^n,
-        C = max(2^{2+2/p} 5^{(d-1)/p} D, 2^{1+2/p} 5^{(d-1)/p} M_p(u)).
-
-    Returned in log10 because early terms can be astronomically large; with
-    M_p(u) replaced by its computable upper bound the envelope is
-    conservative (reported as an envelope, not a tight prediction).
-    """
-    if not 0.0 < r0 < 1.0:
-        raise ValueError("envelope needs a contraction factor r0 in (0, 1)")
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    c = max(2.0 ** (2 + 2 * inv_p) * 5.0 ** ((d - 1) * inv_p) * big_d,
-            2.0 ** (1 + 2 * inv_p) * 5.0 ** ((d - 1) * inv_p) * mpu)
-    ns = np.arange(1, n_terms + 1, dtype=np.float64)
-    log_c = math.log10(c)
-    log_inner = math.log10(c * b_ring_norm / r0)
-    return (np.log2(ns) * log_c + ns ** math.log2(1.0 + theta) * log_inner
-            + ns * math.log10(r0))

@@ -56,6 +56,7 @@ __all__ = [
     "read_rows",
     "json_object",
     "json_number",
+    "integral",
     "save_sequence",
     "load_sequence",
     "profile_to_csv",
@@ -477,6 +478,11 @@ def read_rows(window: Window, rows, points: int, values: int):
     return pos, vals
 
 
+def integral(x) -> bool:
+    """x is a JSON number with an integer value (2 and 2.0, not 2.5 or inf)."""
+    return isinstance(x, int) or isinstance(x, float) and x.is_integer()
+
+
 def json_object(payload, what: str) -> dict:
     """A parsed JSON document that must be an object; ValueError otherwise."""
     if not isinstance(payload, dict):
@@ -485,8 +491,11 @@ def json_object(payload, what: str) -> dict:
 
 
 def json_number(payload: dict, key: str, kind=float):
-    """kind(payload[key]); a field of the wrong type raises ValueError."""
+    """kind(payload[key]); a field of the wrong type, or an int field that
+    is not an integer, raises ValueError."""
     value = payload[key]
+    if kind is int and not integral(value):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
     try:
         return kind(value)
     except TypeError:

@@ -169,35 +169,25 @@ def maximal(c: LatticeSequence) -> LatticeSequence:
 
     Entries outside the window are zero and averages only shrink once the
     cube swallows the whole support, so the sup over N = 0..2R is exact.
+    Each box sum is d successive differences of the integral image, one
+    per axis, taken at the window-clipped cube ends.
     """
     win = c.window
-    d, side, r = win.d, win.side, win.radius
+    d, side = win.d, win.side
     mag = np.abs(c.data).reshape((side,) * d)
-    # integral image with a leading zero slab per axis
-    pad = mag
+    cum = mag
     for ax in range(d):
-        pad = np.cumsum(pad, axis=ax)
-        shape = list(pad.shape)
-        shape[ax] = 1
-        pad = np.concatenate([np.zeros(shape), pad], axis=ax)
-    coords = win.indices + r  # window positions in 0..side-1
-    out = np.abs(c.data).copy()  # N = 0 term
-    for n in range(1, 2 * r + 1):
-        lo = np.clip(coords - n, 0, side - 1)
-        hi = np.clip(coords + n, 0, side - 1)
-        total = np.zeros(win.size)
-        for mask in range(1 << d):
-            sel = np.empty((win.size, d), dtype=np.int64)
-            sign = 1
-            for ax in range(d):
-                if mask >> ax & 1:
-                    sel[:, ax] = lo[:, ax]
-                    sign = -sign
-                else:
-                    sel[:, ax] = hi[:, ax] + 1
-            total += sign * pad[tuple(sel[:, ax] for ax in range(d))]
+        cum = np.cumsum(cum, axis=ax)
+    cum = np.pad(cum, [(1, 0)] * d)  # cum[x] sums mag over the box [0, x)
+    pos = np.arange(side)
+    out = mag.copy()  # N = 0 term
+    for n in range(1, 2 * win.radius + 1):
+        upper, lower = np.minimum(pos + n + 1, side), np.maximum(pos - n, 0)
+        total = cum
+        for ax in range(d):
+            total = np.take(total, upper, axis=ax) - np.take(total, lower, axis=ax)
         np.maximum(out, total / float((2 * n + 1) ** d), out=out)
-    return LatticeSequence(win, out.astype(np.complex128), copy=False)
+    return LatticeSequence(win, out.reshape(-1).astype(np.complex128), copy=False)
 
 
 def weighted_norm(c: LatticeSequence, q: float, w: WeightSequence) -> float:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LocalizedMatrix, Window, generate, json_number, json_object, ring_lp
+from .lattice import (LocalizedMatrix, Window, generate, integral, json_number, json_object,
+                      ring_lp)
 from .muckenhoupt import WeightSequence
 from .stability import stability_bracket
 
@@ -96,7 +97,12 @@ def symbol_from_dict(payload: dict) -> SymbolCoeffs:
     for row in rows:
         if len(row) != d + 2:
             raise ValueError(f"coefficient row of length {len(row)} for d={d}")
-        coeffs[tuple(int(x) for x in row[:d])] = complex(row[d], row[d + 1])
+        if not all(integral(x) for x in row[:d]):
+            raise ValueError(f"coefficient row {row} must start with an integer index")
+        index = tuple(int(x) for x in row[:d])
+        if index in coeffs:
+            raise ValueError(f"two coefficient rows at index {index}")
+        coeffs[index] = complex(row[d], row[d + 1])
     return SymbolCoeffs(d, coeffs)
 
 

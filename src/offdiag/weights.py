@@ -1,10 +1,12 @@
 """Two-index weights u(i, j), companion weights, and series certificates.
 
 All built-in closed forms are radial functions of n = |i - j|_inf, so the
-cross-norm C_p(v, u) and the scale-indexed quantities A_N, B_N(p) reduce to
+cross-norm C_p(v, u) and the scale-indexed quantity B_N(p) reduce to
 ring-weighted series over Z^d with exact ring cardinalities
-(2m+1)^d - (2m-1)^d.  Partial sums are extended adaptively and closed with
-integral-comparison tail bounds; reported values are certified upper bounds.
+(2m+1)^d - (2m-1)^d, whose terms are exact tail suprema of v/u.  Partial
+sums are extended adaptively and closed with integral-comparison tail
+bounds; reported values are certified upper bounds.  Every closed form is
+nondecreasing, so A_N = v(N) (2N+1)^d.
 scipy serves only the incomplete-gamma tail of subexponential series, so it
 is imported there, on first use, and not with the package.
 """
@@ -74,10 +76,6 @@ class RadialForm:
         # tau < 0 with alpha > 0 (and the mirror case) is unimodal, not monotone
         return self.tau <= 0.0 and self.alpha <= 0.0
 
-    @property
-    def nondecreasing(self) -> bool:
-        return self.tau >= 0.0 and self.alpha >= 0.0
-
     def limit(self) -> float:
         if self.tau < 0.0 or (self.tau == 0.0 and self.alpha < 0.0):
             return 0.0
@@ -88,25 +86,37 @@ class RadialForm:
     def tail_sup(self, m):
         """sup_{n >= m} psi(n); vectorized over integer m.
 
-        Exact for monotone forms.  The mixed case tau < 0 < alpha is scanned
-        on a dense-then-geometric grid past the stationary point, which is
-        ample for the diagnostics that can reach it.
+        Exact for every form.  In the mixed case tau < 0 < alpha (with
+        0 < delta <= 1), d log psi / dn has the sign of the concave
+        g(n) = alpha n^{1-delta} + tau delta (1 + n), which is negative for
+        large n, so psi rises on at most one interval (r1, r2) and the sup
+        is psi(m) or psi at an integer beside r2, found by bisection past
+        the maximiser of g.
         """
         m = np.asarray(m, dtype=np.float64)
         if self.limit() == math.inf:
             return np.full(m.shape, math.inf)
+        out = self.value(m)
         if self.nonincreasing:
-            return self.value(m)
-        # tau < 0, alpha > 0: bounded, eventually decreasing
-        hi = int(np.max(m)) + 4096
-        grid = np.unique(np.concatenate([
-            np.arange(0, min(hi, 8192) + 1),
-            np.geomspace(1, max(hi, 2), num=256).astype(np.int64),
-        ]))
-        vals = self.value(grid)
-        suffix = np.maximum.accumulate(vals[::-1])[::-1]
-        pos = np.searchsorted(grid, m)
-        return suffix[np.minimum(pos, suffix.size - 1)]
+            return out
+        alpha, tau, delta = self.alpha, self.tau, self.delta
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"tail_sup of a mixed form needs delta in (0, 1], got {delta}")
+
+        def g(n):
+            return alpha * n ** (1.0 - delta) + tau * delta * (1.0 + n)
+
+        lo = (alpha * (1.0 - delta) / (-tau * delta)) ** (1.0 / delta)
+        if g(lo) <= 0.0:
+            return out  # psi never rises
+        hi = 2.0 * lo + 1.0
+        while g(hi) > 0.0:
+            hi *= 2.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # r2 in [lo, hi], to the last bit
+            lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
+        for k in (math.floor(lo), math.floor(lo) + 1):
+            out = np.where(m <= k, np.maximum(out, self.value(k)), out)
+        return out
 
 
 _FORMS = ("trivial", "polynomial", "subexponential", "constant", "table")
@@ -420,21 +430,6 @@ class ThetaFit:
         return bool(np.all(self.margins >= 0.0))
 
 
-def _a_series(v_rad: RadialForm, d: int, n_max: int) -> np.ndarray:
-    """A_N = sum_{|k| <= N} sup_{|k| <= n <= N} v(n) for N = 1..n_max."""
-    v_vals = v_rad.value(np.arange(n_max + 1))
-    rings = ring_counts(d, n_max)
-    out = np.empty(n_max, dtype=np.float64)
-    if v_rad.nondecreasing:
-        cubes = (2.0 * np.arange(1, n_max + 1) + 1.0) ** d
-        out[:] = v_vals[1:] * cubes
-    else:
-        for n in range(1, n_max + 1):
-            sup = np.maximum.accumulate(v_vals[n::-1])[::-1]
-            out[n - 1] = float(np.sum(rings[: n + 1] * sup))
-    return out
-
-
 def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
               n_max: int = 2048, t_grid=None) -> ThetaFit:
     """Fit the growth certificate from the scale-indexed series A_N, B_N(p).
@@ -461,7 +456,9 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
         raise ValueError("incompatible exponential scales in v/u")
 
     n_grid = np.arange(1, n_max + 1)
-    a_vals = _a_series(vr, d, n_max)
+    # A_N = sum_{|k| <= N} sup_{|k| <= n <= N} v(n) = v(N) (2N+1)^d: every closed
+    # form WeightMatrix accepts (c >= 1, alpha >= 0, tau > 0) is nondecreasing
+    a_vals = vr.value(n_grid) * (2.0 * n_grid + 1.0) ** d
 
     pp = _p_prime(p)
     b_vals = np.empty(n_max, dtype=np.float64)

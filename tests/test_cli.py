@@ -371,6 +371,17 @@ class TestExitCodes:
         doc = json.loads((out / "norm_report.json").read_text())
         assert doc["p"] == "inf" and doc["beurling"] == doc["jaffard"] == 2.0
 
+    def test_radius_p_zero_reads_as_infinity(self, runner, tmp_path, matrix_file):
+        written = []
+        for p in ("0", "inf"):
+            out = tmp_path / p
+            res = runner.invoke(main, ["radius", "--matrix", str(matrix_file), "--p", p,
+                                       "--out", str(out)])
+            assert res.exit_code == 0
+            written.append([(out / name).read_bytes()
+                            for name in ("radius_roots.csv", "radius_report.json")])
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("args", [["--tpoints", "0"], ["--tpoints", "1"],
                                       ["--tpoints", "2", "--tmax", "1"]],
                              ids=["no-point", "one-point", "one-distinct-point"])
@@ -393,9 +404,14 @@ class TestExitCodes:
         ("wseq", {"form": "power", "alpha": None}),
         ("wseq", {"form": "table", "d": 1, "radius": [16], "values": []}),
         ("weight", {"form": "polynomial", "alpha": None}),
+        ("matrix", {"d": 1.7, "radius": 2, "entries": [[0, 0, 1, 0]]}),
+        ("matrix", {"d": 1, "radius": 2.5, "entries": [[0, 0, 1, 0]]}),
+        ("coeffs", {"d": 1, "coeffs": [[0.5, 2, 0]]}),
+        ("coeffs", {"d": 1, "coeffs": [[0, 2, 0], [0, 5, 0]]}),
     ], ids=["entries-number", "entry-row-number", "d-null", "coeff-row-number",
             "coeffs-number", "coeff-cell-string", "alpha-string", "alpha-null",
-            "radius-list", "weight-alpha-null"])
+            "radius-list", "weight-alpha-null", "d-fraction", "radius-fraction",
+            "coeff-index-fraction", "coeff-index-twice"])
     def test_wrong_field_type_exit_code(self, runner, tmp_path, matrix_file, verb, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -4,8 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from offdiag.inversion import (SingularMatrixError, inverse_closedness_experiment,
-                               left_inverse, neumann_term_envelope,
-                               spectral_bracket, wiener_invert)
+                               left_inverse, spectral_bracket, wiener_invert)
 from offdiag.lattice import LocalizedMatrix, Window, generate, scale
 from offdiag.spectral import operator_norm_l2
 
@@ -242,33 +241,6 @@ class TestInverseClosedness:
         dense = np.linalg.solve(family(top).data, np.eye(top.size))
         got = wiener_invert(family(top), tol=1e-10, k_max=2000)[0].data
         assert np.abs(got - dense).max() <= 1e-8
-
-
-class TestEnvelope:
-    def test_shape_and_eventual_decay(self):
-        env = neumann_term_envelope(400, r0=0.8, b_ring_norm=2.0, big_d=16.0,
-                                    theta=0.4, mpu=4.3, p=2.0, d=1)
-        assert env.shape == (400,)
-        assert env[-1] < env[150]  # r0^n wins in the far tail
-
-    def test_r0_validation(self):
-        with pytest.raises(ValueError):
-            neumann_term_envelope(10, r0=0.0, b_ring_norm=1.0, big_d=1.0,
-                                  theta=0.4, mpu=1.0, p=1.0, d=1)
-
-    def test_experiment_attaches_envelope(self):
-        from offdiag.weights import WeightMatrix, default_companion, theta_fit
-
-        u = WeightMatrix.polynomial(2.0, 1)
-        fit = theta_fit(u, default_companion(u, 2.0), 2.0, 1)
-        rows = inverse_closedness_experiment(
-            lambda win: toeplitz(win, {0: 2.0, 1: 1.0}), (8, 16), p=2.0,
-            weight=u, growth_cert=(fit, 4.317))
-        for r in rows:
-            assert r.envelope_log10 is not None and np.isfinite(r.envelope_log10)
-        bare = inverse_closedness_experiment(
-            lambda win: toeplitz(win, {0: 2.0, 1: 1.0}), (8,), p=1.0)
-        assert bare[0].envelope_log10 is None
 
 
 class TestDemkoMossSmith:

@@ -38,12 +38,9 @@ def brute_maximal(c):
     out = np.zeros(win.size)
     for pos, i in enumerate(win.indices):
         best = 0.0
+        dist = np.abs(win.indices - i).max(axis=1)
         for n in range(0, 2 * r + 1):
-            total = 0.0
-            for pos2, k in enumerate(win.indices):
-                if np.abs(k - i).max() <= n:
-                    total += mag[pos2]
-            best = max(best, total / (2 * n + 1) ** d)
+            best = max(best, mag[dist <= n].sum() / (2 * n + 1) ** d)
         out[pos] = best
     return out
 
@@ -136,7 +133,7 @@ class TestAqBound:
 
 class TestMaximal:
     def test_delta_closed_form(self):
-        for d in (1, 2):
+        for d in (1, 2, 3):
             win = Window(d, 5)
             mc = maximal(LatticeSequence.delta(win))
             sup = np.abs(win.indices).max(axis=1)
@@ -160,6 +157,18 @@ class TestMaximal:
         c = LatticeSequence(win, rng.standard_normal(win.size) + 1j * rng.standard_normal(win.size))
         got = np.real(maximal(c).data)
         assert np.allclose(got, brute_maximal(c), rtol=1e-13, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_brute_oracle_property(self, data):
+        d = data.draw(st.sampled_from((1, 2, 3)))
+        win = Window(d, data.draw(st.integers(0, {1: 6, 2: 3, 3: 2}[d])))
+        mags = data.draw(st.lists(st.floats(-6.0, 6.0), min_size=win.size, max_size=win.size))
+        signs = data.draw(st.lists(st.sampled_from((1.0, -1.0, 1j, -1j)),
+                                   min_size=win.size, max_size=win.size))
+        c = LatticeSequence(win, np.asarray(signs) * 10.0 ** np.asarray(mags))
+        got = np.real(maximal(c).data)
+        assert np.allclose(got, brute_maximal(c), rtol=1e-13, atol=0)
 
     def test_dominates_pointwise(self):
         win = Window(1, 6)

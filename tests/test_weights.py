@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import offdiag
-from offdiag.lattice import Window
+from offdiag.lattice import Window, ring_counts
 from offdiag.weights import (RadialForm, WeightMatrix, WeightValidationError,
                              check_submultiplicative, cross_norm,
                              default_companion, mpu_upper_bound,
@@ -166,6 +166,20 @@ class TestThetaFit:
         # certificate at t = 1: min_N(A_N + B_N) <= D
         assert fit.min_values[0] <= fit.D
 
+    @pytest.mark.parametrize("u, v", [
+        (WeightMatrix.polynomial(2.0, 2), WeightMatrix.constant(4.0, 2)),
+        (WeightMatrix.polynomial(3.0, 2), WeightMatrix.polynomial(1.5, 2)),
+        (WeightMatrix.subexponential(0.5, 0.6, 2), WeightMatrix.subexponential(0.5, 0.3, 2)),
+    ], ids=["constant", "polynomial", "subexponential"])
+    def test_a_series_matches_its_definition(self, u, v):
+        # A_N = sum_{|k| <= N} sup_{|k| <= n <= N} v(n), summed ring by ring
+        fit = theta_fit(u, v, 2.0, 2, n_max=40)
+        vals = v.radial().value(np.arange(41))
+        for n in range(1, 41):
+            sups = np.maximum.accumulate(vals[n::-1])[::-1]
+            assert fit.a_values[n - 1] == pytest.approx(np.sum(ring_counts(2, n) * sups),
+                                                        rel=1e-14)
+
     def test_oracle_grid_minimization(self):
         # independent direct minimization of A_N + B_N t over a dense N grid
         u = WeightMatrix.polynomial(2.0, D1)
@@ -264,6 +278,35 @@ class TestRadialForm:
         assert full == pytest.approx(vals.max(), rel=1e-12)
         late = r.tail_sup(np.array([100]))[0]
         assert late == pytest.approx(r.value(100), rel=1e-12)
+
+    @pytest.mark.parametrize("form", [
+        RadialForm(alpha=1.0, tau=-0.05, delta=0.5),  # peak near n = 1600
+        RadialForm(alpha=1.0, tau=-0.01, delta=0.5),  # peak near n = 40000
+        RadialForm(scale=0.5, alpha=1.0, tau=-0.5, delta=0.3),  # peak near n = 560
+        RadialForm(alpha=2.0, tau=-0.1, delta=1.0),  # rises from n = 0 to n = 19
+    ], ids=["peak-1600", "peak-40000", "delta-0.3", "delta-1"])
+    def test_tail_sup_mixed_covers_every_tail(self, form):
+        # no sampling grid: off-grid m past 8192 and a peak past it are read exactly
+        ms = np.array([0, 100, 5000, 9000, 20000, 150000, 200000])
+        got = form.tail_sup(ms)
+        for m, sup in zip(ms, got):
+            brute = form.value(np.arange(m, m + 400_001)).max()
+            assert sup >= brute
+            assert sup == pytest.approx(brute, rel=1e-15)
+
+    def test_tail_sup_mixed_needs_delta_at_most_one(self):
+        with pytest.raises(ValueError, match="delta"):
+            RadialForm(alpha=1.0, tau=-1.0, delta=2.0).tail_sup(np.array([0]))
+
+    def test_mixed_cross_norm_sums_exact_suprema(self):
+        # v/u = (1+n)^2 e^{-0.3 n^{1/2}}: every series term is the exact tail sup
+        u, v = WeightMatrix.subexponential(0.5, 0.3, 2), WeightMatrix.polynomial(2.0, 2)
+        sv = cross_norm(u, v, 2.0)
+        ratio = v.radial().ratio(u.radial())
+        vals = ratio.value(np.arange(sv.terms + 400_000))
+        sups = np.maximum.accumulate(vals[::-1])[::-1][: sv.terms]
+        exact = float(np.sum(ring_counts(2, sv.terms - 1) * sups**2))
+        assert sv.partial == pytest.approx(exact, rel=1e-14)
 
     def test_divergent(self):
         r = RadialForm(scale=1.0, alpha=1.0)

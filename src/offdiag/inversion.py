@@ -7,14 +7,14 @@ contracts on l^2 with factor r0 = (C2-C1)/(C2+C1) < 1, and
     A^{-1} = (2/(C1+C2)) (sum_{n>=0} B^n) A*.
 
 It is summed by squaring (the hyperpower form of Schulz): from
-X = (2/(C1+C2)) A*, each step X <- X (2I - AX) doubles the terms held, as
-I - XA = B^K after K terms.  Both max|XA - I| and max|AX - I| are measured
-on X at every step, and convergence requires both to meet tol.  The decay
-profile and ring norm of the computed inverse are reported as the
-inverse-closedness witness: for well-behaved families they stay bounded as
-the window grows, which ``inverse_closedness_experiment`` tabulates along a
-radius ladder.  Dense LU solves are oracle-only (tests), never the
-production path.
+X = (2/(C1+C2)) A*, each step X <- (2I - XA) X doubles the terms held, as
+I - XA = B^K after K terms.  Each step measures max|XA - I| on the XA it
+reuses, and max|AX - I| once that meets tol; both must meet tol.  Real
+operands run in real arithmetic throughout.  The decay profile and ring
+norm of the computed inverse are reported as the inverse-closedness
+witness: for well-behaved families they stay bounded as the window grows,
+which ``inverse_closedness_experiment`` tabulates along a radius ladder.
+Dense LU solves are oracle-only (tests), never the production path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .lattice import DecayProfile, LocalizedMatrix, Window, decay_profile
 from .norms import beurling_norm
-from .spectral import hermitian_extremes
+from .spectral import hermitian_extremes, real_or_complex
 
 __all__ = [
     "SingularMatrixError",
@@ -54,8 +54,8 @@ def spectral_bracket(a: LocalizedMatrix) -> SpectralBracket:
     """C1, C2 with C1 I <= A*A <= C2 I, the ends of A*A's spectrum; C1 >= 0."""
     if a.nnz == 0:
         raise ValueError("spectral bracket of the zero matrix")
-    gram = a.data.conj().T @ a.data
-    lo, hi = hermitian_extremes(gram)
+    data = real_or_complex(a.data)
+    lo, hi = hermitian_extremes(data.conj().T @ data)
     c1 = max(lo, 0.0)
     c2 = max(hi, 0.0)
     r0 = (c2 - c1) / (c2 + c1) if c2 > 0 else 1.0
@@ -82,9 +82,9 @@ _FLUSH = 1e-300  # keep supports finite in spirit: flushed once, on the returned
 def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
     """Invert by the preconditioned Neumann series, summed by squaring.
 
-    Returns (A_inv, report).  Each pass measures both residuals of the
-    current X and then doubles the terms held, while fewer than k_max are
-    held.  Raises SingularMatrixError when the bracket collapses (C1 <= 0
+    Returns (A_inv, report).  Each pass measures max|XA - I| (and max|AX - I|
+    once that meets tol) and doubles the terms held while fewer than k_max
+    are held.  Raises SingularMatrixError when the bracket collapses (C1 <= 0
     beyond roundoff of C2); a non-converged series is returned flagged, not
     raised.
     """
@@ -96,17 +96,18 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
     c1, c2 = bracket.c1, bracket.c2
     if c1 <= 1e-14 * c2:
         raise SingularMatrixError(f"bracket collapsed: C1={c1:.3e}, C2={c2:.3e}")
-    data = a.data if a.data.imag.any() else a.data.real
+    data = np.ascontiguousarray(real_or_complex(a.data))  # BLAS wants unit stride
     eye = np.eye(a.window.size)
-    x = (2.0 / (c1 + c2)) * data.conj().T  # B^0 only: I - XA = B
+    x = np.multiply(2.0 / (c1 + c2), data.conj().T, order="C")  # B^0 only: I - XA = B
     terms, history = 1, []
     while True:
-        ax = data @ x
-        two_sided = float(np.abs(ax - eye).max())
-        history.append(float(np.abs(x @ data - eye).max()))
-        if (history[-1] <= tol and two_sided <= tol) or terms >= k_max:
-            break
-        x = x @ (2.0 * eye - ax)  # I - XA becomes (I - XA)^2: twice the terms
+        err = x @ data - eye
+        history.append(float(np.abs(err).max()))
+        if history[-1] <= tol or terms >= k_max:  # AX only when XA meets tol
+            two_sided = float(np.abs(data @ x - eye).max())
+            if two_sided <= tol or terms >= k_max:
+                break
+        x -= err @ x  # (2I - XA) X: I - XA becomes (I - XA)^2, twice the terms
         terms *= 2
 
     x[np.abs(x) < _FLUSH] = 0.0

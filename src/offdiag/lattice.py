@@ -56,6 +56,7 @@ __all__ = [
     "read_rows",
     "json_object",
     "json_number",
+    "is_number",
     "integral",
     "save_sequence",
     "load_sequence",
@@ -478,9 +479,14 @@ def read_rows(window: Window, rows, points: int, values: int):
     return pos, vals
 
 
+def is_number(x) -> bool:
+    """x is a JSON number: an int or a float, not a bool or a numeric string."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def integral(x) -> bool:
-    """x is a JSON number with an integer value (2 and 2.0, not 2.5 or inf)."""
-    return isinstance(x, int) or isinstance(x, float) and x.is_integer()
+    """x is a JSON number with an integer value (2 and 2.0, not 2.5, inf or true)."""
+    return is_number(x) and (isinstance(x, int) or x.is_integer())
 
 
 def json_object(payload, what: str) -> dict:
@@ -491,15 +497,13 @@ def json_object(payload, what: str) -> dict:
 
 
 def json_number(payload: dict, key: str, kind=float):
-    """kind(payload[key]); a field of the wrong type, or an int field that
-    is not an integer, raises ValueError."""
+    """kind(payload[key]); a field that is not a JSON number (a string or a
+    boolean included), or an int field that is not an integer, raises ValueError."""
     value = payload[key]
-    if kind is int and not integral(value):
-        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
-    try:
-        return kind(value)
-    except TypeError:
-        raise ValueError(f"field {key!r} must be a number, got {value!r}") from None
+    if not (integral(value) if kind is int else is_number(value)):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"field {key!r} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def _complex_values(pairs: np.ndarray) -> np.ndarray:

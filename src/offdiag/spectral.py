@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hermitian_extremes", "operator_norm_l2"]
+__all__ = ["hermitian_extremes", "operator_norm_l2", "real_or_complex"]
+
+
+def real_or_complex(data: np.ndarray) -> np.ndarray:
+    """data's real view (no copy, complex stride) when every imaginary part is 0, else data."""
+    return data if data.imag.any() else data.real
 
 
 def hermitian_extremes(m: np.ndarray) -> tuple[float, float]:

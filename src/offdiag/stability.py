@@ -7,9 +7,9 @@ q != 2 ride on the q = 2 certificate, mirroring the transfer of stability
 across exponents and weights in the underlying theory; their raw sampled
 brackets are reported alongside and labeled as such.  "degrading" is the
 operational negation at desk scale: the certified lower bound losing a
-factor >= 2 when the window radius doubles.  A real operand (all imaginary
-parts zero) is conjugated and decomposed in real arithmetic, which gives the
-singular values of the complex path to roundoff and a cheaper LAPACK SVD.
+factor >= 2 when the window radius doubles.  A real operand (by the rule of
+``spectral.real_or_complex``) is conjugated and decomposed in real arithmetic:
+the singular values of the complex path to roundoff, by a cheaper LAPACK SVD.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .lattice import (LatticeSequence, LocalizedMatrix, Window, decay_profile,
                       restrict, ring_lp)
 from .muckenhoupt import WeightSequence, aq_bound, weighted_norm
 from .norms import beurling_norm
+from .spectral import real_or_complex
 from .weights import WeightMatrix, cross_norm
 
 __all__ = [
@@ -147,8 +148,7 @@ def _sigma_extremes(a: LocalizedMatrix, w: WeightSequence, band: int):
     if not mask.any():
         raise ValueError(f"empty interior (band {band} >= radius {a.window.radius})")
     sq = np.sqrt(w.values)
-    data = a.data if a.data.imag.any() else a.data.real
-    conj = (sq[:, None] * data) / sq[None, :]
+    conj = (sq[:, None] * real_or_complex(a.data)) / sq[None, :]
     s = np.linalg.svd(conj[:, mask], compute_uv=False)
     return float(s[-1]), float(s[0])
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LocalizedMatrix, Window, generate, integral, json_number, json_object,
-                      ring_lp)
+from .lattice import (LocalizedMatrix, Window, generate, integral, is_number, json_number,
+                      json_object, ring_lp)
 from .muckenhoupt import WeightSequence
 from .stability import stability_bracket
 
@@ -91,7 +91,7 @@ def symbol_from_dict(payload: dict) -> SymbolCoeffs:
     d = json_number(payload, "d", int)
     rows = payload["coeffs"]
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-            and all(isinstance(x, (int, float)) for row in rows for x in row)):
+            and all(is_number(x) for row in rows for x in row)):
         raise ValueError("coefficient rows must be lists of numbers")
     coeffs = {}
     for row in rows:

@@ -408,10 +408,15 @@ class TestExitCodes:
         ("matrix", {"d": 1, "radius": 2.5, "entries": [[0, 0, 1, 0]]}),
         ("coeffs", {"d": 1, "coeffs": [[0.5, 2, 0]]}),
         ("coeffs", {"d": 1, "coeffs": [[0, 2, 0], [0, 5, 0]]}),
+        ("wseq", {"form": "power", "alpha": "0.5"}),
+        ("weight", {"form": "polynomial", "alpha": True}),
+        ("matrix", {"d": True, "radius": 2, "entries": [[0, 0, 1, 0]]}),
+        ("coeffs", {"d": 1, "coeffs": [[0, True, 0]]}),
     ], ids=["entries-number", "entry-row-number", "d-null", "coeff-row-number",
             "coeffs-number", "coeff-cell-string", "alpha-string", "alpha-null",
             "radius-list", "weight-alpha-null", "d-fraction", "radius-fraction",
-            "coeff-index-fraction", "coeff-index-twice"])
+            "coeff-index-fraction", "coeff-index-twice", "alpha-numeric-string",
+            "weight-alpha-true", "d-true", "coeff-value-true"])
     def test_wrong_field_type_exit_code(self, runner, tmp_path, matrix_file, verb, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

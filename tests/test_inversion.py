@@ -56,6 +56,33 @@ class TestSpectralHelpers:
         assert dense == pytest.approx(np.linalg.norm(a.data, 2), rel=1e-13)
 
 
+class TestRealComplexAgreement:
+    """A real operand runs in real arithmetic; e^{0.7i} A has the same A*A,
+    so the complex path must give the same bracket and the same term count."""
+
+    @pytest.mark.parametrize("shift", [2.0, 1.05])
+    @pytest.mark.parametrize("d, radius", [(1, 32), (2, 6)])
+    def test_rotated_operand_agrees(self, monkeypatch, shift, d, radius):
+        zero, one = (0,) * d, (1,) + (0,) * (d - 1)
+        a = toeplitz(Window(d, radius), {zero: shift, one: 1.0})
+        rotated = scale(np.exp(0.7j), a)
+        seen, eigvalsh = [], np.linalg.eigvalsh
+
+        def recorder(m):
+            seen.append(m.dtype)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorder)
+        real_b, complex_b = spectral_bracket(a), spectral_bracket(rotated)
+        assert seen == [np.float64, np.complex128]
+        for field in ("c1", "c2", "r0"):
+            assert getattr(real_b, field) == pytest.approx(getattr(complex_b, field),
+                                                          rel=0, abs=1e-13 * real_b.c2)
+        _, real_rep = wiener_invert(a)
+        _, complex_rep = wiener_invert(rotated)
+        assert real_rep.terms_used == complex_rep.terms_used
+
+
 class TestWienerInvert:
     def test_identity_one_term(self):
         a_inv, rep = wiener_invert(generate("identity", Window(1, 8)), tol=1e-12)
@@ -106,6 +133,27 @@ class TestWienerInvert:
         _, capped = wiener_invert(LocalizedMatrix(win, data), tol=1.2e-9, k_max=64)
         assert capped.residual <= 1.2e-9 < capped.two_sided_residual
         assert not capped.converged
+
+    def test_keeps_squaring_until_ax_meets_tol(self):
+        # at 64 terms max|XA - I| meets tol but max|AX - I| does not: with
+        # room left under k_max the engine squares on, and converged holds
+        # only once both residuals of the returned X meet tol
+        win, tol = Window(1, 24), 1.2e-9
+        rng = np.random.default_rng(5)
+        ix = win.indices
+        band = np.abs(ix[:, None] - ix[None]).max(-1) <= 3
+        data = 3.0 * np.eye(win.size) + 0.35 * band * rng.standard_normal((win.size, win.size))
+        a = LocalizedMatrix(win, data)
+        _, capped = wiener_invert(a, tol=tol, k_max=64)
+        assert capped.residual <= tol < capped.two_sided_residual
+        a_inv, rep = wiener_invert(a, tol=tol, k_max=2000)
+        first_met = int(np.argmax(rep.residual_history <= tol))
+        assert 2**first_met == 64 < rep.terms_used
+        assert rep.converged
+        eye = np.eye(win.size)
+        assert np.abs(a_inv.data @ data - eye).max() <= tol
+        assert np.abs(data @ a_inv.data - eye).max() <= tol
+        assert rep.residual <= tol and rep.two_sided_residual <= tol
 
     def test_residual_monotone_until_tolerance(self):
         win = Window(1, 32)

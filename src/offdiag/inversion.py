@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DecayProfile, LocalizedMatrix, Window, decay_profile
+from .lattice import DecayProfile, LocalizedMatrix, Window, decay_profile, ring_lp
 from .norms import beurling_norm
 from .spectral import hermitian_extremes, real_or_complex
 
@@ -112,11 +112,12 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
 
     x[np.abs(x) < _FLUSH] = 0.0
     a_inv = LocalizedMatrix(a.window, x, copy=False)
+    profile = decay_profile(a_inv)
     return a_inv, InversionReport(
         # terms_used counts series terms B^0..B^{terms-1} that X holds
         c1=c1, c2=c2, r0=bracket.r0, terms_used=terms, residual=history[-1],
-        residual_history=np.asarray(history), inverse_profile=decay_profile(a_inv),
-        inverse_ring_norm=beurling_norm(a_inv, 1.0, None),
+        residual_history=np.asarray(history), inverse_profile=profile,
+        inverse_ring_norm=ring_lp(profile.values, a.window.d),  # = beurling_norm(a_inv, 1)
         converged=history[-1] <= tol and two_sided <= tol, two_sided_residual=two_sided)
 
 

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -453,8 +454,8 @@ def read_rows(window: Window, rows, points: int, values: int):
     ``values`` numbers.  Returns the row-major positions in the
     (size,)^points array and the (rows, values) float64 values.  A row of
     another length, rows or a row that is not a list, a cell that is not a
-    number, a value that is not finite, a point that is not an integer point
-    of the window and two rows at the same position raise ValueError.
+    number (a boolean included), a value that is not finite, a point that is not
+    an integer point of the window and two rows at the same position raise ValueError.
     """
     d = window.d
     width = points * d + values
@@ -463,9 +464,13 @@ def read_rows(window: Window, rows, points: int, values: int):
     for row in rows:
         if len(row) != width:
             raise ValueError(f"entry row of length {len(row)} for d={d}")
-    arr = np.array(rows).reshape(-1, width)
-    if not np.issubdtype(arr.dtype, np.number):
+    cells = list(chain.from_iterable(rows))
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, cells))):
         raise ValueError("entry rows must hold numbers only")
+    try:  # an int past the float64 range is not a finite value either
+        arr = np.fromiter(cells, np.float64, len(cells)).reshape(-1, width)
+    except OverflowError:
+        raise ValueError("entry values must be finite numbers") from None
     ix = arr[:, : points * d]
     if not np.all(np.isfinite(ix) & (ix == np.trunc(ix))):
         raise ValueError("entry rows must start with integer lattice points")
@@ -473,7 +478,7 @@ def read_rows(window: Window, rows, points: int, values: int):
     pos = np.ravel_multi_index(tuple(pts.T), (window.size,) * points)
     if np.unique(pos).size != pos.size:
         raise ValueError("two entry rows at the same position")
-    vals = arr[:, points * d :].astype(np.float64)
+    vals = arr[:, points * d :]
     if not np.all(np.isfinite(vals)):
         raise ValueError("entry values must be finite numbers")
     return pos, vals

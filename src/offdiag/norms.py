@@ -134,6 +134,7 @@ def product_inequality_check(a: LocalizedMatrix, b: LocalizedMatrix, p: float,
       infimal companion bound: ||AB||_{p,u} <= 2^{1+2/p} 5^{(d-1)/p}
       C_p(v,u) ||A||_{p,u} ||B||_{p,u}.  Substituting C_p >= M_p only
       enlarges the right-hand side, so nonnegative margins remain required.
+      A given ``cp`` must be exactly ``cross_norm(u, v, p, a.window).value``.
     """
     from .weights import cross_norm
 

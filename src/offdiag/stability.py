@@ -98,10 +98,11 @@ class BoundednessReport:
 
 def boundedness_check(a: LocalizedMatrix, q: float, w: WeightSequence, p: float,
                       u: WeightMatrix, trials: int = 100, seed: int = 0,
-                      v: WeightMatrix | None = None) -> BoundednessReport:
+                      v: WeightMatrix | None = None, cp: float | None = None) -> BoundednessReport:
     """Check ||Ac||_{q,w} <= 2^{2d} 3^{d/q} A_q(w)^{1/q} C_p(v,u) ||A||_{p,u} ||c||_{q,w}
     on random c, with the scanned A_q bound and the computable cross-norm
-    standing in for the infimal companion bound."""
+    standing in for the infimal companion bound.  A given ``cp`` must be
+    exactly ``cross_norm(u, v, p, a.window).value``, which depends on the weights only."""
     from .weights import default_companion
 
     if trials < 1:
@@ -110,7 +111,7 @@ def boundedness_check(a: LocalizedMatrix, q: float, w: WeightSequence, p: float,
     if v is None:
         v = default_companion(u, p)
     aq = aq_bound(w, q, win.side).bound
-    cp = cross_norm(u, v, p, win).value
+    cp = cross_norm(u, v, p, win).value if cp is None else cp
     const = (2.0 ** (2 * win.d) * 3.0 ** (win.d / q) * aq ** (1.0 / q)
              * cp * beurling_norm(a, p, u))
     rng = np.random.default_rng(seed)
@@ -258,13 +259,15 @@ class CommutatorReport:
 
 
 def commutator_diagnostic(a: LocalizedMatrix, n_scale: int, n, n_prime, q: float,
-                          w: WeightSequence, c: LatticeSequence) -> CommutatorReport:
+                          w: WeightSequence, c: LatticeSequence,
+                          aq: float | None = None) -> CommutatorReport:
     """Exact norm of (Psi_n A - A Psi_n) Psi_{n'} c against the two-case bound.
 
     Near case (|n - n'| <= 8N):
         [2^{2d+2d/q} N^{-1/2} A_q^{1/q} ||A||_ring
          + 2^{3d+2d/q+1} A_q^{1/q} sum_{|k| >= sqrt(N)/2} h(|k|)] ||c||_{q,w};
     far case: 2^{2d} N^d A_q^{1/q} h(ceil(|n-n'|/2)) (alpha_n / alpha_{n'})^{1/q} ||c||_{q,w}.
+    A given ``aq`` must be exactly ``aq_bound(w, q, a.window.side).bound``.
     """
     win = a.window
     if c.window != win:
@@ -280,7 +283,7 @@ def commutator_diagnostic(a: LocalizedMatrix, n_scale: int, n, n_prime, q: float
     lhs = weighted_norm(LatticeSequence(win, commutated, copy=False), q, w)
     probe_norm = weighted_norm(c, q, w)
 
-    aq = aq_bound(w, q, win.side).bound
+    aq = aq_bound(w, q, win.side).bound if aq is None else aq
     h = decay_profile(a).values
 
     if sep <= 8 * n_scale:

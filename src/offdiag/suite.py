@@ -73,6 +73,12 @@ def _weight_combos(d: int):
     ]
 
 
+def _weight_table():
+    """d -> _weight_combos(d) with C_p(v, u) appended; closed-form weights need no window."""
+    return {d: [(p, u, v, weights.cross_norm(u, v, p).value) for p, u, v in _weight_combos(d)]
+            for d in (1, 2)}
+
+
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
@@ -81,15 +87,12 @@ def _weight_combos(d: int):
 def c01_product_inequalities(seed: int, quick: bool) -> CriterionResult:
     n_pairs = 16 if quick else 200
     t0 = time.perf_counter()
-    cp_cache: dict = {}
+    table = _weight_table()
     worst = math.inf
     checks = 0
     for a, b, d, _ in _pair_corpus(seed, n_pairs):
-        for p, u, v in _weight_combos(d):
-            key = (p, d, u.descriptor())
-            if key not in cp_cache:
-                cp_cache[key] = weights.cross_norm(u, v, p, a.window).value
-            rep = norms.product_inequality_check(a, b, p, u, v, cp=cp_cache[key])
+        for p, u, v, cp in table[d]:
+            rep = norms.product_inequality_check(a, b, p, u, v, cp=cp)
             worst = min(worst, rep.margin_split, rep.margin_algebra)
             checks += 2
     elapsed = time.perf_counter() - t0
@@ -186,6 +189,7 @@ def c04_boundedness(seed: int, quick: bool) -> CriterionResult:
     n_draws = 20 if quick else 100
     t0 = time.perf_counter()
     rng = np.random.default_rng([seed, 104])
+    table = _weight_table()
     worst = math.inf
     for k in range(n_draws):
         d = 1 if k % 2 == 0 else 2
@@ -201,9 +205,9 @@ def c04_boundedness(seed: int, quick: bool) -> CriterionResult:
             else:
                 alpha = float(rng.uniform(max(-d + 0.25, -1.0), min(d * (q - 1) - 0.25, 3.0)))
             w = WeightSequence.power(win, alpha)
-        p, u, v = _weight_combos(d)[int(rng.integers(0, 2))]
+        p, u, v, cp = table[d][int(rng.integers(0, 2))]
         rep = stability.boundedness_check(a, q, w, p, u, trials=4,
-                                          seed=int(rng.integers(1 << 30)), v=v)
+                                          seed=int(rng.integers(1 << 30)), v=v, cp=cp)
         worst = min(worst, rep.worst_margin)
     elapsed = time.perf_counter() - t0
     passed = worst >= -1e-10 and elapsed < 60.0
@@ -407,6 +411,8 @@ def c13_commutator_margins(seed: int, quick: bool) -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng([seed, 113])
     win = Window(1, 128)
+    scanned = [(w, muckenhoupt.aq_bound(w, 2.0, win.side).bound)
+               for w in (WeightSequence.trivial(win), WeightSequence.power(win, 0.5))]
     worst = math.inf
     cases = {"near": 0, "far": 0}
     for k in range(n_draws):
@@ -415,11 +421,10 @@ def c13_commutator_margins(seed: int, quick: bool) -> CriterionResult:
         kmax = win.radius // n_scale
         n = n_scale * int(rng.integers(-kmax, kmax + 1))
         n_prime = n_scale * int(rng.integers(-kmax, kmax + 1))
-        w = (WeightSequence.trivial(win) if k % 2 == 0
-             else WeightSequence.power(win, 0.5))
+        w, aq = scanned[k % 2]
         data = rng.standard_normal(win.size) + 1j * rng.standard_normal(win.size)
         c = LatticeSequence(win, data, copy=False)
-        rep = stability.commutator_diagnostic(a, n_scale, n, n_prime, 2.0, w, c)
+        rep = stability.commutator_diagnostic(a, n_scale, n, n_prime, 2.0, w, c, aq=aq)
         cases[rep.case] += 1
         worst = min(worst, rep.margin)
     elapsed = time.perf_counter() - t0

@@ -240,6 +240,23 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert "finite" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("verb", ["matrix", "seq", "wseq"])
+    def test_boolean_cell_exit_code(self, runner, tmp_path, verb):
+        # json reads true as True, which numpy would take for 1
+        payload = {"matrix": {"d": 1, "radius": 2,
+                              "entries": [[0, 0, True, 0], [1, True, 1.0, 0]]},
+                   "seq": {"d": 1, "radius": 2, "entries": [[0, 1.0, 0.0], [True, 2.0, 0.0]]},
+                   "wseq": {"form": "table", "d": 1, "radius": 2,
+                            "values": [[0, 2.0], [1, False]]}}[verb]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        args = {"matrix": ["invert", "--matrix"], "seq": ["weights", "maximal", "--seq"],
+                "wseq": ["weights", "aq", "--radius", "2", "--q", "2", "--wseq"]}[verb]
+        res = runner.invoke(main, args + [str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "numbers only" in res.output and "Traceback" not in res.output
+
     @pytest.mark.parametrize("cross, m_radius, w_radius", [(False, 0, 2), (True, 24, 16)])
     def test_weight_window_mismatch_exit_code(self, runner, tmp_path, cross, m_radius, w_radius):
         # a table weight laid on another window than the matrix's

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from offdiag import inversion, norms
 from offdiag.inversion import (SingularMatrixError, inverse_closedness_experiment,
                                left_inverse, spectral_bracket, wiener_invert)
-from offdiag.lattice import LocalizedMatrix, Window, generate, scale
+from offdiag.lattice import LocalizedMatrix, Window, decay_profile, generate, scale
+from offdiag.norms import beurling_norm
 from offdiag.spectral import operator_norm_l2
 
 
@@ -211,6 +213,24 @@ class TestWienerInvert:
                                                         bandwidth=2).data))
         _, rep = wiener_invert(a, tol=1e-10, k_max=1000)
         assert np.all(np.diff(rep.inverse_profile.values) <= 0)
+
+    @pytest.mark.parametrize("d, radius, coeffs", [
+        (1, 32, {0: 2.0, 1: 1.0}), (2, 6, {(0, 0): 3.0, (1, 0): 1.0, (0, 1): 0.5j})])
+    def test_one_profile_per_inversion(self, monkeypatch, d, radius, coeffs):
+        # the ring norm is read off the reported profile, not a second one
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return decay_profile(*args, **kwargs)
+
+        monkeypatch.setattr(inversion, "decay_profile", recorded)
+        monkeypatch.setattr(norms, "decay_profile", recorded)
+        a_inv, rep = wiener_invert(toeplitz(Window(d, radius), coeffs))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rep.inverse_ring_norm == beurling_norm(a_inv, 1.0, None)
+        assert np.array_equal(rep.inverse_profile.values, decay_profile(a_inv).values)
 
     def test_singular_raises(self):
         win = Window(1, 8)

@@ -365,3 +365,11 @@ class TestSerialization:
                     [0, 0, -float("inf"), 0.0], [0.5, 0, 1.0, 0.0], [float("nan"), 0, 1.0, 0.0]):
             with pytest.raises(ValueError):
                 matrix_from_dict({"d": 1, "radius": 1, "entries": [row]})
+
+    def test_boolean_and_overflowing_cells_refused(self):
+        # true would read as 1 and an int past the float64 range as nothing finite
+        for row in ([0, 0, True, 0.0], [0, False, 1.0, 0.0], [0, 0, 1.0, 10**400]):
+            with pytest.raises(ValueError):
+                matrix_from_dict({"d": 1, "radius": 1, "entries": [row]})
+        with pytest.raises(ValueError, match="numbers only"):
+            read_rows(Window(1, 2), [[0, 2.0], [True, 3.0]], 1, 1)

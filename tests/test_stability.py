@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from offdiag.lattice import LatticeSequence, LocalizedMatrix, Window, generate
-from offdiag.muckenhoupt import WeightSequence
+from offdiag.muckenhoupt import WeightSequence, aq_bound
 from offdiag.stability import (PartitionOperator, boundedness_check,
                                commutator_diagnostic, cross_stability_verdicts,
                                effective_bandwidth, stability_bracket)
-from offdiag.weights import WeightMatrix
+from offdiag.suite import _weight_combos
+from offdiag.weights import WeightMatrix, cross_norm
 
 
 def toeplitz(win, coeffs):
@@ -199,6 +200,18 @@ class TestBoundedness:
                                 WeightMatrix.polynomial(2.0, 1), trials=20, seed=3)
         assert rep.worst_margin >= -1e-10
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("combo", [0, 1])
+    def test_given_cp_matches_computed(self, d, combo):
+        # the suite passes C_p once per weight pair; the report must not change
+        win = Window(d, 6 if d == 1 else 3)
+        a = generate("polynomial_decay_random", win, seed=7, alpha=2.5)
+        w = WeightSequence.power(win, 0.5)
+        p, u, v = _weight_combos(d)[combo]
+        given = boundedness_check(a, 2.0, w, p, u, trials=6, seed=4, v=v,
+                                  cp=cross_norm(u, v, p, win).value)
+        assert given == boundedness_check(a, 2.0, w, p, u, trials=6, seed=4, v=v)
+
 
 class TestPartitionOperator:
     def test_tent_values(self):
@@ -291,3 +304,18 @@ class TestCommutator:
         rep = commutator_diagnostic(a, scale, n, n_prime, 2.0,
                                     WeightSequence.trivial(win), c)
         assert rep.margin >= 0.0
+
+    @pytest.mark.parametrize("n,n_prime,case", [(0, 16, "near"), (-96, 32, "far")])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_given_aq_matches_scan(self, n, n_prime, case, alpha):
+        # the suite scans A_q once per weight; the report must not change
+        win = Window(1, 128)
+        a = generate("polynomial_decay_random", win, seed=3, alpha=3.0)
+        w = WeightSequence.trivial(win) if alpha == 0.0 else WeightSequence.power(win, alpha)
+        rng = np.random.default_rng(2)
+        c = LatticeSequence(win, rng.standard_normal(win.size)
+                            + 1j * rng.standard_normal(win.size))
+        rep = commutator_diagnostic(a, 8, n, n_prime, 2.0, w, c,
+                                    aq=aq_bound(w, 2.0, win.side).bound)
+        assert rep.case == case
+        assert rep == commutator_diagnostic(a, 8, n, n_prime, 2.0, w, c)

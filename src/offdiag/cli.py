@@ -67,60 +67,53 @@ def write_csv_artifact(path, header: str, rows, config: dict, seed) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_weight_matrix(spec: str, d: int) -> WeightMatrix:
-    """'trivial' | 'polynomial:A' | 'constant:C' | 'subexponential:D,T' | JSON path."""
+# each weight kind's forms and the parameters of each, in constructor order; a
+# table sequence reads its d, radius and values rows from its file
+_MATRIX_FORMS = {"trivial": (), "polynomial": ("alpha",), "constant": ("c",),
+                 "subexponential": ("delta", "tau")}
+_SEQUENCE_FORMS = {"trivial": (), "power": ("alpha",), "table": ()}
+
+
+def _weight_spec(spec: str, forms: dict, what: str) -> tuple[str, list, dict]:
+    """The form, parameters and JSON object that a weight spec stands for.
+
+    A JSON path stands for the file's object, an inline 'form:a,b' for the
+    object {"form": form, <first parameter>: a, <second>: b}, so both
+    syntaxes are checked and read alike.  An unknown form raises ValueError.
+    """
     spec = spec.strip()
     if spec.endswith(".json"):
         with open(spec) as fh:
-            payload = json_object(json.load(fh), "a weight file")
-        form = payload["form"]
-        if form == "trivial":
-            return WeightMatrix.trivial(d)
-        if form == "polynomial":
-            return WeightMatrix.polynomial(json_number(payload, "alpha"), d)
-        if form == "constant":
-            return WeightMatrix.constant(json_number(payload, "c"), d)
-        if form == "subexponential":
-            return WeightMatrix.subexponential(json_number(payload, "delta"),
-                                               json_number(payload, "tau"), d)
-        raise ValueError(f"unsupported weight form {form!r} in {spec}")
-    name, _, args = spec.partition(":")
-    if name == "trivial":
-        return WeightMatrix.trivial(d)
-    if name == "polynomial":
-        return WeightMatrix.polynomial(float(args), d)
-    if name == "constant":
-        return WeightMatrix.constant(float(args), d)
-    if name == "subexponential":
-        delta, tau = (float(x) for x in args.split(","))
-        return WeightMatrix.subexponential(delta, tau, d)
-    raise ValueError(f"unknown weight spec {spec!r}")
+            payload = json_object(json.load(fh), f"a {what} file")
+    else:
+        form, _, args = spec.partition(":")
+        names = forms.get(form, ())
+        values = [float(x) for x in args.split(",")] if names else []
+        if len(values) != len(names):
+            raise ValueError(f"{what} form {form!r} needs {', '.join(names)}, got {args!r}")
+        payload = {"form": form, **dict(zip(names, values))}
+    form = payload["form"]
+    if not isinstance(form, str) or form not in forms:
+        raise ValueError(f"unknown {what} form {form!r} in {spec!r}")
+    return form, [json_number(payload, name) for name in forms[form]], payload
+
+
+def parse_weight_matrix(spec: str, d: int) -> WeightMatrix:
+    """'trivial' | 'polynomial:A' | 'constant:C' | 'subexponential:D,T' | JSON path."""
+    form, params, _ = _weight_spec(spec, _MATRIX_FORMS, "weight")
+    return getattr(WeightMatrix, form)(*params, d)
 
 
 def parse_weight_sequence(spec: str, window: Window) -> WeightSequence:
     """'trivial' | 'power:A' | JSON path ({"form": ...} or table)."""
-    spec = spec.strip()
-    if spec.endswith(".json"):
-        with open(spec) as fh:
-            payload = json_object(json.load(fh), "a weight-sequence file")
-        form = payload["form"]
-        if form == "trivial":
-            return WeightSequence.trivial(window)
-        if form == "power":
-            return WeightSequence.power(window, json_number(payload, "alpha"))
-        if form == "table":
-            win = Window(json_number(payload, "d", int), json_number(payload, "radius", int))
-            pos, rows = read_rows(win, payload["values"], 1, 1)
-            vals = np.ones(win.size)
-            vals[pos] = rows[:, 0]
-            return WeightSequence.table(win, vals)
-        raise ValueError(f"unsupported weight-sequence form {form!r}")
-    name, _, args = spec.partition(":")
-    if name == "trivial":
-        return WeightSequence.trivial(window)
-    if name == "power":
-        return WeightSequence.power(window, float(args))
-    raise ValueError(f"unknown weight-sequence spec {spec!r}")
+    form, params, payload = _weight_spec(spec, _SEQUENCE_FORMS, "weight-sequence")
+    if form != "table":
+        return getattr(WeightSequence, form)(window, *params)
+    win = Window(json_number(payload, "d", int), json_number(payload, "radius", int))
+    pos, rows = read_rows(win, payload["values"], 1, 1)
+    vals = np.ones(win.size)
+    vals[pos] = rows[:, 0]
+    return WeightSequence.table(win, vals)
 
 
 def _out_dir(out) -> Path:
@@ -281,7 +274,7 @@ def weights_aq_cmd(wseq, d, radius, q, ncap, out):
               "q": q, "ncap": ncap}
     write_json_artifact(_out_dir(out) / "aq_report.json", {
         "q": q, "bound": rep.bound, "argmax_anchor": rep.argmax_anchor,
-        "argmax_n": rep.argmax_n, "n_cap": rep.n_cap, "weight_id": w.descriptor(),
+        "argmax_n": rep.argmax_n, "n_cap": rep.n_cap, "weight_id": w.descriptor,
     }, config, None)
     click.echo(f"A_q bound {rep.bound!r} at anchor {rep.argmax_anchor}, N={rep.argmax_n}")
 

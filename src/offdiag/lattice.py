@@ -175,13 +175,6 @@ class LocalizedMatrix:
     def entry(self, i, j) -> complex:
         return complex(self.data[self.window.flat(i), self.window.flat(j)])
 
-    def entries(self):
-        """Yield ((i, j), value) over nonzero entries, lexicographic order."""
-        ix = self.window.indices
-        rows, cols = np.nonzero(self.data)
-        for r, c in zip(rows, cols):
-            yield (tuple(ix[r]), tuple(ix[c])), complex(self.data[r, c])
-
     @property
     def nnz(self) -> int:
         return int(np.count_nonzero(self.data))
@@ -440,11 +433,18 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _rows(window: Window, data: np.ndarray) -> list:
+    """File rows [p_1, .., p_k, re, im] of the nonzero cells of data, whose k
+    axes each run over the window's points, in lexicographic order."""
+    nz = np.nonzero(data)
+    v = data[nz]
+    cells = [window.indices[axis] for axis in nz] + [np.column_stack([v.real, v.imag])]
+    # object columns turn into Python ints and floats in one tolist()
+    return np.hstack([c.astype(object) for c in cells]).tolist()
+
+
 def matrix_to_dict(a: LocalizedMatrix) -> dict:
-    entries = []
-    for (i, j), v in a.entries():
-        entries.append([*map(int, i), *map(int, j), float(v.real), float(v.imag)])
-    return {"d": a.window.d, "radius": a.window.radius, "entries": entries}
+    return {"d": a.window.d, "radius": a.window.radius, "entries": _rows(a.window, a.data)}
 
 
 def read_rows(window: Window, rows, points: int, values: int):
@@ -472,8 +472,13 @@ def read_rows(window: Window, rows, points: int, values: int):
     except OverflowError:
         raise ValueError("entry values must be finite numbers") from None
     ix = arr[:, : points * d]
-    if not np.all(np.isfinite(ix) & (ix == np.trunc(ix))):
-        raise ValueError("entry rows must start with integer lattice points")
+    inside = np.abs(ix) <= window.radius  # on the floats, before an int64 cast; NaN fails
+    if not np.all(inside & (ix == np.trunc(ix))):
+        if not np.all(np.isfinite(ix) & (ix == np.trunc(ix))):
+            raise ValueError("entry rows must start with integer lattice points")
+        row, col = np.nonzero(~inside)  # name the first such point as it was read
+        bad = tuple(rows[row[0]][col[0] // d * d : (col[0] // d + 1) * d])
+        raise ValueError(f"index {bad} outside window radius {window.radius}")
     pts = window.flat(ix.reshape(-1, points, d))
     pos = np.ravel_multi_index(tuple(pts.T), (window.size,) * points)
     if np.unique(pos).size != pos.size:
@@ -536,12 +541,7 @@ def load_matrix(path) -> LocalizedMatrix:
 
 
 def sequence_to_dict(c: LatticeSequence) -> dict:
-    ix = c.window.indices
-    entries = []
-    for pos in np.flatnonzero(c.data):
-        v = c.data[pos]
-        entries.append([*map(int, ix[pos]), float(v.real), float(v.imag)])
-    return {"d": c.window.d, "radius": c.window.radius, "entries": entries}
+    return {"d": c.window.d, "radius": c.window.radius, "entries": _rows(c.window, c.data)}
 
 
 def sequence_from_dict(payload: dict) -> LatticeSequence:

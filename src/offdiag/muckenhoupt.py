@@ -1,6 +1,9 @@
 """Discrete Muckenhoupt weights, the cube-scan A_q bound, and the maximal
 operator on a window.
 
+A weight sequence holds finite positive values; a closed form also stores
+its RadialForm in |i|_inf, the one evaluator of it on and off the window.
+
 The scan restricts cubes a + [0, N-1]^d to those fully inside the window, so
 the scanned value is a true lower bound of the infinite-lattice bound and
 converges upward as the window grows for the built-in forms.  For q > 1 the
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSequence, Window
+from .weights import RadialForm
 
 __all__ = [
     "WeightSequence",
@@ -41,60 +45,57 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """Positive sequence w(i) on a window (trivial | power(alpha) | table)."""
+    """Sequence w(i) on a window: trivial, power(alpha), or a table (radial None)."""
 
     window: Window
     values: np.ndarray
-    form: str
-    params: dict
+    descriptor: str
+    radial: RadialForm | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.window.size,):
             raise ValueError("values shape does not match window")
-        if np.any(vals <= 0.0):
-            raise ValueError("weight sequence must be strictly positive")
+        if not np.all((vals > 0.0) & (vals < math.inf)):
+            raise ValueError("weight sequence must be finite and strictly positive")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @classmethod
+    def _closed(cls, window: Window, descriptor: str, radial: RadialForm) -> "WeightSequence":
+        with np.errstate(over="ignore"):  # an overflow is refused as a non-finite value
+            values = radial.value(np.abs(window.indices).max(axis=1))
+        return cls(window, values, descriptor, radial)
+
+    @classmethod
     def trivial(cls, window: Window) -> "WeightSequence":
-        return cls(window, np.ones(window.size), "trivial", {})
+        return cls._closed(window, "trivial", RadialForm())
 
     @classmethod
     def power(cls, window: Window, alpha: float) -> "WeightSequence":
-        sup = np.abs(window.indices).max(axis=1)
-        return cls(window, (1.0 + sup) ** alpha, "power", {"alpha": float(alpha)})
+        alpha = float(alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"power weight needs a finite alpha, got {alpha}")
+        return cls._closed(window, f"power({alpha:g})", RadialForm(alpha=alpha))
 
     @classmethod
     def table(cls, window: Window, values) -> "WeightSequence":
-        return cls(window, np.asarray(values, dtype=np.float64), "table", {})
-
-    def descriptor(self) -> str:
-        if self.form == "power":
-            return f"power({self.params['alpha']:g})"
-        if self.form == "table":
-            return f"table(R={self.window.radius})"
-        return "trivial"
+        return cls(window, values, f"table(R={window.radius})")
 
     def restrict(self, window: Window) -> "WeightSequence":
         if window.d != self.window.d or window.radius > self.window.radius:
             raise ValueError(f"restriction window {window} is not a sub-window of {self.window}")
-        if self.form == "trivial":
-            return WeightSequence.trivial(window)
-        if self.form == "power":
-            return WeightSequence.power(window, self.params["alpha"])
-        return WeightSequence.table(window, self.values[self.window.flat(window.indices)])
+        if self.radial is None:
+            return WeightSequence.table(window, self.values[self.window.flat(window.indices)])
+        return WeightSequence._closed(window, self.descriptor, self.radial)
 
     def extended_values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate w at arbitrary lattice points (closed forms extend off-window)."""
         pts = np.asarray(points, dtype=np.int64).reshape(-1, self.window.d)
-        if self.form == "trivial":
-            return np.ones(pts.shape[0])
-        if self.form == "power":
-            return (1.0 + np.abs(pts).max(axis=1)) ** self.params["alpha"]
-        return self.values[self.window.flat(pts)]  # refuses points off the table
+        if self.radial is None:
+            return self.values[self.window.flat(pts)]  # refuses points off the table
+        return self.radial.value(np.abs(pts).max(axis=1))
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ class NormReport:
 
 
 def norm_report(a: LocalizedMatrix, p: float, weight=None) -> NormReport:
-    wid = "trivial" if weight is None else weight.descriptor()
+    wid = "trivial" if weight is None else weight.descriptor
     return NormReport(
         beurling=beurling_norm(a, p, weight),
         sjostrand=sjostrand_norm(a, p, weight),

@@ -223,7 +223,7 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
         method = "sampled"
     scale = float(np.abs(a.data).max(initial=0.0))
     verdict = _verdict(lo_full, lo_half, scale)
-    report = StabilityReport(q, w.descriptor(), float(lower), float(upper), verdict,
+    report = StabilityReport(q, w.descriptor, float(lower), float(upper), verdict,
                              method, band, lo_full, lo_half if lo_half is not None else math.nan)
     if report.lower > report.upper + 1e-12 * max(report.upper, 1.0):
         raise ArithmeticError("bracket inverted; numerical failure")

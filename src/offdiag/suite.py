@@ -177,7 +177,7 @@ def c03_identity_norm(seed: int, quick: bool) -> CriterionResult:
             for p in (1.0, 2.0, math.inf):
                 got = norms.beurling_norm(ident, p, u)
                 if got != diag_sup:
-                    failures.append((d, u.descriptor(), p, got, diag_sup))
+                    failures.append((d, u.descriptor, p, got, diag_sup))
     elapsed = time.perf_counter() - t0
     return CriterionResult(
         "C03", "||I||_{p,u} equals sup_i u(i,i) exactly", not failures,

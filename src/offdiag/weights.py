@@ -1,6 +1,8 @@
 """Two-index weights u(i, j), companion weights, and series certificates.
 
-All built-in closed forms are radial functions of n = |i - j|_inf, so the
+Every built-in closed form is a RadialForm psi(n) of n = |i - j|_inf, which a
+WeightMatrix stores with its descriptor when it is built (a table stores
+None), so evaluation, companions and series read that form alone.  The
 cross-norm C_p(v, u) and the scale-indexed quantity B_N(p) reduce to
 ring-weighted series over Z^d with exact ring cardinalities
 (2m+1)^d - (2m-1)^d, whose terms are exact tail suprema of v/u.  Partial
@@ -14,7 +16,7 @@ is imported there, on first use, and not with the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,125 +121,94 @@ class RadialForm:
         return out
 
 
-_FORMS = ("trivial", "polynomial", "subexponential", "constant", "table")
-
-
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Weight u(i, j) >= 1; closed forms are radial in |i - j|_inf."""
+    """Weight u(i, j) >= 1: a RadialForm in |i - j|_inf, or a table (radial None).
 
-    form: str
+    Each constructor checks its own parameters, which must be finite.
+    """
+
     d: int
-    params: dict = field(default_factory=dict)
+    descriptor: str
+    radial: RadialForm | None = None
     table_window: Window | None = None
     table_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.form not in _FORMS:
-            raise ValueError(f"unknown weight form {self.form!r}")
-        p = self.params
-        if self.form == "polynomial" and not p.get("alpha", 0.0) >= 0.0:
-            raise WeightValidationError("polynomial weight needs alpha >= 0")
-        if self.form == "constant" and not p.get("c", 1.0) >= 1.0:
-            raise WeightValidationError("constant weight needs c >= 1")
-        if self.form == "subexponential":
-            if not (0.0 < p.get("delta", 0.0) < 1.0):
-                raise WeightValidationError("subexponential weight needs delta in (0,1)")
-            if not (0.0 < p.get("tau", 1.0) <= 1.0):
-                raise WeightValidationError("subexponential weight needs tau in (0,1]")
-        if self.form == "table":
-            vals = np.asarray(self.table_values, dtype=np.float64)
-            n = self.table_window.size
-            if vals.shape != (n, n):
-                raise WeightValidationError("table shape does not match window")
-            if np.any(vals < 1.0):
-                raise WeightValidationError("table weight entries must be >= 1")
-            if not np.array_equal(vals, vals.T):
-                raise WeightValidationError("table weight must be symmetric")
-            vals = vals.copy()
-            vals.setflags(write=False)
-            object.__setattr__(self, "table_values", vals)
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def trivial(cls, d: int) -> "WeightMatrix":
-        return cls("trivial", d)
+        return cls(d, "trivial", RadialForm())
 
     @classmethod
     def polynomial(cls, alpha: float, d: int) -> "WeightMatrix":
-        return cls("polynomial", d, {"alpha": float(alpha)})
+        alpha = float(alpha)
+        if not 0.0 <= alpha < math.inf:
+            raise WeightValidationError("polynomial weight needs a finite alpha >= 0")
+        return cls(d, f"polynomial({alpha:g})", RadialForm(alpha=alpha))
 
     @classmethod
     def subexponential(cls, delta: float, tau: float, d: int) -> "WeightMatrix":
-        return cls("subexponential", d, {"delta": float(delta), "tau": float(tau)})
+        delta, tau = float(delta), float(tau)
+        if not 0.0 < delta < 1.0:
+            raise WeightValidationError("subexponential weight needs delta in (0,1)")
+        if not 0.0 < tau <= 1.0:
+            raise WeightValidationError("subexponential weight needs tau in (0,1]")
+        return cls(d, f"subexponential({delta:g},{tau:g})", RadialForm(tau=tau, delta=delta))
 
     @classmethod
     def constant(cls, c: float, d: int) -> "WeightMatrix":
-        return cls("constant", d, {"c": float(c)})
+        c = float(c)
+        if not 1.0 <= c < math.inf:
+            raise WeightValidationError("constant weight needs a finite c >= 1")
+        return cls(d, f"constant({c:g})", RadialForm(scale=c))
 
     @classmethod
     def table(cls, window: Window, values) -> "WeightMatrix":
-        return cls("table", window.d, {}, table_window=window,
-                   table_values=np.asarray(values, dtype=np.float64))
+        vals = np.array(values, dtype=np.float64)
+        if vals.shape != (window.size, window.size):
+            raise WeightValidationError("table shape does not match window")
+        if not np.all((vals >= 1.0) & (vals < math.inf)):
+            raise WeightValidationError("table weight entries must be finite and >= 1")
+        if not np.array_equal(vals, vals.T):
+            raise WeightValidationError("table weight must be symmetric")
+        vals.setflags(write=False)
+        return cls(window.d, f"table(R={window.radius})", None, window, vals)
 
     # -- evaluation ---------------------------------------------------------
-    def radial(self) -> RadialForm | None:
-        if self.form == "trivial":
-            return RadialForm()
-        if self.form == "constant":
-            return RadialForm(scale=self.params["c"])
-        if self.form == "polynomial":
-            return RadialForm(alpha=self.params["alpha"])
-        if self.form == "subexponential":
-            return RadialForm(tau=self.params["tau"], delta=self.params["delta"])
-        return None
-
     def grid(self, window: Window) -> np.ndarray:
         if window.d != self.d:
             raise ValueError(f"weight dimension {self.d} does not match window d={window.d}")
-        if self.form == "table":
+        if self.radial is None:
             if window != self.table_window:
                 raise ValueError("table weight defined on a different window")
             return self.table_values
-        return radial_matrix(self.radial().value(np.arange(window.side)), window)
+        return radial_matrix(self.radial.value(np.arange(window.side)), window)
 
     def eval(self, i, j) -> float:
-        if self.form == "table":
+        if self.radial is None:
             w = self.table_window
             return float(self.table_values[w.flat(i), w.flat(j)])
         i = np.atleast_1d(np.asarray(i, dtype=np.int64))
         j = np.atleast_1d(np.asarray(j, dtype=np.int64))
-        return float(self.radial().value(np.max(np.abs(i - j))))
-
-    def descriptor(self) -> str:
-        if self.form == "trivial":
-            return "trivial"
-        if self.form == "constant":
-            return f"constant({self.params['c']:g})"
-        if self.form == "polynomial":
-            return f"polynomial({self.params['alpha']:g})"
-        if self.form == "subexponential":
-            return f"subexponential({self.params['delta']:g},{self.params['tau']:g})"
-        return f"table(R={self.table_window.radius})"
+        return float(self.radial.value(np.max(np.abs(i - j))))
 
 
 def default_companion(u: WeightMatrix, p: float) -> WeightMatrix:
     """Built-in companion candidates; certified numerically downstream.
 
-    polynomial(alpha) -> constant(2^alpha), from
+    (1+n)^alpha -> constant(2^alpha), from
     (1+|i-j|)^alpha <= 2^alpha ((1+|i-k|)^alpha + (1+|k-j|)^alpha);
-    subexponential(delta, tau) -> subexponential(delta, tau/2); trivial and
-    constant forms pair with the trivial companion.
+    exp(tau n^delta) -> subexponential(delta, tau/2); a constant or trivial
+    form pairs with the trivial companion.
     """
-    if u.form == "trivial":
-        return WeightMatrix.trivial(u.d)
-    if u.form == "constant":
-        return WeightMatrix.trivial(u.d)
-    if u.form == "polynomial":
-        return WeightMatrix.constant(2.0 ** u.params["alpha"], u.d)
-    if u.form == "subexponential":
-        return WeightMatrix.subexponential(u.params["delta"], u.params["tau"] / 2.0, u.d)
-    raise ValueError("table weights need an explicit companion")
+    r = u.radial
+    if r is None:
+        raise ValueError("table weights need an explicit companion")
+    if r.tau != 0.0:
+        return WeightMatrix.subexponential(r.delta, r.tau / 2.0, u.d)
+    if r.alpha != 0.0:
+        return WeightMatrix.constant(2.0**r.alpha, u.d)
+    return WeightMatrix.trivial(u.d)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +312,13 @@ def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float, window: Window | None
     Closed-form pairs use the infinite ring series with a certified tail;
     table weights fall back to the window-restricted sum.
     """
-    ur, vr = u.radial(), v.radial()
+    ur, vr = u.radial, v.radial
     if ur is not None and vr is not None:
         ratio = vr.ratio(ur)
         if ratio is not None:
             return ring_power_series(ratio, _p_prime(p), u.d, 0)
     if window is None:
-        window = u.table_window if u.form == "table" else v.table_window
+        window = u.table_window or v.table_window
     if window is None:
         raise ValueError("table-form cross norm needs a window")
     r = ring_suprema(diagonal_suprema(v.grid(window) / u.grid(window), window))
@@ -448,7 +419,7 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
         raise ValueError(f"t_grid needs 2 distinct points to fit a slope, got {distinct}")
     if np.any(t_grid < 1.0):
         raise ValueError("t_grid must lie in [1, inf)")
-    ur, vr = u.radial(), v.radial()
+    ur, vr = u.radial, v.radial
     if ur is None or vr is None:
         raise ValueError("theta_fit needs closed-form weights")
     ratio = vr.ratio(ur)
@@ -511,6 +482,6 @@ def mpu_upper_bound(u: WeightMatrix, p: float, candidates, window: Window,
     for v in candidates:
         rep = check_submultiplicative(u, v, p, window, sample_budget, seed)
         if not rep.holds:
-            raise ValueError(f"candidate {v.descriptor()} fails the companion inequality")
+            raise ValueError(f"candidate {v.descriptor} fails the companion inequality")
         best = min(best, rep.cp)
     return best

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from offdiag import stability, symbols
-from offdiag.cli import main, write_json_artifact
+from offdiag.cli import main, parse_weight_matrix, parse_weight_sequence, write_json_artifact
 from offdiag.lattice import Window, generate, save_matrix, save_sequence
 from offdiag.lattice import LatticeSequence
 from offdiag.muckenhoupt import WeightSequence
@@ -446,10 +446,103 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         assert "validation error" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("verb, spec", [
+        ("wseq", "power:nan"), ("wseq", "power:inf"), ("wseq", "power:1e308"),
+        ("weight", "polynomial:inf"), ("weight", "constant:inf"),
+        ("weight", '{"form": "polynomial", "alpha": Infinity}'),
+        ("wseq", '{"form": "power", "alpha": NaN}'),
+    ], ids=["power-nan", "power-inf", "power-overflow", "polynomial-inf", "constant-inf",
+            "json-alpha-inf", "json-alpha-nan"])
+    def test_non_finite_weight_exit_code(self, runner, tmp_path, matrix_file, verb, spec):
+        # these wrote a -inf A_q bound or NaN norms with exit 0; under
+        # filterwarnings = error an overflow warning would end in a RuntimeWarning
+        if spec.startswith("{"):
+            path = tmp_path / "w.json"
+            path.write_text(spec)
+            spec = str(path)
+        args = {"wseq": ["weights", "aq", "--q", "2", "--wseq", spec],
+                "weight": ["norm", "--matrix", str(matrix_file), "--weight", spec]}[verb]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "finite" in res.output
+        assert "Traceback" not in res.output and "Warning" not in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("point", ["1e20", "100000000000000000000"])
+    def test_point_past_int64_exit_code(self, runner, tmp_path, point):
+        # the point is named as it was read, with no int64 cast warning
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"d": 1, "radius": 2, "entries": [[{point}, 0, 1.0, 0.0]]}}')
+        res = runner.invoke(main, ["invert", "--matrix", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        shown = "1e+20" if point == "1e20" else point
+        assert f"index ({shown},) outside window radius 2" in res.output
+        assert "Traceback" not in res.output and "Warning" not in res.output
+
+    @pytest.mark.parametrize("verb, spec", [
+        ("weight", "spline:1"), ("weight", {"form": "spline", "alpha": 1.0}),
+        ("weight", {"form": "table"}), ("weight", {"form": ["polynomial"]}),
+        ("wseq", "spline:1"), ("wseq", {"form": "spline"}), ("wseq", "polynomial:1"),
+    ], ids=["weight-inline", "weight-json", "weight-table-json", "weight-json-list",
+            "wseq-inline", "wseq-json", "wseq-matrix-form"])
+    def test_unknown_weight_form_exit_code(self, runner, tmp_path, matrix_file, verb, spec):
+        if isinstance(spec, dict):
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        args = {"weight": ["norm", "--matrix", str(matrix_file), "--weight", spec],
+                "wseq": ["stability", "--matrix", str(matrix_file), "--wseq", spec]}[verb]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "unknown" in res.output
+        assert "Traceback" not in res.output
+
     def test_vanishing_symbol_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1@0,-1@1",
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+
+class TestWeightSpecs:
+    @pytest.mark.parametrize("inline, doc", [
+        ("trivial", {"form": "trivial"}),
+        ("polynomial:2.5", {"form": "polynomial", "alpha": 2.5}),
+        ("polynomial:2", {"form": "polynomial", "alpha": 2}),
+        ("constant:3", {"form": "constant", "c": 3.0}),
+        ("subexponential:0.5,0.7", {"form": "subexponential", "delta": 0.5, "tau": 0.7}),
+    ])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matrix_inline_and_file_agree(self, tmp_path, inline, doc, d):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        a, b = parse_weight_matrix(inline, d), parse_weight_matrix(str(path), d)
+        win = Window(d, 3)
+        assert a.descriptor == b.descriptor
+        assert a.grid(win).tobytes() == b.grid(win).tobytes()
+
+    @pytest.mark.parametrize("inline, doc", [
+        ("trivial", {"form": "trivial"}),
+        ("power:0.75", {"form": "power", "alpha": 0.75}),
+        ("power:-1", {"form": "power", "alpha": -1}),
+    ])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sequence_inline_and_file_agree(self, tmp_path, inline, doc, d):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        win = Window(d, 5)
+        a, b = parse_weight_sequence(inline, win), parse_weight_sequence(str(path), win)
+        assert a.descriptor == b.descriptor
+        assert a.values.tobytes() == b.values.tobytes()
+
+    def test_wrong_parameter_count_refused(self):
+        for spec in ("polynomial:1,2", "subexponential:0.5", "constant:"):
+            with pytest.raises(ValueError):
+                parse_weight_matrix(spec, 1)
+        with pytest.raises(ValueError, match="needs alpha"):
+            parse_weight_sequence("power:1,2", Window(1, 2))
 
 
 class TestStrictJson:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,32 @@ class TestSerialization:
         doc = matrix_to_dict(a)
         assert doc["entries"] == [[1, -1, 0, 0, 2.0, 3.0]]
 
+    @pytest.mark.parametrize("d, r", [(1, 4), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_rows_match_the_entry_loop(self, d, r, complex_):
+        # oracle: the per-entry loop the writers used before the vectorized rows
+        win = Window(d, r)
+        data = rand_matrix(win, 7 * d + r).data + 0.0  # absent cells read back as +0.0
+        a = LocalizedMatrix(win, data if complex_ else data.real)
+        ix = win.indices
+        rows, cols = np.nonzero(a.data)
+        want = [[*map(int, ix[i]), *map(int, ix[j]), float(a.data[i, j].real),
+                 float(a.data[i, j].imag)] for i, j in zip(rows, cols)]
+        doc = matrix_to_dict(a)
+        assert json.dumps(doc["entries"]) == json.dumps(want)
+        assert matrix_from_dict(json.loads(json.dumps(doc))).data.tobytes() == a.data.tobytes()
+        c = LatticeSequence(win, a.data[:, 0])
+        want = [[*map(int, ix[k]), float(c.data[k].real), float(c.data[k].imag)]
+                for k in np.flatnonzero(c.data)]
+        doc = sequence_to_dict(c)
+        assert json.dumps(doc["entries"]) == json.dumps(want)
+        assert sequence_from_dict(json.loads(json.dumps(doc))).data.tobytes() == c.data.tobytes()
+
+    def test_empty_rows(self):
+        win = Window(2, 1)
+        assert matrix_to_dict(LocalizedMatrix(win, np.zeros((9, 9))))["entries"] == []
+        assert sequence_to_dict(LatticeSequence(win, np.zeros(9)))["entries"] == []
+
     def test_sequence_roundtrip(self):
         win = Window(1, 3)
         c = LatticeSequence.from_values(win, {(-2,): 1j, (3,): 2.0})
@@ -365,6 +392,15 @@ class TestSerialization:
                     [0, 0, -float("inf"), 0.0], [0.5, 0, 1.0, 0.0], [float("nan"), 0, 1.0, 0.0]):
             with pytest.raises(ValueError):
                 matrix_from_dict({"d": 1, "radius": 1, "entries": [row]})
+
+    @pytest.mark.parametrize("point, shown", [(1e20, "(1e+20,)"),
+                                              (10**20, "(100000000000000000000,)"),
+                                              (-3, "(-3,)")])
+    def test_point_outside_window_named_as_read(self, point, shown):
+        # refused on the float cells, before an int64 cast could wrap it
+        with pytest.raises(ValueError, match=rf"index {re.escape(shown)} outside window radius 2"):
+            matrix_from_dict({"d": 1, "radius": 2, "entries": [[0, 0, 1.0, 0.0],
+                                                               [1, point, 1.0, 0.0]]})
 
     def test_boolean_and_overflowing_cells_refused(self):
         # true would read as 1 and an int past the float64 range as nothing finite

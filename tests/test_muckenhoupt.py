@@ -51,6 +51,44 @@ def spike_weight(win, value=4.0):
     return WeightSequence.table(win, vals)
 
 
+class TestWeightSequence:
+    @pytest.mark.parametrize("d, r", [(1, 512), (2, 24), (3, 6)])
+    def test_closed_forms_match_their_formulas(self, d, r):
+        # the closed forms as written out before RadialForm evaluated them
+        win = Window(d, r)
+        sup = np.abs(win.indices).max(axis=1)
+        assert np.array_equal(WeightSequence.trivial(win).values, np.ones(win.size))
+        for alpha in (-1.5, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.7):
+            w = WeightSequence.power(win, alpha)
+            assert w.values.tobytes() == ((1.0 + sup) ** alpha).tobytes()
+            assert w.descriptor == f"power({alpha:g})"
+            pts = np.array([(r + 3,) * d, (-r - 7,) + (0,) * (d - 1)])
+            far = (1.0 + np.abs(pts).max(axis=1)) ** alpha
+            assert w.extended_values(pts).tobytes() == far.tobytes()
+            sub = w.restrict(Window(d, r // 2))
+            assert sub.values.tobytes() == w.values[win.flat(sub.window.indices)].tobytes()
+
+    def test_table_restricts_to_a_table(self):
+        win = Window(1, 3)
+        w = spike_weight(win).restrict(Window(1, 1))
+        assert w.descriptor == "table(R=1)" and w.radial is None
+        assert np.array_equal(w.values, [1.0, 4.0, 1.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda win: WeightSequence.power(win, math.nan),
+        lambda win: WeightSequence.power(win, math.inf),
+        lambda win: WeightSequence.power(win, -math.inf),
+        lambda win: WeightSequence.power(win, 1e308),  # overflows past the origin
+        lambda win: WeightSequence.table(win, np.full(win.size, math.inf)),
+        lambda win: WeightSequence.table(win, np.full(win.size, math.nan)),
+    ], ids=["power-nan", "power-inf", "power-minus-inf", "power-overflow", "table-inf",
+            "table-nan"])
+    def test_refuses_non_finite(self, build):
+        # filterwarnings = error: an overflow warning would fail here, not a ValueError
+        with pytest.raises(ValueError, match="finite"):
+            build(Window(1, 4))
+
+
 class TestAqBound:
     def test_trivial_is_one(self):
         for q in (1.0, 2.0, 3.5):

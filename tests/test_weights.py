@@ -67,13 +67,55 @@ class TestEval:
             WeightMatrix.trivial(2).grid(Window(1, 3))
 
 
+class TestConstructors:
+    @pytest.mark.parametrize("build", [
+        lambda: WeightMatrix.polynomial(-1.0, D1),
+        lambda: WeightMatrix.constant(0.5, D1),
+        lambda: WeightMatrix.subexponential(0.0, 0.5, D1),
+        lambda: WeightMatrix.subexponential(1.0, 0.5, D1),
+        lambda: WeightMatrix.subexponential(0.5, 0.0, D1),
+        lambda: WeightMatrix.subexponential(0.5, 1.5, D1),
+        lambda: WeightMatrix.polynomial(math.inf, D1),
+        lambda: WeightMatrix.polynomial(math.nan, D1),
+        lambda: WeightMatrix.constant(math.inf, D1),
+        lambda: WeightMatrix.constant(math.nan, D1),
+        lambda: WeightMatrix.subexponential(math.nan, 0.5, D1),
+        lambda: WeightMatrix.subexponential(0.5, math.nan, D1),
+        lambda: WeightMatrix.table(Window(1, 1), np.full((3, 3), math.inf)),
+        lambda: WeightMatrix.table(Window(1, 1), np.full((3, 3), math.nan)),
+    ], ids=["polynomial-negative", "constant-below-one", "delta-zero", "delta-one",
+            "tau-zero", "tau-above-one", "polynomial-inf", "polynomial-nan", "constant-inf",
+            "constant-nan", "delta-nan", "tau-nan", "table-inf", "table-nan"])
+    def test_refuses_out_of_range(self, build):
+        with pytest.raises(WeightValidationError):
+            build()
+
+    def test_descriptor_and_form_are_stored(self):
+        win = Window(1, 2)
+        cases = [
+            (WeightMatrix.trivial(D1), "trivial", RadialForm()),
+            (WeightMatrix.polynomial(2, D1), "polynomial(2)", RadialForm(alpha=2.0)),
+            (WeightMatrix.constant(4.0, D1), "constant(4)", RadialForm(scale=4.0)),
+            (WeightMatrix.subexponential(0.5, 0.25, D1), "subexponential(0.5,0.25)",
+             RadialForm(tau=0.25, delta=0.5)),
+            (WeightMatrix.table(win, np.full((5, 5), 2.0)), "table(R=2)", None),
+        ]
+        for u, descriptor, radial in cases:
+            assert u.descriptor == descriptor and u.radial == radial
+
+
 class TestCompanions:
     def test_defaults(self):
-        assert default_companion(WeightMatrix.trivial(D1), 1.0).form == "trivial"
-        v = default_companion(WeightMatrix.polynomial(2.0, D1), 2.0)
-        assert v.form == "constant" and v.params["c"] == 4.0
-        v2 = default_companion(WeightMatrix.subexponential(0.5, 1.0, D1), 2.0)
-        assert v2.form == "subexponential" and v2.params["tau"] == 0.5
+        win = Window(2, 3)
+        for u, expected in [
+            (WeightMatrix.trivial(2), WeightMatrix.trivial(2)),
+            (WeightMatrix.constant(3.0, 2), WeightMatrix.trivial(2)),
+            (WeightMatrix.polynomial(2.0, 2), WeightMatrix.constant(4.0, 2)),
+            (WeightMatrix.subexponential(0.5, 1.0, 2), WeightMatrix.subexponential(0.5, 0.5, 2)),
+        ]:
+            v = default_companion(u, 2.0)
+            assert v.descriptor == expected.descriptor
+            assert np.array_equal(v.grid(win), expected.grid(win))
 
     def test_table_needs_explicit(self):
         win = Window(1, 1)
@@ -174,7 +216,7 @@ class TestThetaFit:
     def test_a_series_matches_its_definition(self, u, v):
         # A_N = sum_{|k| <= N} sup_{|k| <= n <= N} v(n), summed ring by ring
         fit = theta_fit(u, v, 2.0, 2, n_max=40)
-        vals = v.radial().value(np.arange(41))
+        vals = v.radial.value(np.arange(41))
         for n in range(1, 41):
             sups = np.maximum.accumulate(vals[n::-1])[::-1]
             assert fit.a_values[n - 1] == pytest.approx(np.sum(ring_counts(2, n) * sups),
@@ -302,7 +344,7 @@ class TestRadialForm:
         # v/u = (1+n)^2 e^{-0.3 n^{1/2}}: every series term is the exact tail sup
         u, v = WeightMatrix.subexponential(0.5, 0.3, 2), WeightMatrix.polynomial(2.0, 2)
         sv = cross_norm(u, v, 2.0)
-        ratio = v.radial().ratio(u.radial())
+        ratio = v.radial.ratio(u.radial)
         vals = ratio.value(np.arange(sv.terms + 400_000))
         sups = np.maximum.accumulate(vals[::-1])[::-1][: sv.terms]
         exact = float(np.sum(ring_counts(2, sv.terms - 1) * sups**2))

@@ -86,11 +86,13 @@ def _weight_spec(spec: str, forms: dict, what: str) -> tuple[str, list, dict]:
         with open(spec) as fh:
             payload = json_object(json.load(fh), f"a {what} file")
     else:
-        form, _, args = spec.partition(":")
+        form, sep, args = spec.partition(":")
         names = forms.get(form, ())
         values = [float(x) for x in args.split(",")] if names else []
         if len(values) != len(names):
             raise ValueError(f"{what} form {form!r} needs {', '.join(names)}, got {args!r}")
+        if sep and not names and form in forms:
+            raise ValueError(f"{what} form {form!r} takes no parameters, got {args!r}")
         payload = {"form": form, **dict(zip(names, values))}
     form = payload["form"]
     if not isinstance(form, str) or form not in forms:
@@ -268,7 +270,10 @@ def weights_group():
 @_exit_codes
 def weights_aq_cmd(wseq, d, radius, q, ncap, out):
     """Scan the discrete A_q bound over cubes inside the window."""
-    w = parse_weight_sequence(wseq, Window(d, radius))
+    window = Window(d, radius)
+    w = parse_weight_sequence(wseq, window)
+    if w.window != window:
+        raise ValueError(f"weight window {w.window} differs from --d {d} --radius {radius}")
     rep = muckenhoupt.aq_bound(w, q, ncap)
     config = {"command": "weights aq", "wseq": wseq, "d": d, "radius": radius,
               "q": q, "ncap": ncap}

@@ -10,11 +10,17 @@ operational negation at desk scale: the certified lower bound losing a
 factor >= 2 when the window radius doubles.  A real operand (by the rule of
 ``spectral.real_or_complex``) is conjugated and decomposed in real arithmetic:
 the singular values of the complex path to roundoff, by a cheaper LAPACK SVD.
+
+A bracket decomposes its window and the half-radius window.  Within one call
+of the Toeplitz ladder or of ``cross_stability_verdicts`` each (window, band,
+weight values) is decomposed once and its sigma pair reused by later brackets.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +48,11 @@ __all__ = [
 
 def effective_bandwidth(a: LocalizedMatrix) -> int:
     """Largest |i-j|_inf carrying an entry above 1e-12."""
-    above = np.flatnonzero(decay_profile(a).values > 1e-12)
+    return _bandwidth(decay_profile(a).values)
+
+
+def _bandwidth(h: np.ndarray) -> int:
+    above = np.flatnonzero(h > 1e-12)
     return int(above[-1]) if above.size else 0
 
 
@@ -143,24 +153,47 @@ def _interior_mask(window: Window, band: int) -> np.ndarray:
     return sup <= window.radius - band
 
 
-def _sigma_extremes(a: LocalizedMatrix, w: WeightSequence, band: int):
-    """(sigma_min, sigma_max) of diag(w^{1/2}) A diag(w^{-1/2}) on interior probes."""
-    mask = _interior_mask(a.window, band)
+# sigma pairs by (window, band, weight values) while a _shared_sigma_pairs()
+# block runs, None otherwise; stability_bracket keeps its signature and the
+# ladder and cross verdicts still call it by name
+_SIGMA_PAIRS: ContextVar[dict | None] = ContextVar("sigma_pairs", default=None)
+
+
+@contextmanager
+def _shared_sigma_pairs():
+    """Brackets inside the block share their sigma pairs, dropped on exit.
+
+    Sound only while every bracket inside decomposes windows of one operator:
+    one matrix, or one symbol's Toeplitz matrices, since the Toeplitz matrix
+    on a window restricted to a smaller window is the smaller window's.
+    """
+    token = _SIGMA_PAIRS.set({})
+    try:
+        yield
+    finally:
+        _SIGMA_PAIRS.reset(token)
+
+
+def _sigma_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window):
+    """(sigma_min, sigma_max) of diag(w^{1/2}) A diag(w^{-1/2}), both restricted
+    to window, on its interior probes."""
+    if window != a.window:
+        w = w.restrict(window)
+    seen = _SIGMA_PAIRS.get()
+    key = (window, band, w.values.tobytes())
+    if seen is not None and key in seen:
+        return seen[key]
+    mask = _interior_mask(window, band)
     if not mask.any():
-        raise ValueError(f"empty interior (band {band} >= radius {a.window.radius})")
+        raise ValueError(f"empty interior (band {band} >= radius {window.radius})")
+    data = a.data if window == a.window else restrict(a, window).data
     sq = np.sqrt(w.values)
-    conj = (sq[:, None] * real_or_complex(a.data)) / sq[None, :]
+    conj = (sq[:, None] * real_or_complex(data)) / sq[None, :]
     s = np.linalg.svd(conj[:, mask], compute_uv=False)
-    return float(s[-1]), float(s[0])
-
-
-def _half_sigma_min(a: LocalizedMatrix, w: WeightSequence, band: int) -> float | None:
-    """sigma_min at the half-radius restriction, None when its interior is empty."""
-    half_r = a.window.radius // 2
-    if half_r <= band:
-        return None
-    half = Window(a.window.d, half_r)
-    return _sigma_extremes(restrict(a, half), w.restrict(half), band)[0]
+    pair = (float(s[-1]), float(s[0]))
+    if seen is not None:
+        seen[key] = pair
+    return pair
 
 
 def _verdict(lo_full: float, lo_half: float | None, scale: float) -> str:
@@ -184,7 +217,9 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     (method "svd"; the certified path).  q != 2: lower is the minimum over
     sampled interior probes — an upper bound on the true infimum, labeled
     "sampled" — and upper is the boundedness constant; the verdict is
-    transferred from the q = 2 certificate.
+    transferred from the q = 2 certificate of the trivial weight.  The
+    default band, the verdict's scale and the q != 2 ring norm come from one
+    decay profile.
     """
     if w.window != a.window:
         raise ValueError(f"weight window {w.window} differs from the matrix window {a.window}")
@@ -193,14 +228,15 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     win = a.window
+    h = decay_profile(a).values
     if band is None:
-        band = min(2 * effective_bandwidth(a), max(win.radius - 1, 0))
+        band = min(2 * _bandwidth(h), max(win.radius - 1, 0))
     if band >= win.radius and win.radius > 0:
         raise ValueError(f"empty interior (band {band} >= radius {win.radius})")
 
     if q == 2:
-        lower, upper = _sigma_extremes(a, w, band)
-        lo_full, lo_half = lower, _half_sigma_min(a, w, band)
+        lower, upper = _sigma_pair(a, w, band, win)
+        cert_w, lo_full = w, lower
         method = "svd"
     else:
         mask = _interior_mask(win, band)
@@ -217,12 +253,13 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
             lower = min(lower, lhs / denom)
         aq = aq_bound(w, q, win.side).bound
         upper = (2.0 ** (2 * win.d) * 3.0 ** (win.d / q) * aq ** (1.0 / q)
-                 * beurling_norm(a, 1.0, None))
-        trivial = WeightSequence.trivial(win)
-        lo_full, lo_half = _sigma_extremes(a, trivial, band)[0], _half_sigma_min(a, trivial, band)
+                 * ring_lp(h, win.d))
+        cert_w = WeightSequence.trivial(win)
+        lo_full = _sigma_pair(a, cert_w, band, win)[0]
         method = "sampled"
-    scale = float(np.abs(a.data).max(initial=0.0))
-    verdict = _verdict(lo_full, lo_half, scale)
+    half = Window(win.d, win.radius // 2)
+    lo_half = _sigma_pair(a, cert_w, band, half)[0] if half.radius > band else None
+    verdict = _verdict(lo_full, lo_half, float(h[0]))
     report = StabilityReport(q, w.descriptor, float(lower), float(upper), verdict,
                              method, band, lo_full, lo_half if lo_half is not None else math.nan)
     if report.lower > report.upper + 1e-12 * max(report.upper, 1.0):
@@ -240,9 +277,12 @@ def cross_stability_verdicts(a: LocalizedMatrix, pairs, trials: int = 200,
                              seed: int = 0) -> CrossStabilityResult:
     """Run stability brackets over (q, WeightSequence) pairs, the k-th with
     seed + k; the consistency flag records whether all verdicts coincide
-    (the transfer prediction)."""
-    reports = [stability_bracket(a, q, w, trials=trials, seed=seed + k)
-               for k, (q, w) in enumerate(pairs)]
+    (the transfer prediction).  Every q != 2 pair and every trivial-weight
+    q = 2 pair certify on the same trivial-weight operands, which the call
+    decomposes once; each report equals its own ``stability_bracket`` call."""
+    with _shared_sigma_pairs():
+        reports = [stability_bracket(a, q, w, trials=trials, seed=seed + k)
+                   for k, (q, w) in enumerate(pairs)]
     verdicts = {r.verdict for r in reports}
     return CrossStabilityResult(tuple(reports), len(verdicts) == 1)
 

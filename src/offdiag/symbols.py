@@ -19,7 +19,7 @@ import numpy as np
 from .lattice import (LocalizedMatrix, Window, generate, integral, is_number, json_number,
                       json_object, ring_lp)
 from .muckenhoupt import WeightSequence
-from .stability import stability_bracket
+from .stability import _shared_sigma_pairs, stability_bracket
 
 __all__ = [
     "SymbolCoeffs",
@@ -281,6 +281,10 @@ def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, w: WeightSequence | 
     scaling over the radius ladder is attached as empirical corroboration,
     under the weight w (trivial when None) restricted to each radius; a w
     that does not reach the largest radius is refused before any bracket runs.
+    The rungs share their sigma pairs: the half-radius sigma_min of rung R is
+    the sigma_min of a rung R/2 with the same band, so a doubling ladder of k
+    rungs makes k + 1 SVDs, not 2k.  Each bracket equals its own
+    ``stability_bracket`` call.
     """
     mm = symbol_min_modulus(a)
     if mm.certified:
@@ -292,6 +296,7 @@ def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, w: WeightSequence | 
     if w is None:
         w = WeightSequence.trivial(Window(a.d, int(max(radii, default=0))))
     ws = [w.restrict(Window(a.d, int(r))) for r in radii]
-    return ToeplitzStabilityReport(verdict, mm, tuple(
-        stability_bracket(toeplitz_matrix(a, w_r.window), q, w_r, trials=trials, seed=seed)
-        for w_r in ws))
+    with _shared_sigma_pairs():
+        brackets = tuple(stability_bracket(toeplitz_matrix(a, w_r.window), q, w_r,
+                                           trials=trials, seed=seed) for w_r in ws)
+    return ToeplitzStabilityReport(verdict, mm, brackets)

@@ -182,7 +182,12 @@ class WeightMatrix:
             if window != self.table_window:
                 raise ValueError("table weight defined on a different window")
             return self.table_values
-        return radial_matrix(self.radial.value(np.arange(window.side)), window)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            psi = self.radial.value(np.arange(window.side))
+        if not math.isfinite(psi[-1]):  # every closed form is nondecreasing
+            raise WeightValidationError(
+                f"{self.descriptor} weight overflows on a radius-{window.radius} window")
+        return radial_matrix(psi, window)
 
     def eval(self, i, j) -> float:
         if self.radial is None:
@@ -207,6 +212,9 @@ def default_companion(u: WeightMatrix, p: float) -> WeightMatrix:
     if r.tau != 0.0:
         return WeightMatrix.subexponential(r.delta, r.tau / 2.0, u.d)
     if r.alpha != 0.0:
+        if r.alpha >= 1024.0:  # 2^alpha past the largest double
+            raise WeightValidationError(
+                f"the companion constant 2^alpha of {u.descriptor} overflows")
         return WeightMatrix.constant(2.0**r.alpha, u.d)
     return WeightMatrix.trivial(u.d)
 

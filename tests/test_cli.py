@@ -469,6 +469,52 @@ class TestExitCodes:
         assert "Traceback" not in res.output and "Warning" not in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["norm", "--weight", "polynomial:700"],
+        ["thetafit", "--u", "polynomial:1100"],
+    ], ids=["norm-grid", "thetafit-companion"])
+    def test_overflowing_weight_exit_code(self, runner, tmp_path, matrix_file, args):
+        # NaN norms with exit 0, and an OverflowError with exit 2, before
+        if args[0] == "norm":
+            args = args + ["--matrix", str(matrix_file)]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "overflows" in res.output
+        assert "Traceback" not in res.output and "Warning" not in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb, spec", [
+        ("weight", "trivial:xyz"), ("weight", "trivial:1"), ("weight", "trivial:"),
+        ("wseq", "trivial:xyz"), ("wseq", "table:1"),
+    ])
+    def test_parameters_for_a_form_without_any_exit_code(self, runner, tmp_path, matrix_file,
+                                                         verb, spec):
+        # 'trivial:xyz' ran as the trivial weight with exit 0
+        args = {"weight": ["norm", "--matrix", str(matrix_file), "--weight", spec],
+                "wseq": ["stability", "--matrix", str(matrix_file), "--wseq", spec]}[verb]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "takes no parameters" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("d, radius", [(2, 4), (1, 8), (1, 24)])
+    def test_aq_table_on_another_window_exit_code(self, runner, tmp_path, d, radius):
+        # the table's own window was scanned while the config stamped --d and --radius
+        w_path = tmp_path / "w.json"
+        w_path.write_text(json.dumps({"form": "table", "d": 1, "radius": 16,
+                                      "values": [[0, 2.0]]}))
+        args = ["weights", "aq", "--wseq", str(w_path), "--q", "2", "--out", str(tmp_path / "o")]
+        assert runner.invoke(main, args).exit_code == 0  # the defaults are d = 1, radius 16
+        res = runner.invoke(main, args + ["--d", str(d), "--radius", str(radius),
+                                          "--out", str(tmp_path / "p")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "differs from --d" in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize("point", ["1e20", "100000000000000000000"])
     def test_point_past_int64_exit_code(self, runner, tmp_path, point):
         # the point is named as it was read, with no int64 cast warning

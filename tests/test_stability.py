@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from offdiag import stability
 from offdiag.lattice import LatticeSequence, LocalizedMatrix, Window, generate
 from offdiag.muckenhoupt import WeightSequence, aq_bound
 from offdiag.stability import (PartitionOperator, boundedness_check,
@@ -158,6 +160,70 @@ class TestCrossVerdicts:
             assert rep.verdict == "stable"
             if rep.method == "svd":
                 assert rep.lower == pytest.approx(1.0, abs=1e-12)
+
+
+def _fields(report):
+    """Every field of a report, NaN made comparable, for exact equality."""
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v
+                 for v in dataclasses.astuple(report))
+
+
+class TestCrossSharesSigmaPairs:
+    """One decomposition per operand within a call; each report still its own call's."""
+
+    @staticmethod
+    def matrices(d):
+        win = Window(d, 12 if d == 1 else 4)
+        if d == 1:
+            return [toeplitz(win, {0: 2.0, 1: 1.0}), toeplitz(win, {0: 1.0, 1: -1j})]
+        return [toeplitz(win, {(0, 0): 4.0, (1, 0): 1.0}),
+                toeplitz(win, {(0, 0): 3.0, (0, 1): 1j, (-1, 1): 0.5})]
+
+    @staticmethod
+    def table(win, phase):
+        return WeightSequence.table(win, 1.5 + 0.5 * np.cos(win.indices.sum(axis=1) + phase))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reports_equal_separate_brackets(self, d):
+        for a in self.matrices(d):  # real, then complex
+            win = a.window
+            trivial = WeightSequence.trivial(win)
+            pairs = [(q, w) for q in (1.0, 2.0, 4.0)
+                     for w in (trivial, WeightSequence.power(win, 0.5), self.table(win, 0.0))]
+            res = cross_stability_verdicts(a, pairs, trials=3, seed=2)
+            for k, ((q, w), got) in enumerate(zip(pairs, res.reports)):
+                want = stability_bracket(a, q, w, trials=3, seed=2 + k)
+                assert _fields(got) == _fields(want)
+
+    def test_tables_sharing_a_descriptor_stay_apart(self):
+        a = self.matrices(1)[0]
+        t0, t1 = self.table(a.window, 0.0), self.table(a.window, 1.0)
+        assert t0.descriptor == t1.descriptor == "table(R=12)"
+        pairs = [(2.0, t0), (2.0, t1), (2.0, t0)]
+        res = cross_stability_verdicts(a, pairs, trials=3)
+        assert res.reports[0].lower != res.reports[1].lower
+        for k, ((q, w), got) in enumerate(zip(pairs, res.reports)):
+            assert _fields(got) == _fields(stability_bracket(a, q, w, trials=3, seed=k))
+
+    def test_probe_band_keys_the_pair(self):
+        # the two callers derive one band per window; an explicit band must not alias
+        a = self.matrices(1)[1]
+        w = WeightSequence.power(a.window, 0.5)
+        with stability._shared_sigma_pairs():
+            got = [stability_bracket(a, 2.0, w, band=b) for b in (2, 4)]
+        assert [_fields(r) for r in got] == \
+            [_fields(stability_bracket(a, 2.0, w, band=b)) for b in (2, 4)]
+
+    def test_trivial_operands_decomposed_once(self, monkeypatch):
+        # the suite's C09 pairs: 1, 2, 4 trivial and 2 power(1); 8 SVDs before
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **k: calls.append(m.shape) or svd(m, **k))
+        win = Window(1, 24)
+        cross_stability_verdicts(toeplitz(win, {0: 2.0, 1: 1.0}), TestCrossVerdicts.pairs(win),
+                                 trials=3)
+        assert len(calls) == 4
+        assert stability._SIGMA_PAIRS.get() is None
 
 
 class TestBoundedness:

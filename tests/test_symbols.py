@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from offdiag import symbols
+from offdiag import stability, symbols
 from offdiag.lattice import Window, multiply, restrict
 from offdiag.muckenhoupt import WeightSequence
 from offdiag.norms import beurling_norm
@@ -228,6 +229,77 @@ class TestStabilityCriterionWeight:
                                                radii=(8, 16))
         assert [(r.weight_id, r.lower, r.upper) for r in plain.brackets] == \
             [(r.weight_id, r.lower, r.upper) for r in trivial.brackets]
+
+
+def _fields(report):
+    """Every field of a report, NaN made comparable, for exact equality."""
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v
+                 for v in dataclasses.astuple(report))
+
+
+# per dimension: doubling, non-doubling, and unsorted with a repeated radius
+_LADDERS = {1: [(8, 16, 32, 64), (6, 10, 16), (32, 8, 16, 16)],
+            2: [(2, 4, 8), (3, 5, 8), (8, 2, 4, 4)]}
+_SYMBOLS = {1: [SymbolCoeffs(1, {0: 2.0, 1: 1.0}), SymbolCoeffs(1, {0: 1.0, 1: -1j})],
+            2: [SymbolCoeffs(2, {(0, 0): 4.0, (1, 0): 1.0, (0, -1): -1.0}),
+                SymbolCoeffs(2, {(0, 0): 3.0, (1, 0): 1.0, (0, 1): 1j})]}
+
+
+def _ladder_weight(kind, top):
+    if kind == "trivial":
+        return WeightSequence.trivial(top)
+    if kind == "power":
+        return WeightSequence.power(top, 0.5)
+    return WeightSequence.table(top, 1.0 + 0.5 * np.cos(top.indices.sum(axis=1)))
+
+
+class TestSharedLadder:
+    """The rungs reuse sigma pairs; every bracket is still its own call's."""
+
+    @pytest.mark.parametrize("kind", ["trivial", "power", "table"])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("d, ladder", [(d, r) for d in (1, 2) for r in _LADDERS[d]])
+    def test_rungs_equal_separate_brackets(self, d, ladder, q, kind):
+        w = _ladder_weight(kind, Window(d, max(ladder)))
+        for a in _SYMBOLS[d]:  # real, then complex
+            rep = toeplitz_stability_criterion(a, q, w, ladder, trials=3, seed=5)
+            for r, got in zip(ladder, rep.brackets):
+                win = Window(d, r)
+                want = stability_bracket(toeplitz_matrix(a, win), q, w.restrict(win),
+                                         trials=3, seed=5)
+                assert _fields(got) == _fields(want)
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_doubling_ladder_makes_one_svd_per_window(self, monkeypatch, q):
+        # 64, 128 ... as 8, 16, 32, 64: windows 4, 8, 16, 32, 64, not 4 + 4 halves and fulls
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **k: calls.append(m.shape) or svd(m, **k))
+        a = SymbolCoeffs(1, {0: 2.0, 1: 1.0})
+        toeplitz_stability_criterion(a, q, radii=(8, 16, 32, 64), trials=3)
+        assert len(calls) == 5
+        toeplitz_stability_criterion(a, q, radii=(8, 16, 32, 64), trials=3)
+        assert len(calls) == 10  # nothing carried over from the first call
+        assert stability._SIGMA_PAIRS.get() is None
+
+    def test_pairs_dropped_when_a_rung_fails(self, monkeypatch):
+        def fail(*args, **kwargs):
+            assert stability._SIGMA_PAIRS.get() == {}
+            raise ArithmeticError("rung failed")
+
+        monkeypatch.setattr(symbols, "stability_bracket", fail)
+        with pytest.raises(ArithmeticError, match="rung failed"):
+            toeplitz_stability_criterion(SymbolCoeffs(1, {0: 2.0}), 2.0, radii=(8,))
+        assert stability._SIGMA_PAIRS.get() is None
+
+    @pytest.mark.parametrize("d, radius", [(1, 16), (1, 9), (2, 4), (2, 3)])
+    def test_restricted_window_is_the_smaller_toeplitz_matrix(self, d, radius):
+        # what lets the half-radius sigma_min of rung R stand for rung R/2's
+        for a in _SYMBOLS[d]:
+            half = Window(d, radius // 2)
+            got = restrict(toeplitz_matrix(a, Window(d, radius)), half).data
+            want = toeplitz_matrix(a, half).data
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestSerialization:

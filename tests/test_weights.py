@@ -66,6 +66,20 @@ class TestEval:
         with pytest.raises(ValueError):
             WeightMatrix.trivial(2).grid(Window(1, 3))
 
+    @pytest.mark.parametrize("alpha, radius", [(700.0, 16), (120.0, 1000)])
+    def test_grid_overflow_refused_without_warning(self, alpha, radius):
+        # the largest radial value decides, and numpy does not warn on the way
+        with pytest.raises(WeightValidationError, match="overflows"):
+            WeightMatrix.polynomial(alpha, D1).grid(Window(1, radius))
+
+    def test_grid_at_the_overflow_edge(self):
+        # 2^1023 is finite at |i - j| = 1 and overflows at |i - j| = 3 (4^1023)
+        u = WeightMatrix.polynomial(1023.0, D1)
+        assert u.grid(Window(1, 0)).tolist() == [[1.0]]
+        with pytest.raises(WeightValidationError, match="overflows"):
+            u.grid(Window(1, 2))
+        assert np.all(WeightMatrix.constant(1e308, D1).grid(Window(1, 2)) == 1e308)
+
 
 class TestConstructors:
     @pytest.mark.parametrize("build", [
@@ -116,6 +130,15 @@ class TestCompanions:
             v = default_companion(u, 2.0)
             assert v.descriptor == expected.descriptor
             assert np.array_equal(v.grid(win), expected.grid(win))
+
+    @pytest.mark.parametrize("alpha", [1024.0, 1100.0])
+    def test_overflowing_companion_constant_refused(self, alpha):
+        # 2.0 ** alpha raised OverflowError, an arithmetic failure, not a refusal
+        with pytest.raises(WeightValidationError, match="overflows"):
+            default_companion(WeightMatrix.polynomial(alpha, D1), 2.0)
+
+    def test_companion_constant_below_the_edge(self):
+        assert default_companion(WeightMatrix.polynomial(1023.5, D1), 2.0).radial.scale == 2.0**1023.5
 
     def test_table_needs_explicit(self):
         win = Window(1, 1)

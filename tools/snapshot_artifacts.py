@@ -40,6 +40,8 @@ INPUTS = {
     "ws_trivial.json": {"form": "trivial"},
     "ws_table.json": {"form": "table", "d": 1, "radius": 16,
                       "values": [[k, 1.0 + abs(k) % 3] for k in range(-16, 17, 2)]},
+    "ws_table2.json": {"form": "table", "d": 1, "radius": 16,
+                       "values": [[k, 1.5 + (k % 4) / 4] for k in range(-16, 17, 3)]},
     "ws_unknown.json": {"form": "spline", "alpha": 1.0},
     "ws_alpha_nan.json": '{"form": "power", "alpha": NaN}',
     "seq_d1.json": {"d": 1, "radius": 8,
@@ -120,6 +122,18 @@ CALLS = [
                                   "--wseq", "inputs/ws_table.json", "--radii", "8,16"]),
     ("toeplitz_stability_trivial_json", ["toeplitz", "stability", "--coeffs", "1@0,-1@1",
                                          "--wseq", "inputs/ws_trivial.json", "--radii", "8,16"]),
+    # ladders and cross tables whose brackets share sigma pairs within the call
+    ("toeplitz_stability_doubling", ["toeplitz", "stability", "--coeffs", "2@0,1@1",
+                                     "--radii", "8,16,32,64"]),
+    ("toeplitz_stability_doubling_q4", ["toeplitz", "stability", "--coeffs", "1@0,-1@1",
+                                        "--q", "4", "--radii", "8,16,32,64", "--trials", "20"]),
+    ("toeplitz_stability_unsorted", ["toeplitz", "stability", "--coeffs", "2@0,1@1",
+                                     "--wseq", "power:0.5", "--radii", "32,8,16,16"]),
+    ("toeplitz_stability_complex_d2", ["toeplitz", "stability", "--coeffs", "4@0,0;1@1,0;1j@0,1",
+                                       "--d", "2", "--radii", "2,4,8", "--trials", "20"]),
+    ("stability_cross_tables", ["stability", "cross", "--matrix", T, "--trials", "20", "--pairs",
+                                "1:trivial;2:trivial;4:trivial;"
+                                "2:inputs/ws_table.json;2:inputs/ws_table2.json"]),
     ("toeplitz_minmod", ["toeplitz", "minmod", "--coeffs", "2@0,1@1"]),
     ("toeplitz_recip", ["toeplitz", "recip", "--coeffs", "2@0,1@1"]),
     ("invert_real", ["invert", "--matrix", T]),

@@ -15,18 +15,25 @@ Toeplitz matrices and, through ``radial_matrix``, functions of |i - j|_inf
 from their 2R + 1 values.
 ``Window.flat`` maps one lattice point or an (..., d) array of them to
 positions.
+
+``weighted_pass`` is the one place where a matrix meets a weight: it returns
+the weighted magnitude |a(i, j)| u(i, j) and its diagonal suprema, from which
+the decay profile and every norm family are read.  While a
+``shared_weighted_passes()`` block is open each (matrix object, weight object)
+is weighted once and its pass reused; outside a block nothing is kept.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Window",
@@ -39,6 +46,8 @@ __all__ = [
     "diagonal_suprema",
     "ring_suprema",
     "radial_matrix",
+    "weighted_pass",
+    "shared_weighted_passes",
     "decay_profile",
     "adjoint",
     "add",
@@ -134,7 +143,7 @@ def ring_lp(h: np.ndarray, d: int, p: float = 1.0, m_min: int = 0) -> float:
     """
     if math.isinf(p):
         return float(h[m_min]) if m_min < h.size else 0.0
-    return float(np.sum(ring_counts(d, h.size - 1, m_min) * h[m_min:] ** p) ** (1.0 / p))
+    return float((ring_counts(d, h.size - 1, m_min) * h[m_min:] ** p).sum() ** (1.0 / p))
 
 
 def _check_same_window(a, b):
@@ -226,14 +235,13 @@ class DecayProfile:
     d: int
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("profile must be a nonempty 1-d array")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("profile values must be nonnegative")
-        if np.any(np.diff(arr) > 0):
+        if (arr[1:] > arr[:-1]).any():
             raise ValueError("profile must be nonincreasing")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -242,24 +250,26 @@ class DecayProfile:
         return self.values.size - 1
 
 
-def diagonal_suprema(mag, window: Window) -> np.ndarray:
+def diagonal_suprema(mag: np.ndarray, window: Window) -> np.ndarray:
     """sup_{i-j=k} mag(i, j) for every k in [-2R, 2R]^d, shape (4R+1,)^d.
 
     One axis at a time: the rows of the (i_a, j_a) block, reversed in j_a,
     are laid into a zero-padded buffer of row length 2 side and read back
     with row length 2 side - 1.  That shifts row i_a by i_a, putting j_a in
-    column i_a - j_a + 2R, so a max over i_a leaves the diagonal index k_a.
-    Entries are assumed nonnegative; max is exact under any grouping.
+    column i_a - j_a + 2R, so a max over i_a leaves the diagonal index k_a,
+    which moves to the last axis.  Entries are assumed nonnegative; max is
+    exact under any grouping.
     """
     s, d = window.side, window.d
-    x = np.asarray(mag).reshape((s,) * (2 * d))
-    x = x.transpose(np.arange(2 * d).reshape(2, d).T.ravel())  # i_1, j_1, i_2, j_2, ...
+    # axes i_1, j_1, i_2, j_2, ...
+    x = mag.reshape((s,) * (2 * d)).transpose([k for a in range(d) for k in (a, a + d)])
     for _ in range(d):
         rest = x.shape[2:]
         buf = np.zeros((s, 2 * s) + rest, dtype=x.dtype)
         buf[:, :s] = x[:, ::-1]
         skew = buf.reshape((2 * s * s,) + rest)[: s * (2 * s - 1)]
-        x = np.moveaxis(skew.reshape((s, 2 * s - 1) + rest).max(axis=0), 0, -1)
+        x = skew.reshape((s, 2 * s - 1) + rest).max(axis=0)
+        x = x.transpose(list(range(1, x.ndim)) + [0])
     return np.ascontiguousarray(x)
 
 
@@ -280,10 +290,10 @@ def ring_suprema(diag: np.ndarray) -> np.ndarray:
 def _place_diagonals(coef: np.ndarray, window: Window) -> np.ndarray:
     """The (size, size) matrix T(i, j) = coef[i - j + 2R], coef of shape (4R+1,)^d."""
     s, n = window.side, window.size
-    if coef.shape != (2 * s - 1,) * window.d:  # as_strided would read past coef
+    if coef.shape != (2 * s - 1,) * window.d:  # the strided view would read past coef
         raise ValueError(f"coefficient shape {coef.shape} does not fit {window}")
     # view[p, q] = coef[p + q]: p + q <= 2 side - 2 = 4R stays inside coef
-    view = as_strided(coef, (s,) * (2 * window.d), coef.strides * 2, writeable=False)
+    view = np.ndarray((s,) * (2 * window.d), coef.dtype, coef, strides=coef.strides * 2)
     flipped = view[(Ellipsis,) + (slice(None, None, -1),) * window.d]  # q -> s - 1 - q
     return np.ascontiguousarray(flipped.reshape(n, n))
 
@@ -297,17 +307,63 @@ def radial_matrix(values, window: Window) -> np.ndarray:
     return _place_diagonals(values[reduce(np.maximum.outer, [k] * window.d)], window)
 
 
-def decay_profile(a: LocalizedMatrix, weight=None) -> DecayProfile:
-    """Ring suprema h(m) = sup{|a(i,j)| u(i,j) : |i-j|_inf >= m}, m = 0..2R.
+# the pass of each (matrix, weight) while a shared_weighted_passes() block is
+# open, None otherwise; the keys hold the objects themselves, so no identity can
+# be reused while the block lives
+_WEIGHTED_PASSES: ContextVar[dict | None] = ContextVar("weighted_passes", default=None)
 
-    ``weight`` is any object with a ``grid(window)`` method returning the
-    pointwise weight u(i, j) over the window; None means the trivial weight.
+
+@contextmanager
+def shared_weighted_passes():
+    """Weighted passes inside the block are computed once per (matrix object,
+    weight object) and dropped on exit; a nested block reuses the outer one.
+
+    Sound because a LocalizedMatrix and a weight never change: a weight object
+    passed inside the block must not change while the block is open.
     """
+    if _WEIGHTED_PASSES.get() is not None:
+        yield
+        return
+    token = _WEIGHTED_PASSES.set({})
+    try:
+        yield
+    finally:
+        _WEIGHTED_PASSES.reset(token)
+
+
+def weighted_pass(a: LocalizedMatrix, weight=None) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only pair (|a(i,j)| u(i,j), its ``diagonal_suprema``).
+
+    ``weight`` is any object with a ``descriptor`` and a ``grid(window)``
+    method returning the pointwise weight u(i, j) over the window; None means
+    the trivial weight.  A finite |a| whose weighted magnitude overflows
+    raises ValueError; a matrix that is not finite itself passes as it is.
+    """
+    seen = _WEIGHTED_PASSES.get()
+    if seen is not None and (a, weight) in seen:
+        return seen[a, weight]
     w = a.window
     mag = np.abs(a.data)
     if weight is not None:
-        mag = mag * weight.grid(w)
-    return DecayProfile(ring_suprema(diagonal_suprema(mag, w)), w.d)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            mag *= weight.grid(w)
+    diag = diagonal_suprema(mag, w)
+    if weight is not None and not np.isfinite(diag).all():
+        if np.isfinite(np.abs(a.data)).all():  # the weight, not the matrix, overflowed
+            raise ValueError(f"the weighted magnitude |a| u overflows under the "
+                             f"{weight.descriptor} weight")
+    mag.setflags(write=False)
+    diag.setflags(write=False)
+    pair = mag, diag
+    if seen is not None:
+        seen[a, weight] = pair
+    return pair
+
+
+def decay_profile(a: LocalizedMatrix, weight=None) -> DecayProfile:
+    """Ring suprema h(m) = sup{|a(i,j)| u(i,j) : |i-j|_inf >= m}, m = 0..2R,
+    read from the ``weighted_pass`` of (a, weight)."""
+    return DecayProfile(ring_suprema(weighted_pass(a, weight)[1]), a.window.d)
 
 
 def adjoint(a: LocalizedMatrix) -> LocalizedMatrix:

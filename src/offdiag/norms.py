@@ -11,6 +11,12 @@ Three norm families on a weighted matrix |a(i,j)| u(i,j):
 They collapse to a single entrywise supremum at p = infinity.  On finitely
 supported matrices every inequality below is exact, so the product and
 dilation checks assert true margins, not asymptotics.
+
+Every family reads the matrix through ``lattice.weighted_pass``: the weighted
+magnitude for the row/column norm and the sup, its diagonal suprema for the
+diagonal and ring norms.  ``norm_report`` opens a
+``lattice.shared_weighted_passes()`` block, so its four norms weight the
+matrix once; a weighted magnitude that overflows is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LocalizedMatrix, decay_profile, diagonal_suprema, multiply, ring_lp
+from .lattice import (LocalizedMatrix, decay_profile, multiply, ring_lp,
+                      shared_weighted_passes, weighted_pass)
 from .spectral import operator_norm_l2
 from .weights import ThetaFit
 
@@ -42,13 +49,6 @@ __all__ = [
 ]
 
 
-def _weighted_mag(a: LocalizedMatrix, weight) -> np.ndarray:
-    mag = np.abs(a.data)
-    if weight is not None:
-        mag = mag * weight.grid(a.window)
-    return mag
-
-
 def _check_exponent(p: float) -> None:
     """The norms are defined for 1 <= p <= infinity; anything else (NaN too) is refused."""
     if not p >= 1:
@@ -68,7 +68,7 @@ def beurling_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
 def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """l^p over k in Z^d of the diagonal suprema sup_{i-j=k} |a(i,j)| u(i,j)."""
     _check_exponent(p)
-    diag = diagonal_suprema(_weighted_mag(a, weight), a.window).ravel()
+    diag = weighted_pass(a, weight)[1].ravel()
     if math.isinf(p):
         return float(diag.max(initial=0.0))
     return float(np.sum(diag**p) ** (1.0 / p))
@@ -77,17 +77,18 @@ def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
 def schur_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """max over rows/columns of the weighted l^p of a single row / column."""
     _check_exponent(p)
-    mag = _weighted_mag(a, weight)
+    mag = weighted_pass(a, weight)[0]
     if math.isinf(p):
         return float(mag.max(initial=0.0))
-    rows = np.sum(mag**p, axis=1) ** (1.0 / p)
-    cols = np.sum(mag**p, axis=0) ** (1.0 / p)
+    powers = mag**p
+    rows = np.sum(powers, axis=1) ** (1.0 / p)
+    cols = np.sum(powers, axis=0) ** (1.0 / p)
     return float(max(rows.max(initial=0.0), cols.max(initial=0.0)))
 
 
 def jaffard_value(a: LocalizedMatrix, weight=None) -> float:
     """The common p = infinity collapse: sup |a(i,j)| u(i,j)."""
-    return float(_weighted_mag(a, weight).max(initial=0.0))
+    return float(weighted_pass(a, weight)[0].max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,18 @@ class NormReport:
 
 
 def norm_report(a: LocalizedMatrix, p: float, weight=None) -> NormReport:
+    """The four families at p, equal to the four separate calls, on one weighted pass."""
     wid = "trivial" if weight is None else weight.descriptor
-    return NormReport(
-        beurling=beurling_norm(a, p, weight),
-        sjostrand=sjostrand_norm(a, p, weight),
-        schur=schur_norm(a, p, weight),
-        jaffard=jaffard_value(a, weight),
-        p=p,
-        weight_id=wid,
-    )
+    with shared_weighted_passes():
+        beurling = beurling_norm(a, p, weight)  # its decay profile makes the pass
+        return NormReport(
+            beurling=beurling,
+            sjostrand=sjostrand_norm(a, p, weight),
+            schur=schur_norm(a, p, weight),
+            jaffard=jaffard_value(a, weight),
+            p=p,
+            weight_id=wid,
+        )
 
 
 @dataclass(frozen=True)

@@ -437,7 +437,11 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
     n_grid = np.arange(1, n_max + 1)
     # A_N = sum_{|k| <= N} sup_{|k| <= n <= N} v(n) = v(N) (2N+1)^d: every closed
     # form WeightMatrix accepts (c >= 1, alpha >= 0, tau > 0) is nondecreasing
-    a_vals = vr.value(n_grid) * (2.0 * n_grid + 1.0) ** d
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        a_vals = vr.value(n_grid) * (2.0 * n_grid + 1.0) ** d
+    if not np.all(np.isfinite(a_vals)):
+        raise ValueError(f"A_N = v(N) (2N+1)^d of the {v.descriptor} companion overflows "
+                         f"within n_max = {n_max}")
 
     pp = _p_prime(p)
     b_vals = np.empty(n_max, dtype=np.float64)

@@ -5,6 +5,7 @@ registry (offdiag.suite) is the single place tolerances live, shared with
 the `offdiag suite` CLI verb.
 """
 
+import numpy as np
 import pytest
 
 from offdiag import muckenhoupt, stability, weights
@@ -60,3 +61,25 @@ def test_weight_constants_once_per_run(monkeypatch, quick):
     assert calls["aq"] == 2
     assert run_criterion("C04", seed=SEED, quick=quick).passed
     assert calls["cp"] <= 4
+
+
+def test_c02_weights_each_matrix_once_per_draw(monkeypatch):
+    # a draw is one (pair, weight): its report and p = inf checks share a's pass,
+    # so 6 grid calls (a, a + b, b, alpha a, a*, dom) where there were 16
+    calls = []
+    grid = weights.WeightMatrix.grid
+    monkeypatch.setattr(weights.WeightMatrix, "grid",
+                        lambda self, win: calls.append(win) or grid(self, win))
+    result = run_criterion("C02", seed=SEED, quick=True)
+    assert result.passed
+    assert len(calls) == 6 * 2 * result.details["pairs"]
+
+
+def test_c08_shares_sigma_pairs_within_each_ladder(monkeypatch):
+    # radii 32 .. 256 and their halves: 5 windows per operator, 16 SVDs before
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **k: calls.append(m.shape) or svd(m, **k))
+    assert run_criterion("C08", seed=SEED, quick=False).passed
+    assert len(calls) == 10
+    assert stability._SIGMA_PAIRS.get() is None

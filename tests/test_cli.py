@@ -472,9 +472,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["norm", "--weight", "polynomial:700"],
         ["thetafit", "--u", "polynomial:1100"],
-    ], ids=["norm-grid", "thetafit-companion"])
+        ["norm", "--weight", "constant:1e308"],
+        ["thetafit", "--u", "polynomial:2", "--v", "polynomial:1000", "--nmax", "64"],
+    ], ids=["norm-grid", "thetafit-companion", "norm-weighted-magnitude", "thetafit-a-n"])
     def test_overflowing_weight_exit_code(self, runner, tmp_path, matrix_file, args):
-        # NaN norms with exit 0, and an OverflowError with exit 2, before
+        # NaN norms with exit 0, and an OverflowError with exit 2, before; inf
+        # norms, and theta=nan D=inf, with overflow warnings and exit 0 before
         if args[0] == "norm":
             args = args + ["--matrix", str(matrix_file)]
         res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])

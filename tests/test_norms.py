@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from offdiag.lattice import (LocalizedMatrix, Window, add, adjoint, generate,
-                             multiply, scale)
+from offdiag import lattice
+from offdiag.lattice import (LocalizedMatrix, Window, add, adjoint, diagonal_suprema,
+                             generate, multiply, scale, shared_weighted_passes,
+                             weighted_pass)
 from offdiag.norms import (beurling_norm, brandenburg_radii,
                            dilation_fact_check, jaffard_value, norm_report,
                            product_inequality_check, schur_norm,
@@ -146,6 +148,143 @@ class TestOrderingAndAxioms:
         z = LocalizedMatrix(win, np.zeros((7, 7)))
         assert beurling_norm(z, 1.0) == 0.0
         assert beurling_norm(z, math.inf) == 0.0
+
+
+def sym_table(win, seed):
+    rng = np.random.default_rng(seed)
+    vals = 1.0 + rng.uniform(0.0, 3.0, (win.size, win.size))
+    return WeightMatrix.table(win, np.maximum(vals, vals.T))
+
+
+def weight_of(kind, win):
+    return {"none": lambda: None,
+            "trivial": lambda: WeightMatrix.trivial(win.d),
+            "polynomial": lambda: WeightMatrix.polynomial(1.5, win.d),
+            "constant": lambda: WeightMatrix.constant(3.0, win.d),
+            "subexponential": lambda: WeightMatrix.subexponential(0.5, 0.5, win.d),
+            "table": lambda: sym_table(win, 5)}[kind]()
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Counts WeightMatrix.grid calls, the one place a weight is evaluated on a window."""
+    calls = []
+    grid = WeightMatrix.grid
+    monkeypatch.setattr(WeightMatrix, "grid", lambda self, win: calls.append(win) or grid(self, win))
+    return calls
+
+
+class TestWeightedPass:
+    @pytest.mark.parametrize("d, radius", [(1, 5), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("kind", ["none", "trivial", "polynomial", "constant",
+                                      "subexponential", "table"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_report_equals_the_four_calls(self, d, radius, kind, real):
+        win = Window(d, radius)
+        a = rand_matrix(win, 7 * d + radius)
+        if real:
+            a = LocalizedMatrix(win, a.data.real)
+        u = weight_of(kind, win)
+        mag = np.abs(a.data) * (1.0 if u is None else u.grid(win))  # the parent's |a| u
+        for p in (1.0, 2.0, 3.0, math.inf):
+            rep = norm_report(a, p, u)
+            assert (rep.beurling, rep.sjostrand, rep.schur, rep.jaffard) == (
+                beurling_norm(a, p, u), sjostrand_norm(a, p, u), schur_norm(a, p, u),
+                jaffard_value(a, u))
+            assert rep.jaffard == float(mag.max())
+            if math.isinf(p):
+                assert rep.sjostrand == float(diagonal_suprema(mag, win).max())
+            else:
+                assert rep.sjostrand == float(np.sum(diagonal_suprema(mag, win) ** p) ** (1 / p))
+                assert rep.schur == float(max(np.max(np.sum(mag**p, axis=1) ** (1 / p)),
+                                              np.max(np.sum(mag**p, axis=0) ** (1 / p))))
+
+    def test_pass_is_read_only(self):
+        a = rand_matrix(Window(1, 3), 1)
+        for arr in weighted_pass(a, WeightMatrix.polynomial(1.0, 1)):
+            assert not arr.flags.writeable
+
+    def test_one_grid_per_report(self, grid_calls):
+        a = rand_matrix(Window(2, 2), 3)
+        norm_report(a, 2.0, WeightMatrix.polynomial(1.0, 2))
+        assert len(grid_calls) == 1  # 4 before: one per norm family
+
+    def test_one_draw_block_weights_each_matrix_once(self, grid_calls):
+        # C02's draw: 16 grid calls before, one per matrix now (a, a + b, b, alpha a, a*, dom)
+        win = Window(1, 6)
+        a, b = rand_matrix(win, 1), rand_matrix(win, 2)
+        u = WeightMatrix.polynomial(2.0, 1)
+        dom = LocalizedMatrix(win, a.data * 0.5)
+        with shared_weighted_passes():
+            norm_report(a, 2.0, u)
+            for m in (add(a, b), b, scale(2j, a), adjoint(a)):
+                beurling_norm(m, 2.0, u)
+            norm_report(dom, 2.0, u)
+            jaffard_value(a, u)
+            for fn in (beurling_norm, sjostrand_norm, schur_norm):
+                fn(a, math.inf, u)
+        assert len(grid_calls) == 6
+
+    def test_block_does_not_outlive_itself(self, grid_calls):
+        a = rand_matrix(Window(1, 4), 2)
+        u = WeightMatrix.polynomial(1.0, 1)
+        norm_report(a, 2.0, u)
+        norm_report(a, 2.0, u)
+        assert len(grid_calls) == 2
+        assert lattice._WEIGHTED_PASSES.get() is None
+
+    def test_block_dropped_when_its_body_raises(self):
+        with pytest.raises(ValueError, match="p must lie in"):
+            with shared_weighted_passes():
+                weighted_pass(rand_matrix(Window(1, 2), 0))
+                beurling_norm(rand_matrix(Window(1, 2), 0), 0.5)
+        assert lattice._WEIGHTED_PASSES.get() is None
+
+    def test_nested_block_reuses_the_outer(self, grid_calls):
+        a = rand_matrix(Window(1, 4), 4)
+        u = WeightMatrix.polynomial(1.0, 1)
+        with shared_weighted_passes():
+            outer = weighted_pass(a, u)
+            with shared_weighted_passes():
+                assert weighted_pass(a, u) is outer
+                norm_report(a, 3.0, u)
+            assert weighted_pass(a, u) is outer
+        assert len(grid_calls) == 1
+
+    def test_equal_data_and_shared_descriptors_get_separate_passes(self, grid_calls):
+        win = Window(1, 4)
+        a = rand_matrix(win, 5)
+        twin = LocalizedMatrix(win, a.data)
+        t0, t1 = sym_table(win, 0), sym_table(win, 1)
+        assert t0.descriptor == t1.descriptor
+        u = WeightMatrix.polynomial(1.0, 1)
+        with shared_weighted_passes():
+            first, second = weighted_pass(a, u), weighted_pass(twin, u)
+            assert first is not second
+            assert np.array_equal(first[0], second[0])
+            assert not np.array_equal(weighted_pass(a, t0)[0], weighted_pass(a, t1)[0])
+            assert not np.array_equal(weighted_pass(a, u)[0], weighted_pass(a)[0])
+        assert len(grid_calls) == 4
+
+    @pytest.mark.parametrize("kind", ["constant", "table"])
+    def test_overflowing_weighted_magnitude_refused(self, kind):
+        # inf norms and three overflow warnings before; filterwarnings = error
+        win = Window(1, 3)
+        a = LocalizedMatrix(win, np.full((win.size, win.size), 4.0))
+        u = (WeightMatrix.constant(1e308, 1) if kind == "constant"
+             else WeightMatrix.table(win, np.full((win.size, win.size), 1e308)))
+        for fn in (norm_report, beurling_norm, sjostrand_norm, schur_norm):
+            with pytest.raises(ValueError, match="overflows"):
+                fn(a, 2.0, u)
+        with pytest.raises(ValueError, match="overflows"):
+            jaffard_value(a, u)
+
+    def test_matrix_that_is_not_finite_passes_as_it_is(self):
+        # an overflowed power stays for brandenburg_radii to refuse as ArithmeticError
+        data = np.zeros((3, 3))
+        data[1, 1] = math.inf
+        a = LocalizedMatrix(Window(1, 1), data)
+        assert beurling_norm(a, 1.0, WeightMatrix.trivial(1)) == math.inf
 
 
 class TestProductInequality:

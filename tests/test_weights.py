@@ -296,6 +296,16 @@ class TestThetaFit:
         with pytest.raises(ValueError, match="2 distinct points"):
             theta_fit(u, v, 2.0, 1, t_grid=np.array(t_grid))
 
+    @pytest.mark.parametrize("v, d, n_max", [
+        (WeightMatrix.polynomial(1000.0, 1), 1, 64),
+        (WeightMatrix.constant(1e300, 3), 3, 2048),
+    ], ids=["polynomial-v", "constant-v-d3"])
+    def test_overflowing_a_n_refused(self, v, d, n_max):
+        # theta=nan D=inf with an overflow warning before; filterwarnings = error
+        u = WeightMatrix.polynomial(2.0, d)
+        with pytest.raises(ValueError, match="overflows"):
+            theta_fit(u, v, 2.0, d, n_max=n_max)
+
     def test_subexponential_pair(self):
         u = WeightMatrix.subexponential(0.5, 1.0, D1)
         v = default_companion(u, 2.0)

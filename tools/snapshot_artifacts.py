@@ -83,6 +83,8 @@ CALLS = [
     ("norm_trivial_json", ["norm", "--matrix", B, "--weight", "inputs/w_trivial.json"]),
     ("norm_d2_polynomial", ["norm", "--matrix", B, "--p", "3", "--weight", "polynomial:1.5"]),
     ("norm_table_json", ["norm", "--matrix", T, "--weight", "inputs/w_table.json"]),
+    ("norm_table_json_inf", ["norm", "--matrix", T, "--p", "0",
+                             "--weight", "inputs/w_table.json"]),
     ("radius_polynomial", ["radius", "--matrix", T, "--weight", "polynomial:1", "--nmax", "8"]),
     ("radius_constant_json", ["radius", "--matrix", C, "--p", "2", "--nmax", "6",
                               "--weight", "inputs/w_constant.json"]),
@@ -156,6 +158,9 @@ CALLS = [
                                 "--q", "2"]),
     ("refuse_invert_point_float", ["invert", "--matrix", "inputs/bad_point_float.json"]),
     ("refuse_invert_point_int", ["invert", "--matrix", "inputs/bad_point_int.json"]),
+    ("refuse_norm_weighted_overflow", ["norm", "--matrix", T, "--weight", "constant:1e308"]),
+    ("refuse_thetafit_a_n_overflow", ["thetafit", "--u", "polynomial:2",
+                                      "--v", "polynomial:1000", "--nmax", "64"]),
 ]
 
 SEEDS = (1, 7, 42)

@@ -15,6 +15,11 @@ norm of the computed inverse are reported as the inverse-closedness
 witness: for well-behaved families they stay bounded as the window grows,
 which ``inverse_closedness_experiment`` tabulates along a radius ladder.
 Dense LU solves are oracle-only (tests), never the production path.
+
+The engine keeps no identity matrix: I is subtracted on the diagonal of each
+fresh product in place.  With a real operand it holds at most 5 real n x n
+arrays (the operand's copy, X, XA - I, and AX - I with its magnitude), and
+only X while the inverse is flushed and profiled.
 """
 
 from __future__ import annotations
@@ -79,6 +84,12 @@ class InversionReport:
 _FLUSH = 1e-300  # keep supports finite in spirit: flushed once, on the returned inverse
 
 
+def _minus_identity(m: np.ndarray) -> np.ndarray:
+    """m - I in place on a fresh C-ordered square product: the bits of ``m - eye``."""
+    m.reshape(-1)[:: m.shape[0] + 1] -= 1.0
+    return m
+
+
 def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
     """Invert by the preconditioned Neumann series, summed by squaring.
 
@@ -97,19 +108,19 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
     if c1 <= 1e-14 * c2:
         raise SingularMatrixError(f"bracket collapsed: C1={c1:.3e}, C2={c2:.3e}")
     data = np.ascontiguousarray(real_or_complex(a.data))  # BLAS wants unit stride
-    eye = np.eye(a.window.size)
     x = np.multiply(2.0 / (c1 + c2), data.conj().T, order="C")  # B^0 only: I - XA = B
     terms, history = 1, []
     while True:
-        err = x @ data - eye
+        err = _minus_identity(x @ data)
         history.append(float(np.abs(err).max()))
         if history[-1] <= tol or terms >= k_max:  # AX only when XA meets tol
-            two_sided = float(np.abs(data @ x - eye).max())
+            two_sided = float(np.abs(_minus_identity(data @ x)).max())
             if two_sided <= tol or terms >= k_max:
                 break
         x -= err @ x  # (2I - XA) X: I - XA becomes (I - XA)^2, twice the terms
         terms *= 2
 
+    del data, err  # only X is live while it is flushed and profiled
     x[np.abs(x) < _FLUSH] = 0.0
     a_inv = LocalizedMatrix(a.window, x, copy=False)
     profile = decay_profile(a_inv)

@@ -12,7 +12,10 @@ Window geometry has one kernel, built without n x n index tables:
 (their envelope over |k|_inf >= m, summed over the lattice by ``ring_lp``)
 and the inverse placement of a (4R+1)^d diagonal array, which assembles
 Toeplitz matrices and, through ``radial_matrix``, functions of |i - j|_inf
-from their 2R + 1 values.
+from their 2R + 1 values.  ``diagonal_suprema`` walks its padded layout in
+row chunks of at most ``_CHUNK_BYTES`` (1 MiB, or one row where a row is
+larger), so besides its output it holds one such buffer, and a decay profile
+holds |a| u and that buffer.
 ``Window.flat`` maps one lattice point or an (..., d) array of them to
 positions.
 
@@ -250,6 +253,9 @@ class DecayProfile:
         return self.values.size - 1
 
 
+_CHUNK_BYTES = 1 << 20  # bound on diagonal_suprema's padded buffer
+
+
 def diagonal_suprema(mag: np.ndarray, window: Window) -> np.ndarray:
     """sup_{i-j=k} mag(i, j) for every k in [-2R, 2R]^d, shape (4R+1,)^d.
 
@@ -259,18 +265,35 @@ def diagonal_suprema(mag: np.ndarray, window: Window) -> np.ndarray:
     column i_a - j_a + 2R, so a max over i_a leaves the diagonal index k_a,
     which moves to the last axis.  Entries are assumed nonnegative; max is
     exact under any grouping.
+
+    The rows go through the buffer in chunks of at most ``_CHUNK_BYTES``
+    (one row at least): a chunk starting at row i0 is shifted by i0 less,
+    so its max merges into columns i0.. of the first chunk's, and a window
+    whose rows fit one chunk runs as one buffer.  Scratch: one chunk buffer
+    at a time and the per-axis results, about 2/side of ``mag`` each.
     """
     s, d = window.side, window.d
     # axes i_1, j_1, i_2, j_2, ...
     x = mag.reshape((s,) * (2 * d)).transpose([k for a in range(d) for k in (a, a + d)])
     for _ in range(d):
         rest = x.shape[2:]
-        buf = np.zeros((s, 2 * s) + rest, dtype=x.dtype)
-        buf[:, :s] = x[:, ::-1]
-        skew = buf.reshape((2 * s * s,) + rest)[: s * (2 * s - 1)]
-        x = skew.reshape((s, 2 * s - 1) + rest).max(axis=0)
-        x = x.transpose(list(range(1, x.ndim)) + [0])
+        rows = _CHUNK_BYTES // (2 * s * x.itemsize * math.prod(rest)) or 1
+        out = _skewed_max(x[:rows], s, rest)
+        for i0 in range(rows, s, rows):  # past 2 side - 1 - i0, top holds padding only
+            top = _skewed_max(x[i0 : i0 + rows], s, rest)
+            np.maximum(out[i0:], top[: 2 * s - 1 - i0], out=out[i0:])
+        x = out.transpose(list(range(1, out.ndim)) + [0])
     return np.ascontiguousarray(x)
+
+
+def _skewed_max(x: np.ndarray, s: int, rest: tuple) -> np.ndarray:
+    """max over rows i of x, shape (m, s) + rest, of row i reversed and
+    shifted right by i; the padded buffer is freed on return."""
+    m = x.shape[0]
+    buf = np.zeros((m, 2 * s) + rest, dtype=x.dtype)
+    buf[:, :s] = x[:, ::-1]
+    skew = buf.reshape((2 * s * m,) + rest)[: m * (2 * s - 1)]
+    return skew.reshape((m, 2 * s - 1) + rest).max(axis=0)
 
 
 def ring_suprema(diag: np.ndarray) -> np.ndarray:

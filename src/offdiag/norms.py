@@ -16,7 +16,11 @@ Every family reads the matrix through ``lattice.weighted_pass``: the weighted
 magnitude for the row/column norm and the sup, its diagonal suprema for the
 diagonal and ring norms.  ``norm_report`` opens a
 ``lattice.shared_weighted_passes()`` block, so its four norms weight the
-matrix once; a weighted magnitude that overflows is refused with ValueError.
+matrix once.  A weighted magnitude that overflows is refused with
+ValueError, and so is a finite one whose p-th power sum overflows; the
+power sums are formed as they always were, so every finite norm keeps its
+bits.  ``brandenburg_radii`` refuses an overflowing root itself, with
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -55,6 +59,15 @@ def _check_exponent(p: float) -> None:
         raise ValueError(f"p must lie in [1, infinity], got {p}")
 
 
+def _refuse_overflow(value: float, mag: np.ndarray, p: float, weight) -> float:
+    """value, unless its p-th power sum overflowed on the finite magnitude mag."""
+    if not math.isfinite(value) and np.isfinite(mag).all():
+        wid = "trivial" if weight is None else weight.descriptor
+        raise ValueError(f"the p-th power sum of the weighted magnitude |a| u "
+                         f"overflows at p={p} under the {wid} weight")
+    return value
+
+
 def beurling_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """l^p over k in Z^d of h(|k|), h = ring suprema of |a| u.
 
@@ -62,7 +75,10 @@ def beurling_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     h(0)^p + sum_{m>=1} ((2m+1)^d - (2m-1)^d) h(m)^p, then the p-th root.
     """
     _check_exponent(p)
-    return ring_lp(decay_profile(a, weight).values, a.window.d, p)
+    h = decay_profile(a, weight).values
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        value = ring_lp(h, a.window.d, p)
+    return _refuse_overflow(value, h, p, weight)
 
 
 def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
@@ -71,7 +87,9 @@ def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     diag = weighted_pass(a, weight)[1].ravel()
     if math.isinf(p):
         return float(diag.max(initial=0.0))
-    return float(np.sum(diag**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        value = float(np.sum(diag**p) ** (1.0 / p))
+    return _refuse_overflow(value, diag, p, weight)
 
 
 def schur_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
@@ -80,10 +98,12 @@ def schur_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     mag = weighted_pass(a, weight)[0]
     if math.isinf(p):
         return float(mag.max(initial=0.0))
-    powers = mag**p
-    rows = np.sum(powers, axis=1) ** (1.0 / p)
-    cols = np.sum(powers, axis=0) ** (1.0 / p)
-    return float(max(rows.max(initial=0.0), cols.max(initial=0.0)))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        powers = mag**p
+        rows = np.sum(powers, axis=1) ** (1.0 / p)
+        cols = np.sum(powers, axis=0) ** (1.0 / p)
+    value = float(max(rows.max(initial=0.0), cols.max(initial=0.0)))
+    return _refuse_overflow(value, mag, p, weight)
 
 
 def jaffard_value(a: LocalizedMatrix, weight=None) -> float:
@@ -204,6 +224,7 @@ def brandenburg_radii(a: LocalizedMatrix, p: float, weight=None, n_max: int = 16
     as the algebra-norm roots it is compared against.  A root or a growth
     factor that overflows raises ArithmeticError.
     """
+    _check_exponent(p)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     roots = np.empty(n_max, dtype=np.float64)
@@ -215,7 +236,8 @@ def brandenburg_radii(a: LocalizedMatrix, p: float, weight=None, n_max: int = 16
         for n in range(1, n_max + 1):
             if n > 1:
                 power = multiply(power, a)
-            roots[n - 1] = beurling_norm(power, p, weight) ** (1.0 / n)
+            # beurling_norm, unrefused: an overflowing root is this call's to refuse
+            roots[n - 1] = ring_lp(decay_profile(power, weight).values, a.window.d, p) ** (1.0 / n)
         for _ in range(3):  # seeded probes
             x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             x0 = np.linalg.norm(x)

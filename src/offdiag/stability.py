@@ -14,6 +14,9 @@ the singular values of the complex path to roundoff, by a cheaper LAPACK SVD.
 A bracket decomposes its window and the half-radius window.  Within one call
 of the Toeplitz ladder or of ``cross_stability_verdicts`` each (window, band,
 weight values) is decomposed once and its sigma pair reused by later brackets.
+A sigma pair copies only the interior columns of its window's matrix and
+conjugates that copy in place, so a q = 2 bracket holds the operand, one
+interior copy and LAPACK's own copy of it, besides the decay profile's |a|.
 """
 
 from __future__ import annotations
@@ -188,8 +191,10 @@ def _sigma_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window
         raise ValueError(f"empty interior (band {band} >= radius {window.radius})")
     data = a.data if window == a.window else restrict(a, window).data
     sq = np.sqrt(w.values)
-    conj = (sq[:, None] * real_or_complex(data)) / sq[None, :]
-    s = np.linalg.svd(conj[:, mask], compute_uv=False)
+    conj = real_or_complex(data)[:, mask]  # the interior columns, the one copy
+    conj *= sq[:, None]
+    conj /= sq[None, mask]
+    s = np.linalg.svd(conj, compute_uv=False)
     pair = (float(s[-1]), float(s[0]))
     if seen is not None:
         seen[key] = pair

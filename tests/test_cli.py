@@ -474,7 +474,9 @@ class TestExitCodes:
         ["thetafit", "--u", "polynomial:1100"],
         ["norm", "--weight", "constant:1e308"],
         ["thetafit", "--u", "polynomial:2", "--v", "polynomial:1000", "--nmax", "64"],
-    ], ids=["norm-grid", "thetafit-companion", "norm-weighted-magnitude", "thetafit-a-n"])
+        ["norm", "--weight", "constant:1e200", "--p", "2"],
+    ], ids=["norm-grid", "thetafit-companion", "norm-weighted-magnitude", "thetafit-a-n",
+            "norm-power-sum"])
     def test_overflowing_weight_exit_code(self, runner, tmp_path, matrix_file, args):
         # NaN norms with exit 0, and an OverflowError with exit 2, before; inf
         # norms, and theta=nan D=inf, with overflow warnings and exit 0 before

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -256,6 +258,32 @@ class TestWienerInvert:
         # a validation error, not a series reported unconverged at 1 term
         with pytest.raises(ValueError, match="k_max"):
             wiener_invert(generate("identity", Window(1, 4)), k_max=k_max)
+
+
+class TestEngineScratch:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_minus_identity_has_the_bits_of_subtracting_eye(self, dtype):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((7, 7)).astype(dtype)
+        if dtype is np.complex128:
+            m = m + 1j * rng.standard_normal((7, 7))
+        m[0, 1], m[1, 1], m[2, 3], m[3, 3] = -0.0, 1.0, np.nan, np.inf
+        want = m - np.eye(7)
+        assert inversion._minus_identity(m.copy()).tobytes() == want.tobytes()
+
+    def test_engine_holds_five_real_arrays(self):
+        # a real operand: no identity matrix, and the operand copy and last
+        # XA - I released before the inverse is profiled; 9 arrays before
+        win = Window(1, 256)
+        a = toeplitz(win, {0: 2.0, 1: 1.0})
+        tracemalloc.start()
+        try:
+            a_inv, rep = wiener_invert(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak <= 5 * 8 * win.size**2 + (1 << 16)
 
 
 class TestLeftInverse:

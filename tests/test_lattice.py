@@ -1,16 +1,18 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offdiag import lattice
 from offdiag.lattice import (DecayProfile, LatticeSequence, LocalizedMatrix,
                              Window, WindowMismatchError, add, adjoint, apply,
-                             decay_profile, embed, generate, load_matrix,
-                             matrix_from_dict, matrix_to_dict, multiply,
+                             decay_profile, diagonal_suprema, embed, generate,
+                             load_matrix, matrix_from_dict, matrix_to_dict, multiply,
                              profile_to_csv, radial_matrix, read_rows, restrict,
                              ring_counts, save_matrix, scale, sequence_from_dict,
                              sequence_to_dict)
@@ -137,6 +139,62 @@ class TestDecayProfile:
             DecayProfile(np.array([1.0, 2.0]), 1)
         with pytest.raises(ValueError):
             DecayProfile(np.array([-1.0]), 1)
+
+
+def reference_diagonal_suprema(mag, win):
+    """Independent oracle: np.maximum.at over the diagonal index k = i - j."""
+    ix = win.indices
+    k = (ix[:, None, :] - ix[None, :, :] + 2 * win.radius).reshape(-1, win.d)
+    shape = (4 * win.radius + 1,) * win.d
+    out = np.zeros(shape)
+    with np.errstate(invalid="ignore"):  # a NaN entry
+        np.maximum.at(out.reshape(-1), np.ravel_multi_index(tuple(k.T), shape), mag.reshape(-1))
+    return out
+
+
+def special_magnitude(win, seed, kind):
+    """Nonnegative magnitudes with zeros, +inf or NaN sprinkled in, or all zero."""
+    rng = np.random.default_rng(seed)
+    mag = rng.random((win.size, win.size))
+    if kind == "zero":
+        return np.zeros_like(mag)
+    mag[rng.random(mag.shape) < 0.3] = 0.0
+    if kind in ("inf", "nan"):
+        mag[rng.random(mag.shape) < 0.02] = np.inf
+    if kind == "nan":
+        mag.reshape(-1)[rng.integers(mag.size, size=2)] = np.nan
+    return mag
+
+
+class TestDiagonalSuprema:
+    # dense n x n operands: d = 2 stops at R = 7 and d = 3 at R = 2
+    WINDOWS = [(1, 0), (1, 1), (1, 7), (1, 40), (2, 0), (2, 1), (2, 7), (3, 0), (3, 1), (3, 2)]
+
+    # 1 byte: one row per chunk; 16 KiB: several rows, a ragged last chunk
+    @pytest.mark.parametrize("chunk", [1, 1 << 14, lattice._CHUNK_BYTES],
+                             ids=["one-row", "middle", "default"])
+    @pytest.mark.parametrize("kind", ["plain", "inf", "nan", "zero"])
+    @pytest.mark.parametrize("d,r", WINDOWS)
+    def test_matches_index_reference_bit_for_bit(self, monkeypatch, chunk, kind, d, r):
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", chunk)
+        win = Window(d, r)
+        mag = special_magnitude(win, 10 * d + r, kind)
+        got = diagonal_suprema(mag, win)
+        want = reference_diagonal_suprema(mag, win)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_decay_profile_holds_one_magnitude(self):
+        # |a| plus the chunk buffer and the outputs; three n x n arrays before
+        win = Window(1, 256)
+        a = generate("toeplitz_from_coeffs", win, coeffs={0: 2.0, 1: 1.0, -3: 0.5j})
+        tracemalloc.start()
+        try:
+            decay_profile(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * win.size**2 + lattice._CHUNK_BYTES + (1 << 16)
 
 
 class TestAlgebra:

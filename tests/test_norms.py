@@ -279,6 +279,19 @@ class TestWeightedPass:
         with pytest.raises(ValueError, match="overflows"):
             jaffard_value(a, u)
 
+    @pytest.mark.parametrize("weight", [None, WeightMatrix.constant(1e200, 1)],
+                             ids=["trivial", "constant"])
+    def test_overflowing_power_sum_refused(self, weight):
+        # inf norms and four overflow warnings before; filterwarnings = error
+        win = Window(1, 3)
+        entry = 2.0 if weight is not None else 2e200
+        a = LocalizedMatrix(win, np.full((win.size, win.size), entry))
+        for fn in (norm_report, beurling_norm, sjostrand_norm, schur_norm):
+            with pytest.raises(ValueError, match="power sum .* overflows at p=2.0"):
+                fn(a, 2.0, weight)
+        assert jaffard_value(a, weight) == 2e200
+        assert norm_report(a, math.inf, weight).beurling == 2e200
+
     def test_matrix_that_is_not_finite_passes_as_it_is(self):
         # an overflowed power stays for brandenburg_radii to refuse as ArithmeticError
         data = np.zeros((3, 3))
@@ -399,6 +412,14 @@ class TestBrandenburgOverflow:
         data[1, 1], data[2, 1] = 1e200, 1.0
         with pytest.raises(ArithmeticError, match="overflows"):
             brandenburg_radii(LocalizedMatrix(Window(1, 1), data), 1.0, None, n_max=16)
+
+    def test_overflowing_power_sum_of_a_root_raises(self):
+        # A is finite but its squares overflow at p = 2: the root is this
+        # call's to refuse, as a numerical failure, not the norm's
+        data = np.zeros((3, 3), dtype=np.complex128)
+        data[1, 1], data[2, 1] = 1e200, 1.0
+        with pytest.raises(ArithmeticError, match="overflows"):
+            brandenburg_radii(LocalizedMatrix(Window(1, 1), data), 2.0, None, n_max=4)
 
     def test_overflowing_probe_growth_raises(self):
         # A^2 = 1e308 I keeps both roots finite, but the l2 norm of A^2 x overflows

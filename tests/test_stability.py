@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from offdiag import stability
 from offdiag.lattice import LatticeSequence, LocalizedMatrix, Window, generate
 from offdiag.muckenhoupt import WeightSequence, aq_bound
+from offdiag.spectral import real_or_complex
 from offdiag.stability import (PartitionOperator, boundedness_check,
                                commutator_diagnostic, cross_stability_verdicts,
                                effective_bandwidth, stability_bracket)
@@ -224,6 +226,44 @@ class TestCrossSharesSigmaPairs:
                                  trials=3)
         assert len(calls) == 4
         assert stability._SIGMA_PAIRS.get() is None
+
+
+class TestSigmaPairScratch:
+    """The interior-only conjugation: the full conjugate's bits, a fraction of its memory."""
+
+    @staticmethod
+    def full_conjugate_pair(a, w, band):
+        """Reference: conjugate every column, then take the interior ones."""
+        sq = np.sqrt(w.values)
+        conj = (sq[:, None] * real_or_complex(a.data)) / sq[None, :]
+        s = np.linalg.svd(conj[:, stability._interior_mask(a.window, band)], compute_uv=False)
+        return float(s[-1]), float(s[0])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bits_match_full_conjugate(self, d):
+        for a in TestCrossSharesSigmaPairs.matrices(d):  # real, then complex
+            win = a.window
+            for w in (WeightSequence.trivial(win), WeightSequence.power(win, 0.5),
+                      TestCrossSharesSigmaPairs.table(win, 0.0)):
+                for band in (0, 2):
+                    assert stability._sigma_pair(a, w, band, win) == \
+                        self.full_conjugate_pair(a, w, band)
+
+    def test_q2_bracket_holds_one_interior_copy(self):
+        # a complex operand: its decay profile and conjugate are the largest
+        # steps; the full conjugate and its temporary were two n x n arrays
+        win = Window(1, 256)
+        a = toeplitz(win, {0: 3.0, 1: 1 + 1j, -1: 0.5j})
+        w = WeightSequence.power(win, 0.5)
+        band = 2 * effective_bandwidth(a)
+        n, m = win.size, int(stability._interior_mask(win, band).sum())
+        tracemalloc.start()
+        try:
+            stability_bracket(a, 2.0, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n * m + (1 << 18)
 
 
 class TestBoundedness:

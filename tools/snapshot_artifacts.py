@@ -115,6 +115,8 @@ CALLS = [
                               "--wseq", "inputs/ws_power.json"]),
     ("stability_table_json", ["stability", "--matrix", T, "--q", "2",
                               "--wseq", "inputs/ws_table.json"]),
+    ("stability_complex_power", ["stability", "--matrix", C, "--q", "2",
+                                 "--wseq", "power:0.5"]),
     ("stability_cross", ["stability", "cross", "--matrix", T, "--trials", "20", "--pairs",
                          "1:trivial;2:power:1;2:inputs/ws_table.json;4:inputs/ws_power.json"]),
     ("toeplitz_stability_power", ["toeplitz", "stability", "--coeffs", "2@0,1@1",
@@ -161,6 +163,8 @@ CALLS = [
     ("refuse_norm_weighted_overflow", ["norm", "--matrix", T, "--weight", "constant:1e308"]),
     ("refuse_thetafit_a_n_overflow", ["thetafit", "--u", "polynomial:2",
                                       "--v", "polynomial:1000", "--nmax", "64"]),
+    ("refuse_norm_power_sum_overflow", ["norm", "--matrix", T, "--p", "2",
+                                        "--weight", "constant:1e200"]),
 ]
 
 SEEDS = (1, 7, 42)

@@ -9,17 +9,19 @@ contracts on l^2 with factor r0 = (C2-C1)/(C2+C1) < 1, and
 It is summed by squaring (the hyperpower form of Schulz): from
 X = (2/(C1+C2)) A*, each step X <- (2I - XA) X doubles the terms held, as
 I - XA = B^K after K terms.  Each step measures max|XA - I| on the XA it
-reuses, and max|AX - I| once that meets tol; both must meet tol.  Real
-operands run in real arithmetic throughout.  The decay profile and ring
+reuses, and max|AX - I| once that meets tol; both must meet tol.  A real
+operand (stored float64) runs in real arithmetic throughout and its inverse
+is returned real, the iterate itself.  The decay profile and ring
 norm of the computed inverse are reported as the inverse-closedness
 witness: for well-behaved families they stay bounded as the window grows,
 which ``inverse_closedness_experiment`` tabulates along a radius ladder.
 Dense LU solves are oracle-only (tests), never the production path.
 
 The engine keeps no identity matrix: I is subtracted on the diagonal of each
-fresh product in place.  With a real operand it holds at most 5 real n x n
-arrays (the operand's copy, X, XA - I, and AX - I with its magnitude), and
-only X while the inverse is flushed and profiled.
+fresh product in place.  Besides a C-ordered operand, which it reads in place,
+it holds at most 4 real n x n arrays with a real operand (X, XA - I, and
+AX - I with its magnitude), and only X while the inverse is flushed and
+profiled.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .lattice import DecayProfile, LocalizedMatrix, Window, decay_profile, ring_lp
 from .norms import beurling_norm
-from .spectral import hermitian_extremes, real_or_complex
+from .spectral import hermitian_extremes
 
 __all__ = [
     "SingularMatrixError",
@@ -59,8 +61,7 @@ def spectral_bracket(a: LocalizedMatrix) -> SpectralBracket:
     """C1, C2 with C1 I <= A*A <= C2 I, the ends of A*A's spectrum; C1 >= 0."""
     if a.nnz == 0:
         raise ValueError("spectral bracket of the zero matrix")
-    data = real_or_complex(a.data)
-    lo, hi = hermitian_extremes(data.conj().T @ data)
+    lo, hi = hermitian_extremes(a.data.conj().T @ a.data)
     c1 = max(lo, 0.0)
     c2 = max(hi, 0.0)
     r0 = (c2 - c1) / (c2 + c1) if c2 > 0 else 1.0
@@ -107,7 +108,7 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
     c1, c2 = bracket.c1, bracket.c2
     if c1 <= 1e-14 * c2:
         raise SingularMatrixError(f"bracket collapsed: C1={c1:.3e}, C2={c2:.3e}")
-    data = np.ascontiguousarray(real_or_complex(a.data))  # BLAS wants unit stride
+    data = np.ascontiguousarray(a.data)  # BLAS wants unit stride; C order is read in place
     x = np.multiply(2.0 / (c1 + c2), data.conj().T, order="C")  # B^0 only: I - XA = B
     terms, history = 1, []
     while True:
@@ -122,7 +123,7 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
 
     del data, err  # only X is live while it is flushed and profiled
     x[np.abs(x) < _FLUSH] = 0.0
-    a_inv = LocalizedMatrix(a.window, x, copy=False)
+    a_inv = LocalizedMatrix(a.window, x, copy=False)  # X itself, real or complex: no copy
     profile = decay_profile(a_inv)
     return a_inv, InversionReport(
         # terms_used counts series terms B^0..B^{terms-1} that X holds

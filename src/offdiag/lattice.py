@@ -13,11 +13,17 @@ Window geometry has one kernel, built without n x n index tables:
 and the inverse placement of a (4R+1)^d diagonal array, which assembles
 Toeplitz matrices and, through ``radial_matrix``, functions of |i - j|_inf
 from their 2R + 1 values.  ``diagonal_suprema`` walks its padded layout in
-row chunks of at most ``_CHUNK_BYTES`` (1 MiB, or one row where a row is
-larger), so besides its output it holds one such buffer, and a decay profile
-holds |a| u and that buffer.
+chunks of at most ``_CHUNK_BYTES`` (1 MiB; rows, or slices of rows where a
+row is larger), so besides its output it holds one such buffer, and a decay
+profile holds |a| u and that buffer.
 ``Window.flat`` maps one lattice point or an (..., d) array of them to
 positions.
+
+A matrix is stored real (float64, one real n x n array) exactly when every
+imaginary part of its input is zero, and complex (complex128, two) otherwise.
+The producers build real arrays directly: the identity, shifts and Toeplitz
+matrices with real coefficients from ``generate``, and matrix files whose
+imaginary column is all zero.  Sequences stay complex.
 
 ``weighted_pass`` is the one place where a matrix meets a weight: it returns
 the weighted magnitude |a(i, j)| u(i, j) and its diagonal suprema, from which
@@ -155,17 +161,23 @@ def _check_same_window(a, b):
 
 
 class LocalizedMatrix:
-    """Finitely supported complex matrix over a window.
+    """Finitely supported matrix over a window, real or complex.
 
-    Stored dense over the window; an absent entry and a stored zero are the
-    same object semantically, and serialization never emits zeros.  Instances
-    are immutable after construction.
+    Stored dense over the window: as float64 exactly when every imaginary
+    part of the input is zero (a NaN one is not zero), as complex128
+    otherwise.  An absent entry and a stored zero are the same object
+    semantically, and serialization never emits zeros.  Instances are
+    immutable after construction.
     """
 
     __slots__ = ("window", "data")
 
     def __init__(self, window: Window, data, *, copy: bool = True):
-        arr = (np.array if copy else np.asarray)(data, dtype=np.complex128)
+        arr = np.asarray(data)
+        if arr.dtype.kind == "c" and not arr.imag.any():
+            arr, copy = arr.real, True  # a strided view of the input: compacted
+        dtype = np.complex128 if arr.dtype.kind == "c" else np.float64
+        arr = (np.array if copy else np.asarray)(arr, dtype=dtype)
         if arr.shape != (window.size, window.size):
             raise ValueError(
                 f"data shape {arr.shape} does not match window size {window.size}"
@@ -269,27 +281,43 @@ def diagonal_suprema(mag: np.ndarray, window: Window) -> np.ndarray:
     The rows go through the buffer in chunks of at most ``_CHUNK_BYTES``
     (one row at least): a chunk starting at row i0 is shifted by i0 less,
     so its max merges into columns i0.. of the first chunk's, and a window
-    whose rows fit one chunk runs as one buffer.  Scratch: one chunk buffer
-    at a time and the per-axis results, about 2/side of ``mag`` each.
+    whose rows fit one chunk runs as one buffer.  Where one row outgrows a
+    chunk (d >= 2, large R), the first trailing axis, which the max treats
+    independently, is cut into slices one entry wide, each chunked by rows;
+    a chunk then holds one row of a slice at least.  Scratch: one chunk
+    buffer at a time and the per-axis results, about 2/side of ``mag`` each.
     """
     s, d = window.side, window.d
     # axes i_1, j_1, i_2, j_2, ...
     x = mag.reshape((s,) * (2 * d)).transpose([k for a in range(d) for k in (a, a + d)])
     for _ in range(d):
         rest = x.shape[2:]
-        rows = _CHUNK_BYTES // (2 * s * x.itemsize * math.prod(rest)) or 1
-        out = _skewed_max(x[:rows], s, rest)
-        for i0 in range(rows, s, rows):  # past 2 side - 1 - i0, top holds padding only
-            top = _skewed_max(x[i0 : i0 + rows], s, rest)
-            np.maximum(out[i0:], top[: 2 * s - 1 - i0], out=out[i0:])
+        row = 2 * s * x.itemsize * math.prod(rest)  # one row of the padded buffer
+        if row <= _CHUNK_BYTES or not rest:
+            out = _row_chunks_max(x, s, _CHUNK_BYTES // row or 1)
+        else:  # slices one entry wide along the first trailing axis, each in row chunks
+            unit = row // rest[0]  # one row of a slice one entry wide
+            out = np.empty((2 * s - 1,) + rest, dtype=x.dtype)
+            for c in range(rest[0]):
+                out[:, c] = _row_chunks_max(x[:, :, c], s, _CHUNK_BYTES // unit or 1)
         x = out.transpose(list(range(1, out.ndim)) + [0])
     return np.ascontiguousarray(x)
 
 
-def _skewed_max(x: np.ndarray, s: int, rest: tuple) -> np.ndarray:
+def _row_chunks_max(x: np.ndarray, s: int, rows: int) -> np.ndarray:
+    """max over rows i of x, shape (s, s) + rest, of row i reversed and
+    shifted right by i, ``rows`` rows a buffer."""
+    out = _skewed_max(x[:rows], s)
+    for i0 in range(rows, s, rows):  # past 2 side - 1 - i0, top holds padding only
+        top = _skewed_max(x[i0 : i0 + rows], s)
+        np.maximum(out[i0:], top[: 2 * s - 1 - i0], out=out[i0:])
+    return out
+
+
+def _skewed_max(x: np.ndarray, s: int) -> np.ndarray:
     """max over rows i of x, shape (m, s) + rest, of row i reversed and
     shifted right by i; the padded buffer is freed on return."""
-    m = x.shape[0]
+    m, rest = x.shape[0], x.shape[2:]
     buf = np.zeros((m, 2 * s) + rest, dtype=x.dtype)
     buf[:, :s] = x[:, ::-1]
     skew = buf.reshape((2 * s * m,) + rest)[: m * (2 * s - 1)]
@@ -399,7 +427,9 @@ def add(a: LocalizedMatrix, b: LocalizedMatrix) -> LocalizedMatrix:
 
 
 def scale(alpha, a: LocalizedMatrix) -> LocalizedMatrix:
-    return LocalizedMatrix(a.window, complex(alpha) * a.data, copy=False)
+    alpha = complex(alpha)
+    return LocalizedMatrix(a.window, (alpha.real if alpha.imag == 0 else alpha) * a.data,
+                           copy=False)
 
 
 def multiply(a: LocalizedMatrix, b: LocalizedMatrix) -> LocalizedMatrix:
@@ -420,7 +450,7 @@ def embed(a: LocalizedMatrix, window: Window) -> LocalizedMatrix:
     if window.radius < a.window.radius:
         raise ValueError("target window must not be smaller")
     pos = window.flat(a.window.indices)
-    data = np.zeros((window.size, window.size), dtype=np.complex128)
+    data = np.zeros((window.size, window.size), dtype=a.data.dtype)
     data[np.ix_(pos, pos)] = a.data
     return LocalizedMatrix(window, data, copy=False)
 
@@ -455,7 +485,7 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
     """
     n = window.size
     if kind == "identity":
-        return LocalizedMatrix(window, np.eye(n, dtype=np.complex128), copy=False)
+        return LocalizedMatrix(window, np.eye(n), copy=False)
 
     if kind == "shift":
         off = _as_offset(window, params.pop("offset", 1))
@@ -500,6 +530,8 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
             vec = _as_offset(window, key)
             if np.abs(vec).max() <= span:  # farther diagonals miss the window
                 coef[tuple(vec + span)] = complex(v)
+        if not coef.imag.any():  # placed real: the (4R+1)^d coefficients are demoted, not n x n
+            coef = np.ascontiguousarray(coef.real)
         return LocalizedMatrix(window, _place_diagonals(coef, window), copy=False)
 
     raise ValueError(f"unknown generator kind {kind!r}")
@@ -604,8 +636,9 @@ def matrix_from_dict(payload: dict) -> LocalizedMatrix:
     json_object(payload, "a matrix file")
     window = Window(json_number(payload, "d", int), json_number(payload, "radius", int))
     pos, vals = read_rows(window, payload["entries"], 2, 2)
-    data = np.zeros(window.size**2, dtype=np.complex128)
-    data[pos] = _complex_values(vals)
+    real = not vals[:, 1].any()  # built real, never demoted from complex
+    data = np.zeros(window.size**2, dtype=np.float64 if real else np.complex128)
+    data[pos] = vals[:, 0] if real else _complex_values(vals)
     return LocalizedMatrix(window, data.reshape(window.size, window.size), copy=False)
 
 

@@ -238,12 +238,14 @@ def brandenburg_radii(a: LocalizedMatrix, p: float, weight=None, n_max: int = 16
                 power = multiply(power, a)
             # beurling_norm, unrefused: an overflowing root is this call's to refuse
             roots[n - 1] = ring_lp(decay_profile(power, weight).values, a.window.d, p) ** (1.0 / n)
+        op = a.data.astype(np.complex128, copy=False)  # cast once, not once per product
         for _ in range(3):  # seeded probes
             x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             x0 = np.linalg.norm(x)
             for _ in range(n_max):
-                x = a.data @ x
+                x = op @ x
             growth.append(np.linalg.norm(x) / x0)
+        del op  # freed before the SVD
     if not (np.all(np.isfinite(roots)) and np.all(np.isfinite(growth))):
         raise ArithmeticError(f"||A^n|| overflows within n_max = {n_max} powers")
     est = max((float(g ** (1.0 / n_max)) for g in growth if g > 0), default=0.0)

@@ -2,19 +2,16 @@
 
 Every window is a dense matrix of desk-scale size, so the Hermitian ends come
 from ``eigvalsh`` and the spectral norm from the largest singular value.  Both
-are computed to roundoff, which is what the Neumann engine's bracket needs.
+are computed to roundoff, which is what the Neumann engine's bracket needs,
+in the dtype they are given: a real matrix (as ``LocalizedMatrix`` stores
+every matrix whose imaginary parts are all zero) takes the real LAPACK path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hermitian_extremes", "operator_norm_l2", "real_or_complex"]
-
-
-def real_or_complex(data: np.ndarray) -> np.ndarray:
-    """data's real view (no copy, complex stride) when every imaginary part is 0, else data."""
-    return data if data.imag.any() else data.real
+__all__ = ["hermitian_extremes", "operator_norm_l2"]
 
 
 def hermitian_extremes(m: np.ndarray) -> tuple[float, float]:

@@ -285,6 +285,29 @@ class TestEngineScratch:
         assert rep.converged
         assert peak <= 5 * 8 * win.size**2 + (1 << 16)
 
+    def test_engine_holds_four_real_arrays(self):
+        # a C-ordered real operand is read in place and its inverse is the
+        # iterate itself: X, XA - I, and AX - I with its magnitude
+        win = Window(1, 256)
+        a = toeplitz(win, {0: 2.0, 1: 1.0})
+        tracemalloc.start()
+        try:
+            a_inv, rep = wiener_invert(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak <= 4 * 8 * win.size**2 + (1 << 16)
+
+    @pytest.mark.parametrize("coeffs, dtype", [({0: 2.0, 1: 1.0}, np.float64),
+                                               ({0: 2.0, 1: 1j}, np.complex128)])
+    def test_inverse_keeps_the_operand_dtype(self, coeffs, dtype):
+        a = toeplitz(Window(1, 16), coeffs)
+        a_inv, rep = wiener_invert(a)
+        assert rep.converged
+        assert a.data.dtype == a_inv.data.dtype == dtype
+        assert a_inv.data.flags.c_contiguous and not a_inv.data.flags.writeable
+
 
 class TestLeftInverse:
     def test_invertible_matches_inverse(self):

@@ -184,6 +184,38 @@ class TestDiagonalSuprema:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    # a first-axis row is larger than the chunk: the sliced path, one row of a
+    # slice (unit bytes) fitting 0, 1, 2 or all times; 1 byte is above
+    @pytest.mark.parametrize("fits", [0, 1, 2, "all"])
+    @pytest.mark.parametrize("kind", ["plain", "inf", "nan", "zero"])
+    @pytest.mark.parametrize("d,r", [(2, 3), (2, 7), (3, 1), (3, 2)])
+    def test_slices_match_index_reference_bit_for_bit(self, monkeypatch, fits, kind, d, r):
+        win = Window(d, r)
+        unit = 2 * win.side * 8 * win.side ** (2 * d - 3)  # the row is side units
+        chunk = unit * (win.side if fits == "all" else fits) + (unit // 2 if fits == 0 else 0)
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", chunk)
+        mag = special_magnitude(win, 10 * d + r, kind)
+        got = diagonal_suprema(mag, win)
+        want = reference_diagonal_suprema(mag, win)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_sliced_buffer_stays_within_a_chunk(self, monkeypatch):
+        # one first-axis row (2 side^3 entries) is 18 chunks; a whole row per
+        # chunk traced about two rows above the per-axis output
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", 8 << 10)
+        win = Window(2, 10)
+        s = win.side
+        mag = special_magnitude(win, 5, "plain")
+        tracemalloc.start()
+        try:
+            diagonal_suprema(mag, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = 8 * (2 * s - 1) * s**2 + 2 * 8 * (2 * s - 1) ** 2
+        assert peak <= outputs + 3 * lattice._CHUNK_BYTES + (1 << 14)
+
     def test_decay_profile_holds_one_magnitude(self):
         # |a| plus the chunk buffer and the outputs; three n x n arrays before
         win = Window(1, 256)
@@ -272,13 +304,135 @@ class TestAlgebra:
             a.data[0, 0] = 5.0
         with pytest.raises(AttributeError):
             a.data = None
-        # real input is converted, not refused, when no copy is requested
+        # real input stays real and read-only; a sequence stays complex
         win = Window(1, 2)
         real = LocalizedMatrix(win, np.eye(win.size), copy=False)
         seq = LatticeSequence(win, np.arange(float(win.size)), copy=False)
-        for arr in (real.data, seq.data):
-            assert arr.dtype == np.complex128 and not arr.flags.writeable
+        assert real.data.dtype == np.float64 and not real.data.flags.writeable
+        assert seq.data.dtype == np.complex128 and not seq.data.flags.writeable
         assert np.array_equal(real.data, np.eye(win.size))
+
+
+class TestDtype:
+    """A matrix is stored float64 exactly when every imaginary part of its
+    input is zero, and complex128 otherwise."""
+
+    WIN = Window(1, 2)
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_real_input_stays_real(self, copy):
+        for data in (np.eye(5), np.eye(5, dtype=np.float32), np.eye(5, dtype=int),
+                     np.eye(5, dtype=bool), np.eye(5).tolist()):
+            a = LocalizedMatrix(self.WIN, data, copy=copy)
+            assert a.data.dtype == np.float64 and not a.data.flags.writeable
+            assert np.array_equal(a.data, np.eye(5))
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_nonzero_imaginary_part_stays_complex(self, copy):
+        data = np.eye(5, dtype=np.complex128)
+        data[4, 0] = 1e-300j  # one imaginary part is enough
+        a = LocalizedMatrix(self.WIN, data, copy=copy)
+        assert a.data.dtype == np.complex128 and not a.data.flags.writeable
+        assert a.data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_zero_imaginary_parts_become_real(self, copy):
+        rng = np.random.default_rng(3)
+        re = rng.standard_normal((5, 5))
+        re[0, 0], re[1, 2] = -0.0, np.inf
+        data = np.zeros((5, 5), dtype=np.complex128)
+        data.real = re
+        data.imag[2, 2] = -0.0  # a signed zero is zero
+        a = LocalizedMatrix(self.WIN, data, copy=copy)
+        assert a.data.dtype == np.float64 and a.data.flags.c_contiguous
+        assert a.data.tobytes() == re.tobytes()
+        assert not np.shares_memory(a.data, data) and data.flags.writeable
+        assert scale(1.0, a).data.dtype == np.float64
+
+    def test_nan_imaginary_part_stays_complex(self):
+        data = np.eye(5, dtype=np.complex128)
+        data[1, 3] = complex(0.0, np.nan)
+        a = LocalizedMatrix(self.WIN, data)
+        assert a.data.dtype == np.complex128
+        assert np.isnan(a.data[1, 3].imag)
+
+    def test_no_copy_of_a_c_ordered_real_array(self):
+        data = np.eye(5)
+        assert LocalizedMatrix(self.WIN, data, copy=False).data is data
+        assert not data.flags.writeable
+        fresh = np.eye(5)
+        assert not np.shares_memory(LocalizedMatrix(self.WIN, fresh).data, fresh)
+
+    def test_algebra_keeps_the_rule(self):
+        win = Window(2, 1)
+        real = generate("toeplitz_from_coeffs", win, coeffs={(0, 0): 2.0, (1, 0): -1.0})
+        cplx = rand_matrix(win, 5)
+        assert multiply(real, real).data.dtype == np.float64
+        assert adjoint(real).data.dtype == np.float64
+        assert embed(real, Window(2, 2)).data.dtype == np.float64
+        assert restrict(real, Window(2, 0)).data.dtype == np.float64
+        assert scale(2.0, real).data.dtype == np.float64
+        assert scale(1j, real).data.dtype == np.complex128
+        assert add(real, scale(1j, real)).data.dtype == np.complex128
+        # a mixed product keeps the bits of the all-complex product
+        mixed = multiply(real, cplx).data
+        assert mixed.dtype == np.complex128
+        assert mixed.tobytes() == (real.data.astype(np.complex128) @ cplx.data).tobytes()
+
+    @pytest.mark.parametrize("d, r", [(1, 4), (2, 2)])
+    def test_generate_dtypes(self, d, r):
+        win = Window(d, r)
+        one = (1,) + (0,) * (d - 1)
+        for kind, params in (("identity", {}), ("shift", {}),
+                             ("toeplitz_from_coeffs", {"coeffs": {0: 2.0, one: -1}}),
+                             # a complex coefficient past 2R misses the window
+                             ("toeplitz_from_coeffs", {"coeffs": {0: 1.0, 4 * r + 1: 1j}})):
+            a = generate(kind, win, **params)
+            assert a.data.dtype == np.float64, kind
+        toeplitz = generate("toeplitz_from_coeffs", win, coeffs={0: 2.0, one: 1 - 1j})
+        assert toeplitz.data.dtype == np.complex128
+        assert toeplitz.entry((0,) * d, (0,) * d) == 2.0
+        nan_im = generate("toeplitz_from_coeffs", win, coeffs={0: complex(1.0, np.nan)})
+        assert nan_im.data.dtype == np.complex128
+        for kind, params in (("banded_random", {"bandwidth": 1}),
+                             ("polynomial_decay_random", {"alpha": 2.0})):
+            assert generate(kind, win, seed=4, **params).data.dtype == np.complex128
+
+    def test_real_toeplitz_has_the_bits_of_the_complex_build(self):
+        win = Window(2, 3)
+        coeffs = {(0, 0): 2.5, (1, -1): -0.75, (0, 2): 1e-310, (-3, 1): -0.0}
+        real = generate("toeplitz_from_coeffs", win, coeffs=coeffs)
+        rotated = generate("toeplitz_from_coeffs", win,
+                           coeffs={k: complex(0.0, v) for k, v in coeffs.items()})
+        assert real.data.tobytes() == rotated.data.imag.copy().tobytes()
+
+    def test_real_file_loads_real_and_saves_the_same_bytes(self, tmp_path):
+        win = Window(2, 2)
+        a = generate("toeplitz_from_coeffs", win, coeffs={(0, 0): 2.0, (1, 1): -0.5})
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(a, first)
+        b = load_matrix(first)
+        assert b.data.dtype == np.float64 and b.data.tobytes() == a.data.tobytes()
+        save_matrix(b, second)
+        assert second.read_bytes() == first.read_bytes()
+        # one nonzero imaginary cell makes the whole file complex
+        doc = json.loads(first.read_text())
+        doc["entries"][0][-1] = 0.25
+        assert matrix_from_dict(doc).data.dtype == np.complex128
+
+    def test_load_matrix_builds_the_real_array_directly(self, tmp_path):
+        # building a complex array and demoting it traced 2.64 real n x n arrays
+        win = Window(1, 256)
+        path = tmp_path / "a.json"
+        save_matrix(generate("toeplitz_from_coeffs", win, coeffs={0: 2.0, 1: 1.0}), path)
+        tracemalloc.start()
+        try:
+            a = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.data.dtype == np.float64
+        assert peak < 2 * 8 * win.size**2  # the array and the parsed file
 
 
 class TestGenerate:

@@ -8,7 +8,6 @@ import pytest
 from offdiag import stability
 from offdiag.lattice import LatticeSequence, LocalizedMatrix, Window, generate
 from offdiag.muckenhoupt import WeightSequence, aq_bound
-from offdiag.spectral import real_or_complex
 from offdiag.stability import (PartitionOperator, boundedness_check,
                                commutator_diagnostic, cross_stability_verdicts,
                                effective_bandwidth, stability_bracket)
@@ -235,7 +234,7 @@ class TestSigmaPairScratch:
     def full_conjugate_pair(a, w, band):
         """Reference: conjugate every column, then take the interior ones."""
         sq = np.sqrt(w.values)
-        conj = (sq[:, None] * real_or_complex(a.data)) / sq[None, :]
+        conj = (sq[:, None] * a.data) / sq[None, :]
         s = np.linalg.svd(conj[:, stability._interior_mask(a.window, band)], compute_uv=False)
         return float(s[-1]), float(s[0])
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LocalizedMatrix, decay_profile, multiply, ring_lp,
+from .lattice import (LocalizedMatrix, decay_profile, matvec, multiply, ring_lp,
                       shared_weighted_passes, weighted_pass)
 from .spectral import operator_norm_l2
 from .weights import ThetaFit
@@ -220,9 +220,9 @@ def brandenburg_radii(a: LocalizedMatrix, p: float, weight=None, n_max: int = 16
 
     The l^2 spectral-radius estimate is deflation-free modulus tracking:
     the n_max-step growth factor (||A^{n_max} x|| / ||x||)^{1/n_max},
-    maximized over seeded probes — the l^2 Gelfand root at the same horizon
-    as the algebra-norm roots it is compared against.  A root or a growth
-    factor that overflows raises ArithmeticError.
+    maximized over seeded probes (``lattice.matvec``) — the l^2 Gelfand root at
+    the same horizon as the algebra-norm roots it is compared against.  A root
+    or a growth factor that overflows raises ArithmeticError.
     """
     _check_exponent(p)
     if n_max < 2:
@@ -238,14 +238,12 @@ def brandenburg_radii(a: LocalizedMatrix, p: float, weight=None, n_max: int = 16
                 power = multiply(power, a)
             # beurling_norm, unrefused: an overflowing root is this call's to refuse
             roots[n - 1] = ring_lp(decay_profile(power, weight).values, a.window.d, p) ** (1.0 / n)
-        op = a.data.astype(np.complex128, copy=False)  # cast once, not once per product
         for _ in range(3):  # seeded probes
             x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             x0 = np.linalg.norm(x)
             for _ in range(n_max):
-                x = op @ x
+                x = matvec(a.data, x)
             growth.append(np.linalg.norm(x) / x0)
-        del op  # freed before the SVD
     if not (np.all(np.isfinite(roots)) and np.all(np.isfinite(growth))):
         raise ArithmeticError(f"||A^n|| overflows within n_max = {n_max} powers")
     est = max((float(g ** (1.0 / n_max)) for g in growth if g > 0), default=0.0)

@@ -15,13 +15,12 @@ A bracket decomposes its window and the half-radius window.  Within one call
 of the Toeplitz ladder or of ``cross_stability_verdicts`` each (window, band,
 weight values) is decomposed once and its sigma pair reused by later brackets.
 A sigma pair copies only the interior columns of its window's matrix and
-conjugates that copy in place, so a q = 2 bracket holds the operand, one
-interior copy and LAPACK's own copy of it, besides the decay profile's |a|;
-each is one real n x n array (or less) for a real operand and two for a
-complex one.  Where a real operand meets complex probes (the q != 2 bracket,
-``boundedness_check``, ``commutator_diagnostic``) it is cast to complex once
-per call, so every product keeps the bits numpy's own per-product cast gives,
-and a bracket frees that copy before its SVDs.
+conjugates that copy in place; at weight 1 with the interior columns in one
+run (every d = 1 window, band 0 at any d) it hands LAPACK a view, as scaling by
+1 is exact.  A q = 2 bracket holds the operand and LAPACK's copy (and the
+interior copy otherwise), besides the decay profile's |a|; each is one real
+n x n array (or less) for a real operand and two for a complex one.  Complex
+probes meet a real operand through ``lattice.matvec``, in real arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (LatticeSequence, LocalizedMatrix, Window, decay_profile,
-                      restrict, ring_lp)
+                      matvec, restrict, ring_lp)
 from .muckenhoupt import WeightSequence, aq_bound, weighted_norm
 from .norms import beurling_norm
 from .weights import WeightMatrix, cross_norm
@@ -133,11 +132,10 @@ def boundedness_check(a: LocalizedMatrix, q: float, w: WeightSequence, p: float,
              * cp * beurling_norm(a, p, u))
     rng = np.random.default_rng(seed)
     worst = math.inf
-    op = a.data.astype(np.complex128, copy=False)  # cast once, not once per probe
     for _ in range(int(trials)):
         data = rng.standard_normal(win.size) + 1j * rng.standard_normal(win.size)
         c = LatticeSequence(win, data, copy=False)
-        lhs = weighted_norm(LatticeSequence(win, op @ data, copy=False), q, w)
+        lhs = weighted_norm(LatticeSequence(win, matvec(a.data, data), copy=False), q, w)
         rhs = const * weighted_norm(c, q, w)
         worst = min(worst, rhs - lhs)
     return BoundednessReport(float(worst), const, int(trials), aq, cp)
@@ -195,10 +193,14 @@ def _sigma_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window
     if not mask.any():
         raise ValueError(f"empty interior (band {band} >= radius {window.radius})")
     data = a.data if window == a.window else restrict(a, window).data
-    sq = np.sqrt(w.values)
-    conj = data[:, mask]  # the interior columns, the one copy
-    conj *= sq[:, None]
-    conj /= sq[None, mask]
+    cols = np.flatnonzero(mask)
+    if cols[-1] - cols[0] + 1 == cols.size and (w.values == 1.0).all():
+        conj = data[:, cols[0] : cols[-1] + 1]  # scaling by 1 is exact: a view, no copy
+    else:
+        sq = np.sqrt(w.values)
+        conj = data[:, mask]  # the interior columns, the one copy
+        conj *= sq[:, None]
+        conj /= sq[None, mask]
     s = np.linalg.svd(conj, compute_uv=False)
     pair = (float(s[-1]), float(s[0]))
     if seen is not None:
@@ -252,7 +254,6 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
         mask = _interior_mask(win, band)
         rng = np.random.default_rng(seed)
         lower = math.inf
-        op = a.data.astype(np.complex128, copy=False)  # cast once, not once per probe
         for _ in range(int(trials)):
             data = np.zeros(win.size, dtype=np.complex128)
             data[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
@@ -260,9 +261,8 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
             denom = weighted_norm(c, q, w)
             if denom == 0.0:
                 continue
-            lhs = weighted_norm(LatticeSequence(win, op @ data, copy=False), q, w)
+            lhs = weighted_norm(LatticeSequence(win, matvec(a.data, data), copy=False), q, w)
             lower = min(lower, lhs / denom)
-        del op  # freed before the SVDs
         aq = aq_bound(w, q, win.side).bound
         upper = (2.0 ** (2 * win.d) * 3.0 ** (win.d / q) * aq ** (1.0 / q)
                  * ring_lp(h, win.d))
@@ -331,9 +331,7 @@ def commutator_diagnostic(a: LocalizedMatrix, n_scale: int, n, n_prime, q: float
 
     pn = psi_n.values()
     probe = psi_np.values() * c.data
-    op = a.data.astype(np.complex128, copy=False)  # cast once for both products
-    commutated = pn * (op @ probe) - op @ (pn * probe)
-    del op
+    commutated = pn * matvec(a.data, probe) - matvec(a.data, pn * probe)
     lhs = weighted_norm(LatticeSequence(win, commutated, copy=False), q, w)
     probe_norm = weighted_norm(c, q, w)
 

@@ -12,7 +12,7 @@ from offdiag import lattice
 from offdiag.lattice import (DecayProfile, LatticeSequence, LocalizedMatrix,
                              Window, WindowMismatchError, add, adjoint, apply,
                              decay_profile, diagonal_suprema, embed, generate,
-                             load_matrix, matrix_from_dict, matrix_to_dict, multiply,
+                             load_matrix, matrix_from_dict, matrix_to_dict, matvec, multiply,
                              profile_to_csv, radial_matrix, read_rows, restrict,
                              ring_counts, save_matrix, scale, sequence_from_dict,
                              sequence_to_dict)
@@ -356,6 +356,17 @@ class TestDtype:
         assert a.data.dtype == np.complex128
         assert np.isnan(a.data[1, 3].imag)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("imag", [1e-300, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 4), (1, 0), (4, 4)])
+    def test_one_imaginary_part_at_either_end_decides(self, where, imag, order):
+        # the leading row is read first and the rest only when it is all zero
+        data = np.eye(5, dtype=np.complex128)
+        data[where] = complex(data[where].real, imag)
+        a = LocalizedMatrix(self.WIN, np.asarray(data, order=order))
+        assert a.data.dtype == np.complex128
+        assert a.data.tobytes() == data.tobytes()  # a NaN keeps its bits
+
     def test_no_copy_of_a_c_ordered_real_array(self):
         data = np.eye(5)
         assert LocalizedMatrix(self.WIN, data, copy=False).data is data
@@ -433,6 +444,63 @@ class TestDtype:
             tracemalloc.stop()
         assert a.data.dtype == np.float64
         assert peak < 2 * 8 * win.size**2  # the array and the parsed file
+
+
+class TestMatvec:
+    """``matvec``: a complex matrix multiplies as numpy does, a real one in one
+    real GEMM on the vector's (re, im) pairs, with no complex copy of itself."""
+
+    @staticmethod
+    def operands(d):
+        win = Window(d, 8 if d == 1 else 3)
+        rng = np.random.default_rng(d)
+        e = [(0,) * d] + [(k,) + (0,) * (d - 1) for k in (1, -1, 2)]
+        toeplitz = generate("toeplitz_from_coeffs", win,
+                            coeffs=dict(zip(e, (3.0, 1.0, 0.5, 0.25))))
+        dense = LocalizedMatrix(win, rng.standard_normal((win.size, win.size)))
+        x = rng.standard_normal(win.size) + 1j * rng.standard_normal(win.size)
+        return win, (toeplitz, dense), rand_matrix(win, 20 + d), x
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_complex_operand_has_numpys_bits(self, d):
+        win, _, cplx, x = self.operands(d)
+        assert matvec(cplx.data, x).tobytes() == (cplx.data @ x).tobytes()
+        assert apply(cplx, LatticeSequence(win, x)).data.tobytes() == (cplx.data @ x).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_real_operand_matches_the_complex_cast_to_roundoff(self, d):
+        win, reals, _, x = self.operands(d)
+        for a in reals:
+            assert a.data.dtype == np.float64
+            got = matvec(a.data, x)
+            assert got.dtype == np.complex128 and got.shape == (win.size,)
+            err = np.abs(got - a.data.astype(np.complex128) @ x).max()
+            assert err <= 1e-13 * np.abs(a.data).sum() * np.linalg.norm(x)
+            assert apply(a, LatticeSequence(win, x)).data.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_strided_sequence_matches_its_contiguous_copy(self, d):
+        win, reals, cplx, x = self.operands(d)
+        buf = np.zeros(2 * win.size, dtype=np.complex128)
+        buf[::2] = x
+        strided = LatticeSequence(win, buf[::2], copy=False)
+        assert not strided.data.flags.c_contiguous
+        for a in (*reals, cplx):
+            assert apply(a, strided).data.tobytes() == \
+                apply(a, LatticeSequence(win, x)).data.tobytes()
+
+    def test_real_operand_is_not_cast(self):
+        # numpy's mixed product casts the matrix: 2 real n x n arrays a call
+        win = Window(1, 256)
+        a = generate("toeplitz_from_coeffs", win, coeffs={0: 2.0, 1: 1.0})
+        x = np.ones(win.size, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            matvec(a.data, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * win.size
 
 
 class TestGenerate:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from offdiag import stability
+from offdiag import lattice, stability
 from offdiag.lattice import LatticeSequence, LocalizedMatrix, Window, generate
 from offdiag.muckenhoupt import WeightSequence, aq_bound
 from offdiag.stability import (PartitionOperator, boundedness_check,
@@ -263,6 +263,38 @@ class TestSigmaPairScratch:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * n * m + (1 << 18)
+
+    @staticmethod
+    def traced_peak(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("d, radius, band", [(1, 256, 0), (1, 256, 4), (2, 12, 0)])
+    def test_trivial_weight_copies_no_interior_columns(self, d, radius, band):
+        # interior columns in one run at weight 1 go to LAPACK as a view, so
+        # only O(n) scratch is traced, not an n x m copy
+        win = Window(d, radius)
+        one = (1,) + (0,) * (d - 1)
+        for a in (toeplitz(win, {(0,) * d: 2.0, one: 1.0}),
+                  toeplitz(win, {(0,) * d: 2.0, one: 1j})):
+            for w in (WeightSequence.trivial(win), WeightSequence.table(win, np.ones(win.size))):
+                peak = self.traced_peak(lambda: stability._sigma_pair(a, w, band, win))
+                assert peak <= 64 * win.size
+
+    def test_q4_bracket_makes_no_complex_copy_of_a_real_operand(self, monkeypatch):
+        # a complex copy of the operand for the probes is 2 real n x n arrays;
+        # an 8 KiB chunk keeps the decay profile's buffer (half an array here) out
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", 8 << 10)
+        win = Window(1, 256)
+        a = toeplitz(win, {0: 2.0, 1: 1.0})
+        assert a.data.dtype == np.float64
+        peak = self.traced_peak(
+            lambda: stability_bracket(a, 4.0, WeightSequence.trivial(win), trials=20))
+        assert peak < 1.5 * 8 * win.size**2
 
 
 class TestBoundedness:

@@ -56,6 +56,7 @@ T = "calls/gen_toeplitz/matrix.json"  # real, d = 1, R = 16
 C = "calls/gen_complex/matrix.json"  # complex Toeplitz, d = 1, R = 12
 B = "calls/gen_banded_d2/matrix.json"  # complex, d = 2, R = 3
 D2 = "calls/gen_toeplitz_d2/matrix.json"  # complex Toeplitz, d = 2, R = 3
+F = "calls/gen_toeplitz_four/matrix.json"  # real, d = 1, R = 16, four nonzeros a row
 
 # (name, arguments after `offdiag`); each call writes into calls/<name>
 CALLS = [
@@ -70,6 +71,8 @@ CALLS = [
     ("gen_polydecay", ["gen", "--kind", "polynomial_decay_random", "--radius", "10",
                        "--alpha", "2.5", "--seed", "3"]),
     ("gen_shift_d2", ["gen", "--kind", "shift", "--d", "2", "--radius", "2", "--offset", "1"]),
+    ("gen_toeplitz_four", ["gen", "--kind", "toeplitz_from_coeffs", "--radius", "16",
+                           "--coeffs", "3@0,1@1,0.5@-1,0.25@2"]),
     ("norm_trivial", ["norm", "--matrix", T, "--p", "1", "--weight", "trivial"]),
     ("norm_polynomial", ["norm", "--matrix", T, "--p", "2", "--weight", "polynomial:2"]),
     ("norm_constant", ["norm", "--matrix", C, "--weight", "constant:4"]),
@@ -88,6 +91,8 @@ CALLS = [
     ("radius_polynomial", ["radius", "--matrix", T, "--weight", "polynomial:1", "--nmax", "8"]),
     ("radius_constant_json", ["radius", "--matrix", C, "--p", "2", "--nmax", "6",
                               "--weight", "inputs/w_constant.json"]),
+    # complex probes on a real operand whose rows sum three or more products
+    ("radius_four", ["radius", "--matrix", F, "--nmax", "8"]),
     ("thetafit_polynomial", ["thetafit", "--u", "polynomial:2", "--nmax", "256",
                              "--tpoints", "21"]),
     ("thetafit_subexponential", ["thetafit", "--u", "subexponential:0.5,1", "--p", "1",
@@ -116,6 +121,10 @@ CALLS = [
     ("stability_table_json", ["stability", "--matrix", T, "--q", "2",
                               "--wseq", "inputs/ws_table.json"]),
     ("stability_complex_power", ["stability", "--matrix", C, "--q", "2",
+                                 "--wseq", "power:0.5"]),
+    ("stability_four_q4", ["stability", "--matrix", F, "--q", "4", "--trials", "20"]),
+    ("stability_four_q1", ["stability", "--matrix", F, "--q", "1", "--trials", "20"]),
+    ("stability_four_power_q4", ["stability", "--matrix", F, "--q", "4", "--trials", "20",
                                  "--wseq", "power:0.5"]),
     ("stability_cross", ["stability", "cross", "--matrix", T, "--trials", "20", "--pairs",
                          "1:trivial;2:power:1;2:inputs/ws_table.json;4:inputs/ws_power.json"]),

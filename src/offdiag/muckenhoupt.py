@@ -38,8 +38,6 @@ __all__ = [
     "weighted_norm",
     "CharacterizationReport",
     "aq_characterization_check",
-    "WeakTypeReport",
-    "maximal_weak_type_check",
 ]
 
 
@@ -235,44 +233,3 @@ def aq_characterization_check(w: WeightSequence, q: float, trials: int,
         rhs = report.bound * float((mag**q * w_nd[sl]).sum()) / vol
         worst = min(worst, rhs - lhs)
     return CharacterizationReport(float(worst), int(trials), report.bound)
-
-
-@dataclass(frozen=True)
-class WeakTypeReport:
-    weak_constant: float
-    strong_ratio: float
-    trials: int
-    q: float
-    seed: int
-
-
-def maximal_weak_type_check(w: WeightSequence, q: float, trials: int, seed: int = 0) -> WeakTypeReport:
-    """Empirical weak-type constant sup alpha^q w{Mc >= alpha} / ||c||^q and,
-    for q > 1, the strong-type ratio ||Mc|| / ||c||.  Estimates, not
-    certificates; the report carries the sampling provenance."""
-    win = w.window
-    rng = np.random.default_rng(seed)
-    weak = 0.0
-    strong = 0.0
-    for t in range(int(trials)):
-        if t % 2 == 0:
-            data = rng.standard_normal(win.size) + 1j * rng.standard_normal(win.size)
-        else:
-            data = np.zeros(win.size, dtype=np.complex128)
-            spikes = rng.integers(0, win.size, max(1, win.size // 16))
-            data[spikes] = rng.standard_normal(spikes.size) * 4.0
-        c = LatticeSequence(win, data, copy=False)
-        norm_c = weighted_norm(c, q, w)
-        if norm_c == 0.0:
-            continue
-        mc = np.abs(maximal(c).data)
-        levels = np.quantile(mc[mc > 0], np.linspace(0.05, 0.95, 13))
-        for alpha in levels:
-            if alpha <= 0:
-                continue
-            mass = float(w.values[mc >= alpha].sum())
-            weak = max(weak, alpha**q * mass / norm_c**q)
-        if q > 1:
-            mc_seq = LatticeSequence(win, mc.astype(np.complex128), copy=False)
-            strong = max(strong, weighted_norm(mc_seq, q, w) / norm_c)
-    return WeakTypeReport(weak, strong, int(trials), q, seed)

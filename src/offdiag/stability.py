@@ -2,10 +2,12 @@
 
 Certification strategy: on a finite window the q = 2 case is decidable by
 dense SVD after conjugating by diag(w^{1/2}) and restricting probes to an
-interior band (suppressing carve-out boundary artifacts).  Verdicts for
-q != 2 ride on the q = 2 certificate, mirroring the transfer of stability
-across exponents and weights in the underlying theory; their raw sampled
-brackets are reported alongside and labeled as such.  "degrading" is the
+interior band (suppressing carve-out boundary artifacts).  A q != 2 verdict
+is the q = 2 verdict of the trivial weight, whatever w is; its raw sampled
+bracket is reported alongside and labeled as such.  The theory transfers
+that verdict to (q, w) only when w is an A_q weight, and the A_q scan is not
+consulted, so a weight far outside A_q can read "stable" wrongly: 2I + S with
+w_k = 16^k reads "stable" at q = 4.  "degrading" is the
 operational negation at desk scale: the certified lower bound losing a
 factor >= 2 when the window radius doubles.  A real operand (one stored as
 float64) is conjugated and decomposed in real arithmetic: the singular values
@@ -48,16 +50,11 @@ __all__ = [
     "cross_stability_verdicts",
     "CommutatorReport",
     "commutator_diagnostic",
-    "effective_bandwidth",
 ]
 
 
-def effective_bandwidth(a: LocalizedMatrix) -> int:
-    """Largest |i-j|_inf carrying an entry above 1e-12."""
-    return _bandwidth(decay_profile(a).values)
-
-
 def _bandwidth(h: np.ndarray) -> int:
+    """Largest ring m whose decay-profile value h(m) exceeds 1e-12."""
     above = np.flatnonzero(h > 1e-12)
     return int(above[-1]) if above.size else 0
 
@@ -228,10 +225,12 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     q = 2: exact extremal singular values of the w-conjugated matrix
     (method "svd"; the certified path).  q != 2: lower is the minimum over
     sampled interior probes — an upper bound on the true infimum, labeled
-    "sampled" — and upper is the boundedness constant; the verdict is
-    transferred from the q = 2 certificate of the trivial weight.  The
-    default band, the verdict's scale and the q != 2 ring norm come from one
-    decay profile.
+    "sampled" — and upper is the boundedness constant; the verdict is the
+    q = 2 verdict of the trivial weight.  That verdict carries over to
+    (q, w) only for w in A_q, which is not checked, so a weight far outside
+    A_q can read "stable" wrongly.  The default band, the verdict's scale and
+    the q != 2 ring norm come from one decay profile; a negative band is
+    refused.
     """
     if w.window != a.window:
         raise ValueError(f"weight window {w.window} differs from the matrix window {a.window}")
@@ -243,6 +242,8 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     h = decay_profile(a).values
     if band is None:
         band = min(2 * _bandwidth(h), max(win.radius - 1, 0))
+    if band < 0:
+        raise ValueError(f"band must be >= 0, got {band}")
     if band >= win.radius and win.radius > 0:
         raise ValueError(f"empty interior (band {band} >= radius {win.radius})")
 
@@ -291,10 +292,13 @@ def cross_stability_verdicts(a: LocalizedMatrix, pairs, trials: int = 200,
     seed + k; the consistency flag records whether all verdicts coincide
     (the transfer prediction).  Every q != 2 pair and every trivial-weight
     q = 2 pair certify on the same trivial-weight operands, which the call
-    decomposes once; each report equals its own ``stability_bracket`` call."""
+    decomposes once; each report equals its own ``stability_bracket`` call.
+    An empty pair list is refused."""
     with _shared_sigma_pairs():
         reports = [stability_bracket(a, q, w, trials=trials, seed=seed + k)
                    for k, (q, w) in enumerate(pairs)]
+    if not reports:
+        raise ValueError("no (q, weight) pairs given")
     verdicts = {r.verdict for r in reports}
     return CrossStabilityResult(tuple(reports), len(verdicts) == 1)
 

@@ -280,16 +280,11 @@ def c07_reciprocal(seed: int, quick: bool) -> CriterionResult:
 def c08_sigma_scaling(seed: int, quick: bool) -> CriterionResult:
     radii = (16, 96) if quick else (32, 64, 128, 256)
     t0 = time.perf_counter()
-    sig_vanishing = {}
-    sig_stable = {}
-    # one sigma block per operator: a rung's half window is the rung below, and
-    # the sigma keys do not name the operator, so the two ladders never share one
+    sig_vanishing, sig_stable = {}, {}
     for coeffs, sig in (({0: 1.0, 1: -1.0}, sig_vanishing), ({0: 2.0, 1: 1.0}, sig_stable)):
-        with stability._shared_sigma_pairs():
-            for r in radii:
-                win = Window(1, r)
-                a = generate("toeplitz_from_coeffs", win, coeffs=coeffs)
-                sig[r] = stability.stability_bracket(a, 2.0, WeightSequence.trivial(win)).lower
+        ladder = symbols.toeplitz_stability_criterion(symbols.SymbolCoeffs(1, coeffs), 2.0,
+                                                      radii=radii)
+        sig.update(zip(radii, (rep.lower for rep in ladder.brackets)))
     elapsed = time.perf_counter() - t0
     decayed = sig_vanishing[radii[-1]] < sig_vanishing[radii[0]] / 4.0
     floor = min(sig_stable.values())

@@ -33,7 +33,6 @@ __all__ = [
     "cross_norm",
     "check_submultiplicative",
     "theta_fit",
-    "mpu_upper_bound",
 ]
 
 _SERIES_REL_EPS = 1e-18
@@ -188,14 +187,6 @@ class WeightMatrix:
             raise WeightValidationError(
                 f"{self.descriptor} weight overflows on a radius-{window.radius} window")
         return radial_matrix(psi, window)
-
-    def eval(self, i, j) -> float:
-        if self.radial is None:
-            w = self.table_window
-            return float(self.table_values[w.flat(i), w.flat(j)])
-        i = np.atleast_1d(np.asarray(i, dtype=np.int64))
-        j = np.atleast_1d(np.asarray(j, dtype=np.int64))
-        return float(self.radial.value(np.max(np.abs(i - j))))
 
 
 def default_companion(u: WeightMatrix, p: float) -> WeightMatrix:
@@ -481,19 +472,3 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
     return ThetaFit(big_d, theta, n_grid, t_grid, a_vals, b_vals, min_vals,
                     margins, satisfied=satisfied, diverged=False,
                     b_tail_bound=tail_bound)
-
-
-def mpu_upper_bound(u: WeightMatrix, p: float, candidates, window: Window,
-                    sample_budget: int = 4_000_000, seed: int = 0) -> float:
-    """min over companion candidates of C_p(v, u) — an upper bound for the
-    infimal cross-norm, which is not computable."""
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("empty candidate list")
-    best = math.inf
-    for v in candidates:
-        rep = check_submultiplicative(u, v, p, window, sample_budget, seed)
-        if not rep.holds:
-            raise ValueError(f"candidate {v.descriptor} fails the companion inequality")
-        best = min(best, rep.cp)
-    return best

@@ -300,6 +300,17 @@ class TestExitCodes:
         assert "validation error" in res.output and "must be >= 1" in res.output
         assert "Traceback" not in res.output
 
+    def test_negative_band_exit_code(self, runner, tmp_path, matrix_file):
+        # a negative band would make the whole window interior
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["stability", "--band", "-1", "--matrix", str(matrix_file),
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "validation error" in res.output and "band must be >= 0" in res.output
+        assert "Traceback" not in res.output
+        assert not (out / "stability_report.json").exists()
+
     @pytest.mark.parametrize("doc", [[], [1, 2], "text", None],
                              ids=["empty-array", "array", "string", "null"])
     @pytest.mark.parametrize("verb", ["matrix", "weight", "wseq", "seq", "coeffs"])

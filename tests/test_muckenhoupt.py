@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from offdiag.lattice import LatticeSequence, Window
 from offdiag.muckenhoupt import (WeightSequence, aq_bound,
                                  aq_characterization_check, maximal,
-                                 maximal_weak_type_check, weighted_norm)
+                                 weighted_norm)
 
 
 def cube_aq(cube, q):
@@ -270,20 +270,3 @@ class TestCharacterization:
         lhs = (0.5) ** 2 * 1.0
         rhs = rep.bound * 0.5
         assert lhs <= rhs
-
-
-class TestWeakType:
-    def test_power_weight_finite_and_window_stable(self):
-        small = maximal_weak_type_check(WeightSequence.power(Window(1, 16), 1.0),
-                                        2.0, trials=8, seed=6)
-        large = maximal_weak_type_check(WeightSequence.power(Window(1, 32), 1.0),
-                                        2.0, trials=8, seed=6)
-        assert 0 < small.weak_constant < math.inf
-        assert 0 < large.weak_constant < math.inf
-        assert large.weak_constant < 4.0 * max(small.weak_constant, 1.0)
-
-    def test_strong_ratio_reported_for_q_above_one(self):
-        rep = maximal_weak_type_check(WeightSequence.trivial(Window(1, 16)),
-                                      2.0, trials=6, seed=7)
-        assert rep.strong_ratio > 0
-        assert rep.q == 2.0 and rep.seed == 7

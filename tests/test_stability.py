@@ -10,7 +10,7 @@ from offdiag.lattice import LatticeSequence, LocalizedMatrix, Window, generate
 from offdiag.muckenhoupt import WeightSequence, aq_bound
 from offdiag.stability import (PartitionOperator, boundedness_check,
                                commutator_diagnostic, cross_stability_verdicts,
-                               effective_bandwidth, stability_bracket)
+                               stability_bracket)
 from offdiag.suite import _weight_combos
 from offdiag.weights import WeightMatrix, cross_norm
 
@@ -121,14 +121,25 @@ class TestBracket:
         with pytest.raises(ValueError, match="trials"):
             stability_bracket(a, q, WeightSequence.trivial(win), trials=0)
 
-    def test_effective_bandwidth(self):
-        win = Window(1, 8)
-        assert effective_bandwidth(generate("identity", win)) == 0
-        assert effective_bandwidth(toeplitz(win, {0: 1.0, 3: 0.5})) == 3
-        assert effective_bandwidth(LocalizedMatrix(win, np.zeros((17, 17)))) == 0
-        win2 = Window(2, 4)
-        assert effective_bandwidth(toeplitz(win2, {(0, 0): 1.0, (1, -3): 0.5})) == 3
-        assert effective_bandwidth(toeplitz(win2, {(0, 0): 1.0, (-2, 1): 1e-13})) == 0
+    def test_default_band_is_twice_the_bandwidth(self):
+        # the default band is twice the largest ring above 1e-12; at radius 8
+        # the R - 1 cap (7) does not bind
+        win, win2 = Window(1, 8), Window(2, 8)
+        for a, width in ((generate("identity", win), 0),
+                         (toeplitz(win, {0: 1.0, 3: 0.5}), 3),
+                         (LocalizedMatrix(win, np.zeros((17, 17))), 0),
+                         (toeplitz(win2, {(0, 0): 1.0, (1, -3): 0.5}), 3),
+                         (toeplitz(win2, {(0, 0): 1.0, (-2, 1): 1e-13}), 0)):
+            rep = stability_bracket(a, 2.0, WeightSequence.trivial(a.window))
+            assert rep.probe_band == 2 * width
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_negative_band_rejected(self, q):
+        # a negative band would make every point of the window interior
+        win = Window(1, 16)
+        a = toeplitz(win, {0: 2.0, 1: 1.0})
+        with pytest.raises(ValueError, match="band must be >= 0"):
+            stability_bracket(a, q, WeightSequence.trivial(win), band=-3)
 
 
 class TestCrossVerdicts:
@@ -161,6 +172,12 @@ class TestCrossVerdicts:
             assert rep.verdict == "stable"
             if rep.method == "svd":
                 assert rep.lower == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_pairs_rejected(self):
+        # no reports would make a verdict about nothing
+        win = Window(1, 16)
+        with pytest.raises(ValueError, match="no \\(q, weight\\) pairs"):
+            cross_stability_verdicts(generate("identity", win), [])
 
 
 def _fields(report):
@@ -254,7 +271,7 @@ class TestSigmaPairScratch:
         win = Window(1, 256)
         a = toeplitz(win, {0: 3.0, 1: 1 + 1j, -1: 0.5j})
         w = WeightSequence.power(win, 0.5)
-        band = 2 * effective_bandwidth(a)
+        band = 2 * stability._bandwidth(lattice.decay_profile(a).values)
         n, m = win.size, int(stability._interior_mask(win, band).sum())
         tracemalloc.start()
         try:

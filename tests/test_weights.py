@@ -12,8 +12,7 @@ import offdiag
 from offdiag.lattice import Window, ring_counts
 from offdiag.weights import (RadialForm, WeightMatrix, WeightValidationError,
                              check_submultiplicative, cross_norm,
-                             default_companion, mpu_upper_bound,
-                             theta_fit)
+                             default_companion, theta_fit)
 
 D1 = 1
 
@@ -23,17 +22,21 @@ def zeta(s, terms=2_000_000):
 
 
 class TestEval:
+    @staticmethod
+    def at(u, win, i, j):
+        return u.grid(win)[win.flat(i), win.flat(j)]
+
     def test_trivial(self):
         u = WeightMatrix.trivial(D1)
-        assert u.eval(5, -3) == 1.0
+        assert self.at(u, Window(1, 5), 5, -3) == 1.0
 
     def test_polynomial(self):
         u = WeightMatrix.polynomial(2.0, D1)
-        assert u.eval(3, 0) == 16.0
+        assert self.at(u, Window(1, 3), 3, 0) == 16.0
 
     def test_subexponential(self):
         u = WeightMatrix.subexponential(0.5, 1.0, D1)
-        assert u.eval(4, 0) == pytest.approx(math.e**2, rel=1e-15)
+        assert self.at(u, Window(1, 4), 4, 0) == pytest.approx(math.e**2, rel=1e-15)
 
     def test_symmetry_and_floor(self):
         win = Window(2, 3)
@@ -59,8 +62,8 @@ class TestEval:
     def test_table_lookup_out_of_window(self):
         win = Window(1, 1)
         u = WeightMatrix.table(win, np.full((3, 3), 2.0))
-        with pytest.raises(ValueError):
-            u.eval(5, 0)
+        with pytest.raises(ValueError, match="different window"):
+            u.grid(Window(1, 5))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -312,32 +315,6 @@ class TestThetaFit:
         fit = theta_fit(u, v, 2.0, 1, n_max=512, t_grid=np.geomspace(1, 1e5, 41))
         assert fit.satisfied
         assert fit.certificate_holds()
-
-
-class TestMpu:
-    def test_trivial(self):
-        val = mpu_upper_bound(WeightMatrix.trivial(D1), 1.0,
-                              [WeightMatrix.trivial(D1)], Window(1, 8))
-        assert val == 1.0
-
-    def test_picks_smaller_candidate(self):
-        u = WeightMatrix.polynomial(2.0, D1)
-        win = Window(1, 16)
-        both = mpu_upper_bound(u, 2.0, [WeightMatrix.constant(4.0, D1),
-                                        WeightMatrix.constant(8.0, D1)], win)
-        only4 = mpu_upper_bound(u, 2.0, [WeightMatrix.constant(4.0, D1)], win)
-        assert both == only4
-
-    def test_empty_list(self):
-        with pytest.raises(ValueError):
-            mpu_upper_bound(WeightMatrix.trivial(D1), 1.0, [], Window(1, 4))
-
-    def test_failing_candidate_rejected(self):
-        # constant(1) = trivial is not a companion for polynomial(2):
-        # 16 = u(3,0) > u(3,1) v(1,0) + v(3,1) u(1,0) = 4 + 4
-        u = WeightMatrix.polynomial(2.0, D1)
-        with pytest.raises(ValueError):
-            mpu_upper_bound(u, 1.0, [WeightMatrix.trivial(D1)], Window(1, 8))
 
 
 class TestRadialForm:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import inversion, muckenhoupt, norms, stability, symbols, weights
 from .lattice import (Window, generate, json_number, json_object, load_matrix, load_sequence,
-                      matrix_to_dict, profile_to_csv, read_rows, sequence_to_dict)
+                      matrix_to_dict, read_rows, sequence_to_dict)
 from .muckenhoupt import WeightSequence
 from .symbols import parse_coeffs, symbol_from_dict
 from .weights import WeightMatrix
@@ -155,6 +155,9 @@ def _exit_codes(fn):
             sys.exit(2)
         except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
             click.echo(f"validation error: {exc}", err=True)
+            sys.exit(1)
+        except MemoryError as exc:  # numpy names the allocation it could not make
+            click.echo(f"validation error: {str(exc) or 'out of memory'}", err=True)
             sys.exit(1)
         except _Fail as exc:
             click.echo(str(exc), err=True)
@@ -374,28 +377,11 @@ def stability_cross_cmd(matrix_path, pairs, trials, seed, out):
                + ", ".join(f"({r.q:g},{r.weight_id})={r.verdict}" for r in res.reports))
 
 
-def _write_inversion(out, a_inv, rep, config, seed, prefix):
-    out = _out_dir(out)
-    write_json_artifact(out / f"{prefix}_report.json", {
-        "c1": rep.c1, "c2": rep.c2, "r0": rep.r0, "terms_used": rep.terms_used,
-        "residual": rep.residual, "two_sided_residual": rep.two_sided_residual,
-        "converged": rep.converged, "inverse_ring_norm": rep.inverse_ring_norm,
-    }, config, seed)
-    write_json_artifact(out / f"{prefix}_matrix.json", matrix_to_dict(a_inv),
-                        config, seed)
-    text = profile_to_csv(rep.inverse_profile)
-    header, _, body = text.partition("\n")
-    write_csv_artifact(out / f"{prefix}_profile.csv", header,
-                       body.rstrip("\n").split("\n"), config, seed)
-
-
-_KMAX_HELP = "squaring doubles the series terms held while fewer than this are held"
-
-
 @main.command("invert")
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
 @click.option("--tol", default=1e-10, show_default=True)
-@click.option("--kmax", default=500, show_default=True, help=_KMAX_HELP)
+@click.option("--kmax", default=500, show_default=True,
+              help="squaring doubles the series terms held while fewer than this are held")
 @click.option("--out", default="out", show_default=True)
 @_exit_codes
 def invert_cmd(matrix_path, tol, kmax, out):
@@ -404,30 +390,21 @@ def invert_cmd(matrix_path, tol, kmax, out):
     a_inv, rep = inversion.wiener_invert(a, tol=tol, k_max=kmax)
     config = {"command": "invert", "matrix": str(matrix_path), "tol": tol,
               "kmax": kmax}
-    _write_inversion(out, a_inv, rep, config, None, "inverse")
+    out = _out_dir(out)
+    write_json_artifact(out / "inverse_report.json", {
+        "c1": rep.c1, "c2": rep.c2, "r0": rep.r0, "terms_used": rep.terms_used,
+        "residual": rep.residual, "two_sided_residual": rep.two_sided_residual,
+        "converged": rep.converged, "inverse_ring_norm": rep.inverse_ring_norm,
+    }, config, None)
+    write_json_artifact(out / "inverse_matrix.json", matrix_to_dict(a_inv), config, None)
+    write_csv_artifact(out / "inverse_profile.csv", "n,h",
+                       [f"{n},{float(h)!r}" for n, h in enumerate(rep.inverse_profile.values)],
+                       config, None)
     click.echo(f"residual={rep.residual!r} terms={rep.terms_used} "
                f"ring_norm={rep.inverse_ring_norm!r}")
     if not rep.converged:
         raise _Fail(2, f"series not converged at {rep.terms_used} terms "
                        f"(residual {rep.residual!r})")
-
-
-@main.command("leftinv")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--tol", default=1e-10, show_default=True)
-@click.option("--kmax", default=4000, show_default=True, help=_KMAX_HELP)
-@click.option("--out", default="out", show_default=True)
-@_exit_codes
-def leftinv_cmd(matrix_path, tol, kmax, out):
-    """Left inverse of a square window operand, which is its inverse A^{-1}."""
-    a = load_matrix(matrix_path)
-    b, rep = inversion.left_inverse(a, tol=tol, k_max=kmax)
-    config = {"command": "leftinv", "matrix": str(matrix_path), "tol": tol,
-              "kmax": kmax}
-    _write_inversion(out, b, rep, config, None, "left_inverse")
-    click.echo(f"residual={rep.residual!r} terms={rep.terms_used}")
-    if not rep.converged:
-        raise _Fail(2, f"series not converged at {rep.terms_used} terms")
 
 
 @main.command("thetafit")

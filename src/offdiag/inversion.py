@@ -135,7 +135,8 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
 
 def left_inverse(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 4000):
     """Left inverse (A*A)^{-1} A* = A^{-1}, since every window operand is square;
-    the engine runs on A, not on A*A, whose condition number is squared."""
+    the engine runs on A, not on A*A, whose condition number is squared.  No verb
+    calls it; it stays while the benchmark does (see ROADMAP item 1)."""
     return wiener_invert(a, tol=tol, k_max=k_max)
 
 

@@ -80,7 +80,6 @@ __all__ = [
     "integral",
     "save_sequence",
     "load_sequence",
-    "profile_to_csv",
 ]
 
 
@@ -510,8 +509,8 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
         amplitude = float(params.pop("amplitude", 1.0))
         if params:
             raise ValueError(f"unknown banded_random params: {sorted(params)}")
-        if bandwidth < 0 or amplitude <= 0:
-            raise ValueError("banded_random needs bandwidth >= 0, amplitude > 0")
+        if bandwidth < 0 or not 0 < amplitude < math.inf:
+            raise ValueError("banded_random needs bandwidth >= 0, finite amplitude > 0")
         rng = np.random.default_rng(seed)
         re = rng.uniform(-1.0, 1.0, (n, n))
         im = rng.uniform(-1.0, 1.0, (n, n))
@@ -524,8 +523,8 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
         amplitude = float(params.pop("amplitude", 1.0))
         if params:
             raise ValueError(f"unknown polynomial_decay_random params: {sorted(params)}")
-        if alpha < 0 or amplitude <= 0:
-            raise ValueError("polynomial_decay_random needs alpha >= 0, amplitude > 0")
+        if not (0 <= alpha < math.inf and 0 < amplitude < math.inf):
+            raise ValueError("polynomial_decay_random needs finite alpha >= 0, amplitude > 0")
         rng = np.random.default_rng(seed)
         mag = rng.uniform(0.0, 1.0, (n, n)) * amplitude
         mag *= radial_matrix((1.0 + np.arange(window.side)) ** (-alpha), window)
@@ -685,14 +684,3 @@ def save_sequence(c: LatticeSequence, path) -> None:
 def load_sequence(path) -> LatticeSequence:
     with open(path) as fh:
         return sequence_from_dict(json.load(fh))
-
-
-def profile_to_csv(profile: DecayProfile, path=None) -> str:
-    lines = ["n,h"]
-    for n, h in enumerate(profile.values):
-        lines.append(f"{n},{float(h)!r}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

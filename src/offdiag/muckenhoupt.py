@@ -141,10 +141,15 @@ def aq_bound(w: WeightSequence, q: float, n_cap: int) -> AqReport:
     n_cap = min(n_cap, win.side)
     d, side = win.d, win.side
     w_nd = w.values.reshape((side,) * d)
-    if q > 1:
-        other = _cube_scan(w_nd ** (-1.0 / (q - 1.0)), n_cap, np.add)  # sums of w^{-1/(q-1)}
-    else:
-        other = _cube_scan(w_nd, n_cap, np.minimum)  # minima of w
+    # every term is positive, so the total of w, or of w^{-1/(q-1)}, bounds each cube sum
+    with np.errstate(over="ignore"):  # refused below
+        dual = w_nd ** (-1.0 / (q - 1.0)) if q > 1 else w_nd
+        finite = math.isfinite(w_nd.sum()) and math.isfinite(dual.sum())
+    if not (finite and dual.min() > 0.0):
+        raise ValueError(f"the A_q scan of the {w.descriptor} weight at q={q:g} overflows "
+                         "(a sum of w or w^(-1/(q-1)) is inf, or w^(-1/(q-1)) underflows to 0)")
+    # sums of w^{-1/(q-1)} for q > 1, minima of w for q = 1
+    other = _cube_scan(dual, n_cap, np.add if q > 1 else np.minimum)
     best = -math.inf
     best_anchor, best_n = None, 1
     for n, (sum_w, other_n) in enumerate(zip(_cube_scan(w_nd, n_cap, np.add), other), start=1):
@@ -195,7 +200,13 @@ def weighted_norm(c: LatticeSequence, q: float, w: WeightSequence) -> float:
         raise ValueError("q must lie in [1, infinity)")
     if c.window != w.window:
         raise ValueError("sequence and weight windows differ")
-    return float(np.sum(np.abs(c.data) ** q * w.values) ** (1.0 / q))
+    mag = np.abs(c.data)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        value = float(np.sum(mag**q * w.values) ** (1.0 / q))
+    if not math.isfinite(value) and np.isfinite(mag).all():
+        raise ValueError(f"the weighted l^{q:g} sum of a finite sequence overflows under the "
+                         f"{w.descriptor} weight")
+    return value
 
 
 @dataclass(frozen=True)
@@ -216,6 +227,8 @@ def aq_characterization_check(w: WeightSequence, q: float, trials: int,
     (avg |c|)^q (avg w) <= A_q(w) avg(|c|^q w)   on cubes inside the window,
     using the scanned bound (cubes drawn with N <= the scan's N_cap).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     win = w.window
     report = aq_bound(w, q, win.side)
     rng = np.random.default_rng(seed)

@@ -65,6 +65,8 @@ class SymbolCoeffs:
         clean = {}
         for n, v in self.coeffs.items():
             v = complex(v)
+            if not np.isfinite(v):
+                raise ValueError(f"symbol coefficient {v} at {n!r} is not finite")
             if v != 0:
                 clean[_as_key(n, self.d)] = v
         object.__setattr__(self, "coeffs", clean)

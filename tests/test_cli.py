@@ -7,7 +7,8 @@ from click.testing import CliRunner
 
 from offdiag import stability, symbols
 from offdiag.cli import main, parse_weight_matrix, parse_weight_sequence, write_json_artifact
-from offdiag.lattice import Window, generate, save_matrix, save_sequence
+from offdiag.inversion import wiener_invert
+from offdiag.lattice import Window, generate, load_matrix, save_matrix, save_sequence
 from offdiag.lattice import LatticeSequence
 from offdiag.muckenhoupt import WeightSequence
 from offdiag.symbols import SymbolCoeffs, toeplitz_matrix
@@ -88,7 +89,7 @@ class TestVerbs:
         csv_text = (out / "stability_cross.csv").read_text()
         assert csv_text.splitlines()[1] == "q,weight,lower,upper,verdict,method"
 
-    def test_invert_and_leftinv(self, runner, tmp_path, matrix_file):
+    def test_invert(self, runner, tmp_path, matrix_file):
         out = tmp_path / "o"
         res = _invoke(runner, ["invert", "--matrix", str(matrix_file), "--out", str(out)])
         assert res.exit_code == 0
@@ -97,10 +98,10 @@ class TestVerbs:
         prof_lines = (out / "inverse_profile.csv").read_text().splitlines()
         assert prof_lines[0].startswith("# schema_version=")
         assert prof_lines[1] == "n,h"
+        h = wiener_invert(load_matrix(matrix_file))[1].inverse_profile.values
+        assert prof_lines[2:] == [f"{n},{float(v)!r}" for n, v in enumerate(h)]
         inv_doc = json.loads((out / "inverse_matrix.json").read_text())
         assert "config_hash" in inv_doc and "entries" in inv_doc
-        res = _invoke(runner, ["leftinv", "--matrix", str(matrix_file), "--out", str(out)])
-        assert res.exit_code == 0
 
     def test_thetafit(self, runner, tmp_path):
         out = tmp_path / "o"
@@ -289,8 +290,7 @@ class TestExitCodes:
         ["stability", "--q", "4", "--trials", "0"],
         ["stability", "cross", "--trials", "0"],
         ["invert", "--kmax", "0"],
-        ["leftinv", "--kmax", "0"],
-    ], ids=["stability", "cross", "invert", "leftinv"])
+    ], ids=["stability", "cross", "invert"])
     def test_count_below_one_exit_code(self, runner, tmp_path, matrix_file, args):
         # a validation error, not "bracket inverted" or "not converged"
         res = runner.invoke(main, args + ["--matrix", str(matrix_file),
@@ -499,6 +499,72 @@ class TestExitCodes:
         assert "validation error" in res.output and "overflows" in res.output
         assert "Traceback" not in res.output and "Warning" not in res.output
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value, args", [
+        (1e305, ["stability", "--q", "4"]),
+        (1e305, ["weights", "aq", "--q", "1.5"]),
+        (1e-305, ["weights", "aq", "--q", "1.5"]),
+    ], ids=["stability-weighted-norm", "aq-dual-underflow", "aq-dual-overflow"])
+    def test_weight_table_past_the_float_range_exit_code(self, runner, tmp_path, matrix_file,
+                                                         value, args):
+        # `stability` read "stable" from the probes that did not overflow, with
+        # numpy warnings and exit 0; `weights aq` printed an A_q bound of 0.0
+        w_path = tmp_path / "w.json"
+        w_path.write_text(json.dumps({"form": "table", "d": 1, "radius": 16,
+                                      "values": [[k, value] for k in range(-16, 17)]}))
+        if args[0] == "stability":
+            args = args + ["--matrix", str(matrix_file)]
+        res = runner.invoke(main, args + ["--wseq", str(w_path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("validation error: ") and res.output.count("\n") == 1
+        assert "overflows" in res.output and "Warning" not in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["toeplitz", "stability", "--coeffs", "inf@0,1@1", "--radii", "8,16"],
+        ["gen", "--kind", "toeplitz_from_coeffs", "--radius", "4", "--coeffs", "nan@0,1@1"],
+        ["toeplitz", "minmod", "--coeffs", '{"d": 1, "coeffs": [[0, NaN, 0], [1, 1, 0]]}'],
+        ["toeplitz", "stability", "--coeffs", '{"d": 1, "coeffs": [[0, 2, Infinity]]}'],
+        ["gen", "--kind", "banded_random", "--radius", "4", "--bandwidth", "1", "--seed", "1",
+         "--amplitude", "inf"],
+        ["gen", "--kind", "polynomial_decay_random", "--radius", "4", "--seed", "1",
+         "--alpha", "nan"],
+    ], ids=["toeplitz-inline-inf", "gen-inline-nan", "minmod-json-nan", "toeplitz-json-inf",
+            "banded-amplitude-inf", "polynomial-alpha-nan"])
+    def test_non_finite_generator_input_exit_code(self, runner, tmp_path, args):
+        # each exited 0: after a LAPACK message with verdict=inconclusive, or with
+        # a matrix.json holding "inf" or "nan" strings that load_matrix refuses
+        if args[-1].startswith("{"):
+            path = tmp_path / "s.json"
+            path.write_text(args[-1])
+            args = args[:-1] + [str(path)]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("validation error: ") and res.output.count("\n") == 1
+        assert "finite" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 119. GiB for an array with shape (4000000004,) and "
+                     "data type complex128"),
+         "validation error: Unable to allocate 119. GiB for an array with shape (4000000004,) "
+         "and data type complex128\n"),
+        (MemoryError(), "validation error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exit_code(self, runner, tmp_path, monkeypatch, exc, line):
+        # an allocation past the host's memory ended in a traceback; the raise
+        # is patched in, so nothing is allocated
+        def refuse(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(symbols, "symbol_min_modulus", refuse)
+        res = runner.invoke(main, ["toeplitz", "minmod", "--coeffs", "1@0,1@1000000000",
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == line
 
     @pytest.mark.parametrize("verb, spec", [
         ("weight", "trivial:xyz"), ("weight", "trivial:1"), ("weight", "trivial:"),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import tracemalloc
 
@@ -13,7 +14,7 @@ from offdiag.lattice import (DecayProfile, LatticeSequence, LocalizedMatrix,
                              Window, WindowMismatchError, add, adjoint, apply,
                              decay_profile, diagonal_suprema, embed, generate,
                              load_matrix, matrix_from_dict, matrix_to_dict, matvec, multiply,
-                             profile_to_csv, radial_matrix, read_rows, restrict,
+                             radial_matrix, read_rows, restrict,
                              ring_counts, save_matrix, scale, sequence_from_dict,
                              sequence_to_dict)
 
@@ -552,6 +553,18 @@ class TestGenerate:
         with pytest.raises(ValueError):
             radial_matrix(values[:-1], win)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("banded_random", {"bandwidth": 1, "amplitude": math.inf}),
+        ("banded_random", {"bandwidth": 1, "amplitude": math.nan}),
+        ("polynomial_decay_random", {"alpha": math.nan}),
+        ("polynomial_decay_random", {"alpha": math.inf}),
+        ("polynomial_decay_random", {"alpha": 1.0, "amplitude": math.inf}),
+    ])
+    def test_non_finite_parameter_refused(self, kind, params):
+        # built a matrix of inf or nan entries before
+        with pytest.raises(ValueError, match="finite"):
+            generate(kind, Window(1, 2), seed=0, **params)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("nope", Window(1, 2))
@@ -631,13 +644,6 @@ class TestSerialization:
         c = LatticeSequence.from_values(win, {(-2,): 1j, (3,): 2.0})
         back = sequence_from_dict(sequence_to_dict(c))
         assert np.array_equal(back.data, c.data)
-
-    def test_profile_csv(self, tmp_path):
-        prof = DecayProfile(np.array([1.0, 0.5, 0.0]), 1)
-        text = profile_to_csv(prof, tmp_path / "p.csv")
-        assert text.splitlines()[0] == "n,h"
-        assert text.splitlines()[1] == "0,1.0"
-        assert (tmp_path / "p.csv").read_text() == text
 
     def test_bad_entry_length(self):
         with pytest.raises(ValueError):

@@ -90,6 +90,21 @@ class TestWeightSequence:
 
 
 class TestAqBound:
+    @pytest.mark.parametrize("value", [1e305, 1e-305])
+    def test_dual_weight_past_the_float_range_refused(self, value):
+        # w^{-1/(q-1)} = w^-2 leaves the float range; 1e305 read as a bound of 0.0
+        w = WeightSequence.table(Window(1, 16), np.full(33, value))
+        with pytest.raises(ValueError, match="A_q scan .* overflows"):
+            aq_bound(w, 1.5, 4)
+        assert aq_bound(w, 1.0, 4).bound == 1.0  # q = 1 reads w alone
+        assert aq_bound(w, 4.0, 4).bound == pytest.approx(1.0, rel=1e-12)
+
+    def test_overflowing_total_refused(self):
+        # every cube sum is bounded by the total of w
+        w = WeightSequence.table(Window(1, 16), np.full(33, 1e307))
+        with pytest.raises(ValueError, match="A_q scan .* overflows"):
+            aq_bound(w, 1.0, 1)
+
     def test_trivial_is_one(self):
         for q in (1.0, 2.0, 3.5):
             assert aq_bound(WeightSequence.trivial(Window(1, 8)), q, 5).bound == 1.0
@@ -243,6 +258,15 @@ class TestWeightedNorm:
         w = WeightSequence.table(win, np.array([1.0, 1.0, 3.0]))
         assert weighted_norm(c, 1.0, w) == 4.0
 
+    def test_overflow_refused(self):
+        # read as inf, with overflow warnings, before
+        win = Window(1, 16)
+        w = WeightSequence.table(win, np.full(win.size, 1e305))
+        c = LatticeSequence(win, np.full(win.size, 2.0 + 0j))
+        assert weighted_norm(c, 4.0, w) == float(np.sum(16.0 * w.values) ** 0.25)
+        with pytest.raises(ValueError, match="overflows under the table"):
+            weighted_norm(LatticeSequence(win, np.full(win.size, 20.0 + 0j)), 4.0, w)
+
     def test_q_validation(self):
         win = Window(1, 2)
         c = LatticeSequence.delta(win)
@@ -270,3 +294,8 @@ class TestCharacterization:
         lhs = (0.5) ** 2 * 1.0
         rhs = rep.bound * 0.5
         assert lhs <= rhs
+
+    def test_refuses_no_trials(self):
+        # a check of no cube passed with worst_margin = inf
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            aq_characterization_check(WeightSequence.trivial(Window(1, 4)), 2.0, 0)

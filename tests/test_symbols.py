@@ -319,6 +319,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             symbol_from_dict({"d": 2, "coeffs": [[1, 0.5, 0.0]]})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_coefficient_refused(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            SymbolCoeffs(1, {0: 1.0, 1: value})
+        with pytest.raises(ValueError, match="not finite"):
+            symbol_from_dict({"d": 1, "coeffs": [[1, complex(value).real, complex(value).imag]]})
+
 
 class TestParse:
     def test_simple(self):

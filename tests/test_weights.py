@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import offdiag
+from offdiag import weights
 from offdiag.lattice import Window, ring_counts
 from offdiag.weights import (RadialForm, WeightMatrix, WeightValidationError,
                              check_submultiplicative, cross_norm,
@@ -158,7 +159,7 @@ class TestCompanions:
     def test_default_companions_certify(self, u, p):
         v = default_companion(u, p)
         rep = check_submultiplicative(u, v, p, Window(1, 24))
-        assert rep.holds and rep.exhaustive
+        assert rep.holds
 
     def test_subexponential_certifies_2d(self):
         u = WeightMatrix.subexponential(0.5, 1.0, 2)
@@ -189,13 +190,18 @@ class TestSubmultiplicative:
         rep = check_submultiplicative(u, v, 1.0, Window(1, 16))
         assert rep.cp == 4.0  # sup of 4 (1+|k|)^{-2} at k = 0
 
-    def test_sampled_path(self):
-        u = WeightMatrix.polynomial(2.0, D1)
-        v = WeightMatrix.constant(4.0, D1)
-        rep = check_submultiplicative(u, v, 2.0, Window(1, 40), sample_budget=5_000, seed=3)
-        assert not rep.exhaustive
-        assert rep.triples_checked == 5_000
-        assert rep.holds
+    def test_blocks_cover_every_triple(self, monkeypatch):
+        # a window past one block is still checked on every triple, block by block
+        win = Window(1, 40)
+        vals = np.ones((win.size, win.size))
+        vals[-1, -1] = 100.0  # u(R, R) = 100 > u(R, k) v(k, R) + v(R, k) u(k, R) = 2, k != R
+        u = WeightMatrix.table(win, vals)
+        v = WeightMatrix.trivial(D1)
+        whole = check_submultiplicative(u, v, 2.0, win)
+        monkeypatch.setattr(weights, "_SUBMULT_BLOCK", 2 * win.size**2 + 1)
+        blocked = check_submultiplicative(u, v, 2.0, win)
+        assert whole.worst_margin == blocked.worst_margin == 2.0 - 100.0
+        assert not blocked.holds
 
     def test_divergent_cp(self):
         # companion growing faster than u: ratio tends to infinity

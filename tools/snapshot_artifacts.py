@@ -44,6 +44,11 @@ INPUTS = {
                        "values": [[k, 1.5 + (k % 4) / 4] for k in range(-16, 17, 3)]},
     "ws_unknown.json": {"form": "spline", "alpha": 1.0},
     "ws_alpha_nan.json": '{"form": "power", "alpha": NaN}',
+    "ws_table_huge.json": {"form": "table", "d": 1, "radius": 16,
+                           "values": [[k, 1e305] for k in range(-16, 17)]},
+    "ws_table_tiny.json": {"form": "table", "d": 1, "radius": 16,
+                           "values": [[k, 1e-305] for k in range(-16, 17)]},
+    "sym_nan.json": '{"d": 1, "coeffs": [[0, NaN, 0], [1, 1, 0]]}',
     "seq_d1.json": {"d": 1, "radius": 8,
                     "entries": [[-8, 1.0, 0.0], [-1, 0.5, -0.5], [3, 2.0, 0.0], [8, 0.0, 1.0]]},
     "seq_d2.json": {"d": 2, "radius": 3,
@@ -152,8 +157,6 @@ CALLS = [
     ("invert_real", ["invert", "--matrix", T]),
     ("invert_complex", ["invert", "--matrix", C]),
     ("invert_d2", ["invert", "--matrix", D2]),
-    ("leftinv_real", ["leftinv", "--matrix", T]),
-    ("leftinv_complex", ["leftinv", "--matrix", C]),
     # refused inputs: each exits 1
     ("refuse_aq_power_nan", ["weights", "aq", "--wseq", "power:nan", "--q", "2"]),
     ("refuse_aq_power_inf", ["weights", "aq", "--wseq", "power:inf", "--q", "2"]),
@@ -174,6 +177,21 @@ CALLS = [
                                       "--v", "polynomial:1000", "--nmax", "64"]),
     ("refuse_norm_power_sum_overflow", ["norm", "--matrix", T, "--p", "2",
                                         "--weight", "constant:1e200"]),
+    ("refuse_stability_weighted_norm_overflow", ["stability", "--matrix", T, "--q", "4",
+                                                 "--wseq", "inputs/ws_table_huge.json"]),
+    ("refuse_aq_dual_underflow", ["weights", "aq", "--wseq", "inputs/ws_table_huge.json",
+                                  "--q", "1.5"]),
+    ("refuse_aq_dual_overflow", ["weights", "aq", "--wseq", "inputs/ws_table_tiny.json",
+                                 "--q", "1.5"]),
+    ("refuse_toeplitz_coeff_inf", ["toeplitz", "stability", "--coeffs", "inf@0,1@1",
+                                   "--radii", "8,16"]),
+    ("refuse_minmod_coeff_nan_json", ["toeplitz", "minmod", "--coeffs", "inputs/sym_nan.json"]),
+    ("refuse_gen_coeff_nan", ["gen", "--kind", "toeplitz_from_coeffs", "--radius", "4",
+                              "--coeffs", "nan@0,1@1"]),
+    ("refuse_gen_amplitude_inf", ["gen", "--kind", "banded_random", "--radius", "4",
+                                  "--bandwidth", "1", "--seed", "1", "--amplitude", "inf"]),
+    ("refuse_gen_alpha_nan", ["gen", "--kind", "polynomial_decay_random", "--radius", "4",
+                              "--seed", "1", "--alpha", "nan"]),
 ]
 
 SEEDS = (1, 7, 42)

@@ -422,7 +422,8 @@ def thetafit_cmd(u_spec, v_spec, p, d, nmax, tmax, tpoints, out):
     u = parse_weight_matrix(u_spec, d)
     v = (weights.default_companion(u, p) if v_spec is None
          else parse_weight_matrix(v_spec, d))
-    t_grid = np.geomspace(1.0, tmax, tpoints)
+    with np.errstate(invalid="ignore"):  # theta_fit refuses a non-finite tmax
+        t_grid = np.geomspace(1.0, tmax, tpoints)
     fit = weights.theta_fit(u, v, p, d, n_max=nmax, t_grid=t_grid)
     config = {"command": "thetafit", "u": u_spec, "v": v_spec, "p": p, "d": d,
               "nmax": nmax, "tmax": tmax, "tpoints": tpoints}

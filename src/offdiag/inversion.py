@@ -100,8 +100,8 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
     beyond roundoff of C2); a non-converged series is returned flagged, not
     raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # nan too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     bracket = spectral_bracket(a)

@@ -27,9 +27,9 @@ imaginary column is all zero.  Sequences stay complex.
 
 ``weighted_pass`` is the one place where a matrix meets a weight: it returns
 the weighted magnitude |a(i, j)| u(i, j) and its diagonal suprema, from which
-the decay profile and every norm family are read.  While a
-``shared_weighted_passes()`` block is open each (matrix object, weight object)
-is weighted once and its pass reused; outside a block nothing is kept.
+the decay profile and every norm family are read.  Inside a ``sharing(kind,
+owner)`` block ``shared(kind, key, make)`` makes each key's value once: the
+"passes" kind keys weighted passes, the "sigma" kind ``stability``'s sigma pairs.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ __all__ = [
     "ring_suprema",
     "radial_matrix",
     "weighted_pass",
-    "shared_weighted_passes",
+    "sharing",
+    "shared",
     "decay_profile",
     "adjoint",
     "add",
@@ -359,41 +360,53 @@ def radial_matrix(values, window: Window) -> np.ndarray:
     return _place_diagonals(values[reduce(np.maximum.outer, [k] * window.d)], window)
 
 
-# the pass of each (matrix, weight) while a shared_weighted_passes() block is
-# open, None otherwise; the keys hold the objects themselves, so no identity can
-# be reused while the block lives
-_WEIGHTED_PASSES: ContextVar[dict | None] = ContextVar("weighted_passes", default=None)
+# kind -> (owner, {key: value}) for each kind with an open block, None outside all
+_SHARED: ContextVar[dict | None] = ContextVar("shared", default=None)
 
 
 @contextmanager
-def shared_weighted_passes():
-    """Weighted passes inside the block are computed once per (matrix object,
-    weight object) and dropped on exit; a nested block reuses the outer one.
+def sharing(kind: str, owner=None):
+    """A block inside which ``shared(kind, ...)`` makes each key's value once.
 
-    Sound because a LocalizedMatrix and a weight never change: a weight object
-    passed inside the block must not change while the block is open.
+    A block inside an open block of the same kind and the same owner (``is``)
+    reuses its values; one of another owner starts afresh until it exits.  The
+    outermost block drops its values on exit or raise.  Sound while the owner
+    and every key determine each value, and nothing they name changes.
     """
-    if _WEIGHTED_PASSES.get() is not None:
+    open_ = _SHARED.get() or {}
+    if kind in open_ and open_[kind][0] is owner:
         yield
         return
-    token = _WEIGHTED_PASSES.set({})
+    token = _SHARED.set({**open_, kind: (owner, {})})
     try:
         yield
     finally:
-        _WEIGHTED_PASSES.reset(token)
+        _SHARED.reset(token)
+
+
+def shared(kind: str, key, make):
+    """``make()``, made once per key while a ``sharing(kind)`` block is open."""
+    scope = (_SHARED.get() or {}).get(kind)
+    if scope is None:
+        return make()
+    if key not in scope[1]:
+        scope[1][key] = make()
+    return scope[1][key]
 
 
 def weighted_pass(a: LocalizedMatrix, weight=None) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only pair (|a(i,j)| u(i,j), its ``diagonal_suprema``).
+    """The read-only pair (|a(i,j)| u(i,j), its ``diagonal_suprema``), shared
+    by (matrix object, weight object) in a ``sharing("passes")`` block.
 
     ``weight`` is any object with a ``descriptor`` and a ``grid(window)``
     method returning the pointwise weight u(i, j) over the window; None means
     the trivial weight.  A finite |a| whose weighted magnitude overflows
     raises ValueError; a matrix that is not finite itself passes as it is.
     """
-    seen = _WEIGHTED_PASSES.get()
-    if seen is not None and (a, weight) in seen:
-        return seen[a, weight]
+    return shared("passes", (a, weight), lambda: _weighted_pass(a, weight))
+
+
+def _weighted_pass(a: LocalizedMatrix, weight) -> tuple[np.ndarray, np.ndarray]:
     w = a.window
     mag = np.abs(a.data)
     if weight is not None:
@@ -406,10 +419,7 @@ def weighted_pass(a: LocalizedMatrix, weight=None) -> tuple[np.ndarray, np.ndarr
                              f"{weight.descriptor} weight")
     mag.setflags(write=False)
     diag.setflags(write=False)
-    pair = mag, diag
-    if seen is not None:
-        seen[a, weight] = pair
-    return pair
+    return mag, diag
 
 
 def decay_profile(a: LocalizedMatrix, weight=None) -> DecayProfile:

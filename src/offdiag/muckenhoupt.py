@@ -129,10 +129,11 @@ def _cube_scan(arr_nd: np.ndarray, n_cap: int, op):
 
 
 def aq_bound(w: WeightSequence, q: float, n_cap: int) -> AqReport:
-    """Exhaustive scan of all cubes fully inside the window, N = 1..n_cap."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if not math.isfinite(q):
+    """Exhaustive scan of all cubes fully inside the window, N = 1..n_cap; a
+    scan whose value overflows is refused with ValueError."""
+    if not q >= 1:  # nan too
+        raise ValueError(f"q must be >= 1, got {q}")
+    if math.isinf(q):
         raise ValueError("q = infinity is not supported")
     win = w.window
     n_cap = int(n_cap)
@@ -155,16 +156,17 @@ def aq_bound(w: WeightSequence, q: float, n_cap: int) -> AqReport:
     for n, (sum_w, other_n) in enumerate(zip(_cube_scan(w_nd, n_cap, np.add), other), start=1):
         vol = float(n**d)
         avg_w = sum_w / vol
-        if q > 1:
-            lhs = avg_w * (other_n / vol) ** (q - 1.0)
-        else:
-            lhs = avg_w / other_n
+        with np.errstate(over="ignore"):  # refused below
+            lhs = avg_w * (other_n / vol) ** (q - 1.0) if q > 1 else avg_w / other_n
         pos = int(np.argmax(lhs))
         if float(lhs.flat[pos]) > best:
             best = float(lhs.flat[pos])
             anchor = np.unravel_index(pos, lhs.shape)
             best_anchor = tuple(int(a) - win.radius for a in anchor)
             best_n = n
+    if not math.isfinite(best):
+        raise ValueError(f"the A_q scan of the {w.descriptor} weight at q={q:g} overflows "
+                         "(a cube's product of averages is inf)")
     return AqReport(q, best, best_anchor, best_n, n_cap)
 
 

@@ -15,8 +15,8 @@ dilation checks assert true margins, not asymptotics.
 Every family reads the matrix through ``lattice.weighted_pass``: the weighted
 magnitude for the row/column norm and the sup, its diagonal suprema for the
 diagonal and ring norms.  ``norm_report`` opens a
-``lattice.shared_weighted_passes()`` block, so its four norms weight the
-matrix once.  A weighted magnitude that overflows is refused with
+``lattice.sharing("passes")`` block, so its four norms weight the matrix
+once.  A weighted magnitude that overflows is refused with
 ValueError, and so is a finite one whose p-th power sum overflows; the
 power sums are formed as they always were, so every finite norm keeps its
 bits.  ``brandenburg_radii`` refuses an overflowing root itself, with
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LocalizedMatrix, decay_profile, matvec, multiply, ring_lp,
-                      shared_weighted_passes, weighted_pass)
+from .lattice import (LocalizedMatrix, decay_profile, matvec, multiply, ring_lp, sharing,
+                      weighted_pass)
 from .spectral import operator_norm_l2
 from .weights import ThetaFit
 
@@ -124,7 +124,7 @@ class NormReport:
 def norm_report(a: LocalizedMatrix, p: float, weight=None) -> NormReport:
     """The four families at p, equal to the four separate calls, on one weighted pass."""
     wid = "trivial" if weight is None else weight.descriptor
-    with shared_weighted_passes():
+    with sharing("passes"):
         beurling = beurling_norm(a, p, weight)  # its decay profile makes the pass
         return NormReport(
             beurling=beurling,

@@ -13,9 +13,9 @@ factor >= 2 when the window radius doubles.  A real operand (one stored as
 float64) is conjugated and decomposed in real arithmetic: the singular values
 of the complex path to roundoff, by a cheaper LAPACK SVD.
 
-A bracket decomposes its window and the half-radius window.  Within one call
-of the Toeplitz ladder or of ``cross_stability_verdicts`` each (window, band,
-weight values) is decomposed once and its sigma pair reused by later brackets.
+A bracket decomposes its window and the half-radius window.  The Toeplitz
+ladder and ``cross_stability_verdicts`` share sigma pairs in a ``sharing("sigma",
+owner)`` block of their symbol or matrix: one SVD per (window, band, weights).
 A sigma pair copies only the interior columns of its window's matrix and
 conjugates that copy in place; at weight 1 with the interior columns in one
 run (every d = 1 window, band 0 at any d) it hands LAPACK a view, as scaling by
@@ -28,14 +28,12 @@ probes meet a real operand through ``lattice.matvec``, in real arithmetic.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (LatticeSequence, LocalizedMatrix, Window, decay_profile,
-                      matvec, restrict, ring_lp)
+                      matvec, restrict, ring_lp, shared, sharing)
 from .muckenhoupt import WeightSequence, aq_bound, weighted_norm
 from .norms import beurling_norm
 from .weights import WeightMatrix, cross_norm
@@ -156,36 +154,16 @@ def _interior_mask(window: Window, band: int) -> np.ndarray:
     return sup <= window.radius - band
 
 
-# sigma pairs by (window, band, weight values) while a _shared_sigma_pairs()
-# block runs, None otherwise; stability_bracket keeps its signature and the
-# ladder and cross verdicts still call it by name
-_SIGMA_PAIRS: ContextVar[dict | None] = ContextVar("sigma_pairs", default=None)
-
-
-@contextmanager
-def _shared_sigma_pairs():
-    """Brackets inside the block share their sigma pairs, dropped on exit.
-
-    Sound only while every bracket inside decomposes windows of one operator:
-    one matrix, or one symbol's Toeplitz matrices, since the Toeplitz matrix
-    on a window restricted to a smaller window is the smaller window's.
-    """
-    token = _SIGMA_PAIRS.set({})
-    try:
-        yield
-    finally:
-        _SIGMA_PAIRS.reset(token)
-
-
 def _sigma_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window):
     """(sigma_min, sigma_max) of diag(w^{1/2}) A diag(w^{-1/2}), both restricted
-    to window, on its interior probes."""
+    to window, on its interior probes; keyed by (window, band, weight values)."""
     if window != a.window:
         w = w.restrict(window)
-    seen = _SIGMA_PAIRS.get()
-    key = (window, band, w.values.tobytes())
-    if seen is not None and key in seen:
-        return seen[key]
+    return shared("sigma", (window, band, w.values.tobytes()),
+                  lambda: _svd_pair(a, w, band, window))
+
+
+def _svd_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window):
     mask = _interior_mask(window, band)
     if not mask.any():
         raise ValueError(f"empty interior (band {band} >= radius {window.radius})")
@@ -199,10 +177,7 @@ def _sigma_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window
         conj *= sq[:, None]
         conj /= sq[None, mask]
     s = np.linalg.svd(conj, compute_uv=False)
-    pair = (float(s[-1]), float(s[0]))
-    if seen is not None:
-        seen[key] = pair
-    return pair
+    return float(s[-1]), float(s[0])
 
 
 def _verdict(lo_full: float, lo_half: float | None, scale: float) -> str:
@@ -294,7 +269,7 @@ def cross_stability_verdicts(a: LocalizedMatrix, pairs, trials: int = 200,
     q = 2 pair certify on the same trivial-weight operands, which the call
     decomposes once; each report equals its own ``stability_bracket`` call.
     An empty pair list is refused."""
-    with _shared_sigma_pairs():
+    with sharing("sigma", a):
         reports = [stability_bracket(a, q, w, trials=trials, seed=seed + k)
                    for k, (q, w) in enumerate(pairs)]
     if not reports:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import inversion, muckenhoupt, norms, stability, symbols, weights
 from .lattice import (LatticeSequence, LocalizedMatrix, Window, adjoint, add,
-                      generate, scale, shared_weighted_passes)
+                      generate, scale, sharing)
 from .muckenhoupt import WeightSequence
 from .weights import WeightMatrix
 
@@ -114,7 +114,7 @@ def c02_norm_axioms(seed: int, quick: bool) -> CriterionResult:
         for p, u, _ in _weight_combos(d):
             # the report and the p = inf values weight a once; the block ends
             # before the once-used matrices below, so it keeps none of them
-            with shared_weighted_passes():
+            with sharing("passes"):
                 na = norms.norm_report(a, p, u)
                 j = norms.jaffard_value(a, u)
                 inf_vals = (norms.beurling_norm(a, math.inf, u),

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (LocalizedMatrix, Window, generate, integral, is_number, json_number,
-                      json_object, ring_lp)
+                      json_object, ring_lp, sharing)
 from .muckenhoupt import WeightSequence
-from .stability import _shared_sigma_pairs, stability_bracket
+from .stability import stability_bracket
 
 __all__ = [
     "SymbolCoeffs",
@@ -211,8 +211,8 @@ def reciprocal_coeffs(a: SymbolCoeffs, tol: float = 1e-10):
     g_max = 1 << 20  # grid cap
     if a.d != 1:
         raise ValueError("reciprocal coefficients are defined for d = 1 symbols")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # nan too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     mm = symbol_min_modulus(a)
     if not mm.certified:
         g = mm.grid
@@ -298,7 +298,7 @@ def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, w: WeightSequence | 
     if w is None:
         w = WeightSequence.trivial(Window(a.d, int(max(radii, default=0))))
     ws = [w.restrict(Window(a.d, int(r))) for r in radii]
-    with _shared_sigma_pairs():
+    with sharing("sigma", a):
         brackets = tuple(stability_bracket(toeplitz_matrix(a, w_r.window), q, w_r,
                                            trials=trials, seed=seed) for w_r in ws)
     return ToeplitzStabilityReport(verdict, mm, brackets)

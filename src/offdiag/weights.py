@@ -395,7 +395,7 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
     distinct = np.unique(t_grid).size
     if distinct < 2:
         raise ValueError(f"t_grid needs 2 distinct points to fit a slope, got {distinct}")
-    if np.any(t_grid < 1.0):
+    if not np.all((t_grid >= 1.0) & (t_grid < math.inf)):  # nan too
         raise ValueError("t_grid must lie in [1, inf)")
     ur, vr = u.radial, v.radial
     if ur is None or vr is None:

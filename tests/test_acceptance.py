@@ -8,7 +8,7 @@ the `offdiag suite` CLI verb.
 import numpy as np
 import pytest
 
-from offdiag import muckenhoupt, stability, weights
+from offdiag import lattice, muckenhoupt, stability, weights
 from offdiag.suite import CRITERIA, run_criterion
 
 SEED = 42
@@ -82,4 +82,4 @@ def test_c08_shares_sigma_pairs_within_each_ladder(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda m, **k: calls.append(m.shape) or svd(m, **k))
     assert run_criterion("C08", seed=SEED, quick=False).passed
     assert len(calls) == 10
-    assert stability._SIGMA_PAIRS.get() is None
+    assert lattice._SHARED.get() is None

@@ -522,6 +522,49 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args", [
+        ["weights", "aq", "--q", "2"],
+        ["weights", "aq", "--q", "1"],
+        ["stability", "--q", "4"],
+    ], ids=["aq-q2", "aq-q1", "stability-q4"])
+    def test_aq_product_overflow_exit_code(self, runner, tmp_path, matrix_file, args):
+        # both totals are finite, yet a cube's product of averages overflows: an
+        # overflow warning and `A_q bound inf`, or a bracket up to inf, with exit 0 before
+        vals = [[k, 1.0] for k in range(-16, 17)]
+        vals[16][1], vals[17][1] = 1e300, 1e-300
+        w_path = tmp_path / "w.json"
+        w_path.write_text(json.dumps({"form": "table", "d": 1, "radius": 16, "values": vals}))
+        if args[0] == "stability":
+            args = args + ["--matrix", str(matrix_file)]
+        res = runner.invoke(main, args + ["--wseq", str(w_path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("validation error: ") and res.output.count("\n") == 1
+        assert "overflows" in res.output and "Warning" not in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["invert", "--tol", "inf"],
+        ["invert", "--tol", "nan"],
+        ["toeplitz", "recip", "--coeffs", "2@0,1@1", "--tol", "nan"],
+        ["toeplitz", "recip", "--coeffs", "2@0,1@1", "--tol", "inf"],
+        ["thetafit", "--u", "polynomial:2", "--tmax", "nan"],
+        ["thetafit", "--u", "polynomial:2", "--tmax", "inf"],
+        ["weights", "aq", "--wseq", "power:0.5", "--q", "nan"],
+    ], ids=["invert-tol-inf", "invert-tol-nan", "recip-tol-nan", "recip-tol-inf",
+            "thetafit-tmax-nan", "thetafit-tmax-inf", "aq-q-nan"])
+    def test_non_finite_tolerance_or_grid_exit_code(self, runner, tmp_path, matrix_file, args):
+        # invert wrote mu A* as converged, or ran to 512 terms and exited 2; recip
+        # wrote 2^20 coefficients; thetafit printed LAPACK messages and exited 2
+        if args[0] == "invert":
+            args = args + ["--matrix", str(matrix_file)]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("validation error: ") and res.output.count("\n") == 1
+        assert "Warning" not in res.output and "Traceback" not in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
         ["toeplitz", "stability", "--coeffs", "inf@0,1@1", "--radii", "8,16"],
         ["gen", "--kind", "toeplitz_from_coeffs", "--radius", "4", "--coeffs", "nan@0,1@1"],
         ["toeplitz", "minmod", "--coeffs", '{"d": 1, "coeffs": [[0, NaN, 0], [1, 1, 0]]}'],

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -250,8 +251,10 @@ class TestWienerInvert:
         assert rep.residual > 1e-10
 
     def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            wiener_invert(generate("identity", Window(1, 4)), tol=0.0)
+        # inf returned mu A* flagged converged; nan ran to k_max
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                wiener_invert(generate("identity", Window(1, 4)), tol=tol)
 
     @pytest.mark.parametrize("k_max", [0, -3])
     def test_kmax_below_one_rejected(self, k_max):

@@ -16,7 +16,7 @@ from offdiag.lattice import (DecayProfile, LatticeSequence, LocalizedMatrix,
                              load_matrix, matrix_from_dict, matrix_to_dict, matvec, multiply,
                              radial_matrix, read_rows, restrict,
                              ring_counts, save_matrix, scale, sequence_from_dict,
-                             sequence_to_dict)
+                             sequence_to_dict, shared, sharing, weighted_pass)
 
 
 def brute_profile(a, m_max):
@@ -101,6 +101,70 @@ class TestWindow:
         assert ring_counts(2, 1)[1] == 8
         assert ring_counts(3, 2)[2] == 125 - 27
         assert np.array_equal(ring_counts(2, 9, 4), ring_counts(2, 9)[4:])
+
+
+class TestSharing:
+    """``sharing``/``shared``: the one scope for work shared within a call."""
+
+    def test_outside_a_block_makes_every_time(self):
+        made = []
+        for _ in range(2):
+            shared("passes", "key", lambda: made.append(1))
+        assert len(made) == 2
+        assert lattice._SHARED.get() is None
+
+    def test_same_owner_reuses(self):
+        owner = object()
+        with sharing("sigma", owner):
+            first = shared("sigma", "key", object)
+            with sharing("sigma", owner):
+                assert shared("sigma", "key", object) is first
+                assert shared("sigma", "other", object) is not first
+            assert shared("sigma", "key", object) is first
+
+    def test_other_owner_starts_afresh_until_it_exits(self):
+        with sharing("sigma", object()):
+            outer = shared("sigma", "key", object)
+            with sharing("sigma", object()):
+                inner = shared("sigma", "key", object)
+                assert inner is not outer
+                assert shared("sigma", "key", object) is inner
+            assert shared("sigma", "key", object) is outer
+
+    def test_other_owner_cannot_read_an_outer_operators_pairs(self):
+        # both windows, band and weight agree, so only the owner tells the pairs apart
+        from offdiag.muckenhoupt import WeightSequence
+        from offdiag.stability import cross_stability_verdicts, stability_bracket
+
+        win = Window(1, 32)
+        strong = generate("toeplitz_from_coeffs", win, coeffs={0: 2.0, 1: 1.0})
+        weak = generate("toeplitz_from_coeffs", win, coeffs={0: 1.0, 1: -1.0})
+        trivial = WeightSequence.trivial(win)
+        with sharing("sigma", strong):
+            assert stability_bracket(strong, 2.0, trivial).lower == 1.002563699380637
+            got = cross_stability_verdicts(weak, [(2.0, trivial)]).reports[0]
+        assert (got.lower, got.verdict) == (0.05066542862637581, "degrading")
+
+    def test_dropped_on_exit_and_on_raise(self):
+        with sharing("passes"):
+            first = shared("passes", "key", object)
+        assert lattice._SHARED.get() is None
+        with pytest.raises(ArithmeticError, match="inner failed"):
+            with sharing("passes"):
+                assert shared("passes", "key", object) is not first
+                with sharing("sigma", first):
+                    raise ArithmeticError("inner failed")
+        assert lattice._SHARED.get() is None
+
+    def test_sigma_block_keeps_no_passes(self):
+        a = rand_matrix(Window(1, 3), 1)
+        with sharing("sigma", a):
+            assert weighted_pass(a) is not weighted_pass(a)
+            assert set(lattice._SHARED.get()) == {"sigma"}
+        with sharing("passes"):
+            first = weighted_pass(a)
+            with sharing("sigma", a):  # opening one kind keeps the other's block
+                assert weighted_pass(a) is first
 
 
 class TestDecayProfile:

@@ -105,6 +105,16 @@ class TestAqBound:
         with pytest.raises(ValueError, match="A_q scan .* overflows"):
             aq_bound(w, 1.0, 1)
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
+    def test_overflowing_product_refused(self, q):
+        # both totals are finite, but avg w times the dual average overflows:
+        # `A_q bound inf` after an overflow warning before
+        vals = np.ones(33)
+        vals[16], vals[17] = 1e300, 1e-300
+        w = WeightSequence.table(Window(1, 16), vals)
+        with pytest.raises(ValueError, match="A_q scan .* overflows"):
+            aq_bound(w, q, 33)
+
     def test_trivial_is_one(self):
         for q in (1.0, 2.0, 3.5):
             assert aq_bound(WeightSequence.trivial(Window(1, 8)), q, 5).bound == 1.0
@@ -175,6 +185,8 @@ class TestAqBound:
             aq_bound(w, 0.5, 4)
         with pytest.raises(ValueError):
             aq_bound(w, math.inf, 4)
+        with pytest.raises(ValueError, match="q must be >= 1, got nan"):
+            aq_bound(w, math.nan, 4)  # read "q = infinity is not supported" before
         with pytest.raises(ValueError):
             aq_bound(w, 2.0, 0)
 

@@ -6,8 +6,7 @@ import pytest
 
 from offdiag import lattice
 from offdiag.lattice import (LocalizedMatrix, Window, add, adjoint, diagonal_suprema,
-                             generate, multiply, scale, shared_weighted_passes,
-                             weighted_pass)
+                             generate, multiply, scale, sharing, weighted_pass)
 from offdiag.norms import (beurling_norm, brandenburg_radii,
                            dilation_fact_check, jaffard_value, norm_report,
                            product_inequality_check, schur_norm,
@@ -215,7 +214,7 @@ class TestWeightedPass:
         a, b = rand_matrix(win, 1), rand_matrix(win, 2)
         u = WeightMatrix.polynomial(2.0, 1)
         dom = LocalizedMatrix(win, a.data * 0.5)
-        with shared_weighted_passes():
+        with sharing("passes"):
             norm_report(a, 2.0, u)
             for m in (add(a, b), b, scale(2j, a), adjoint(a)):
                 beurling_norm(m, 2.0, u)
@@ -231,25 +230,7 @@ class TestWeightedPass:
         norm_report(a, 2.0, u)
         norm_report(a, 2.0, u)
         assert len(grid_calls) == 2
-        assert lattice._WEIGHTED_PASSES.get() is None
-
-    def test_block_dropped_when_its_body_raises(self):
-        with pytest.raises(ValueError, match="p must lie in"):
-            with shared_weighted_passes():
-                weighted_pass(rand_matrix(Window(1, 2), 0))
-                beurling_norm(rand_matrix(Window(1, 2), 0), 0.5)
-        assert lattice._WEIGHTED_PASSES.get() is None
-
-    def test_nested_block_reuses_the_outer(self, grid_calls):
-        a = rand_matrix(Window(1, 4), 4)
-        u = WeightMatrix.polynomial(1.0, 1)
-        with shared_weighted_passes():
-            outer = weighted_pass(a, u)
-            with shared_weighted_passes():
-                assert weighted_pass(a, u) is outer
-                norm_report(a, 3.0, u)
-            assert weighted_pass(a, u) is outer
-        assert len(grid_calls) == 1
+        assert lattice._SHARED.get() is None
 
     def test_equal_data_and_shared_descriptors_get_separate_passes(self, grid_calls):
         win = Window(1, 4)
@@ -258,7 +239,7 @@ class TestWeightedPass:
         t0, t1 = sym_table(win, 0), sym_table(win, 1)
         assert t0.descriptor == t1.descriptor
         u = WeightMatrix.polynomial(1.0, 1)
-        with shared_weighted_passes():
+        with sharing("passes"):
             first, second = weighted_pass(a, u), weighted_pass(twin, u)
             assert first is not second
             assert np.array_equal(first[0], second[0])

@@ -227,7 +227,7 @@ class TestCrossSharesSigmaPairs:
         # the two callers derive one band per window; an explicit band must not alias
         a = self.matrices(1)[1]
         w = WeightSequence.power(a.window, 0.5)
-        with stability._shared_sigma_pairs():
+        with lattice.sharing("sigma", a):
             got = [stability_bracket(a, 2.0, w, band=b) for b in (2, 4)]
         assert [_fields(r) for r in got] == \
             [_fields(stability_bracket(a, 2.0, w, band=b)) for b in (2, 4)]
@@ -241,7 +241,7 @@ class TestCrossSharesSigmaPairs:
         cross_stability_verdicts(toeplitz(win, {0: 2.0, 1: 1.0}), TestCrossVerdicts.pairs(win),
                                  trials=3)
         assert len(calls) == 4
-        assert stability._SIGMA_PAIRS.get() is None
+        assert lattice._SHARED.get() is None
 
 
 class TestSigmaPairScratch:

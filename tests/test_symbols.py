@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from offdiag import stability, symbols
+from offdiag import lattice, symbols
 from offdiag.lattice import Window, multiply, restrict
 from offdiag.muckenhoupt import WeightSequence
 from offdiag.norms import beurling_norm
@@ -167,6 +167,12 @@ class TestReciprocal:
         with pytest.raises(ValueError):
             reciprocal_coeffs(SymbolCoeffs(2, {(0, 0): 2.0}), tol=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+    def test_non_positive_or_non_finite_tol_refused(self, tol):
+        # nan doubled the grid to its cap and returned 2^20 coefficients
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            reciprocal_coeffs(SymbolCoeffs(1, {0: 2.0, 1: 1.0}), tol=tol)
+
 
 class TestConvolutionConsistency:
     def test_toeplitz_product_interior(self):
@@ -280,17 +286,18 @@ class TestSharedLadder:
         assert len(calls) == 5
         toeplitz_stability_criterion(a, q, radii=(8, 16, 32, 64), trials=3)
         assert len(calls) == 10  # nothing carried over from the first call
-        assert stability._SIGMA_PAIRS.get() is None
+        assert lattice._SHARED.get() is None
 
     def test_pairs_dropped_when_a_rung_fails(self, monkeypatch):
         def fail(*args, **kwargs):
-            assert stability._SIGMA_PAIRS.get() == {}
+            assert lattice._SHARED.get() == {"sigma": (a, {})}
             raise ArithmeticError("rung failed")
 
+        a = SymbolCoeffs(1, {0: 2.0})
         monkeypatch.setattr(symbols, "stability_bracket", fail)
         with pytest.raises(ArithmeticError, match="rung failed"):
-            toeplitz_stability_criterion(SymbolCoeffs(1, {0: 2.0}), 2.0, radii=(8,))
-        assert stability._SIGMA_PAIRS.get() is None
+            toeplitz_stability_criterion(a, 2.0, radii=(8,))
+        assert lattice._SHARED.get() is None
 
     @pytest.mark.parametrize("d, radius", [(1, 16), (1, 9), (2, 4), (2, 3)])
     def test_restricted_window_is_the_smaller_toeplitz_matrix(self, d, radius):

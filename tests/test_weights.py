@@ -293,8 +293,10 @@ class TestThetaFit:
         v = WeightMatrix.constant(4.0, D1)
         with pytest.raises(ValueError):
             theta_fit(u, v, 2.0, 1, n_max=1)
-        with pytest.raises(ValueError):
-            theta_fit(u, v, 2.0, 1, t_grid=np.array([0.5, 2.0]))
+        # a non-finite point failed inside LAPACK's least-squares fit before
+        for top in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"t_grid must lie in \[1, inf\)"):
+                theta_fit(u, v, 2.0, 1, t_grid=np.array([2.0, top]))
 
     @pytest.mark.parametrize("t_grid", [[], [10.0], [3.0, 3.0]],
                              ids=["empty", "one-point", "one-distinct-point"])

@@ -4,7 +4,9 @@
 
 The snapshot holds the suite artifacts for seeds 1, 7 and 42 (full and
 ``--quick``) and a pinned list of CLI calls, each with its artifacts, its
-stdout and its exit code, run on inputs the script writes itself.  Every
+stdout, its stderr (the package path written as ``SRC``) and its exit code,
+run on inputs the script writes itself, so a refusal that ends in a traceback
+differs from a clean one.  Every
 call runs in OUT with relative paths, so the config hashes stamped into the
 artifacts do not depend on where OUT is.  A refactor that must not change
 any output is checked by snapshotting the parent and the change with the
@@ -48,6 +50,9 @@ INPUTS = {
                            "values": [[k, 1e305] for k in range(-16, 17)]},
     "ws_table_tiny.json": {"form": "table", "d": 1, "radius": 16,
                            "values": [[k, 1e-305] for k in range(-16, 17)]},
+    # finite totals whose cube product (avg w)(avg w^-1) overflows
+    "ws_table_extreme.json": {"form": "table", "d": 1, "radius": 16,
+                              "values": [[0, 1e300], [1, 1e-300]]},
     "sym_nan.json": '{"d": 1, "coeffs": [[0, NaN, 0], [1, 1, 0]]}',
     "seq_d1.json": {"d": 1, "radius": 8,
                     "entries": [[-8, 1.0, 0.0], [-1, 0.5, -0.5], [3, 2.0, 0.0], [8, 0.0, 1.0]]},
@@ -192,6 +197,16 @@ CALLS = [
                                   "--bandwidth", "1", "--seed", "1", "--amplitude", "inf"]),
     ("refuse_gen_alpha_nan", ["gen", "--kind", "polynomial_decay_random", "--radius", "4",
                               "--seed", "1", "--alpha", "nan"]),
+    ("refuse_aq_product_overflow", ["weights", "aq", "--wseq", "inputs/ws_table_extreme.json",
+                                    "--radius", "16", "--q", "2"]),
+    ("refuse_stability_aq_product_overflow", ["stability", "--matrix", T, "--q", "4",
+                                              "--wseq", "inputs/ws_table_extreme.json"]),
+    ("refuse_aq_q_nan", ["weights", "aq", "--wseq", "power:0.5", "--q", "nan"]),
+    ("refuse_invert_tol_inf", ["invert", "--matrix", T, "--tol", "inf"]),
+    ("refuse_invert_tol_nan", ["invert", "--matrix", T, "--tol", "nan"]),
+    ("refuse_recip_tol_nan", ["toeplitz", "recip", "--coeffs", "2@0,1@1", "--tol", "nan"]),
+    ("refuse_thetafit_tmax_nan", ["thetafit", "--u", "polynomial:2", "--tmax", "nan"]),
+    ("refuse_thetafit_tmax_inf", ["thetafit", "--u", "polynomial:2", "--tmax", "inf"]),
 ]
 
 SEEDS = (1, 7, 42)
@@ -199,12 +214,13 @@ SEEDS = (1, 7, 42)
 
 def _offdiag(args, cwd: Path, env: dict) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "offdiag.cli", *args], cwd=cwd, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+                          capture_output=True, text=True)
 
 
-def _record(dest: Path, proc: subprocess.CompletedProcess, stdout: str) -> None:
+def _record(dest: Path, proc: subprocess.CompletedProcess, stdout: str, src: str) -> None:
     dest.mkdir(parents=True, exist_ok=True)
     (dest / "stdout.txt").write_text(stdout)
+    (dest / "stderr.txt").write_text(proc.stderr.replace(src, "SRC"))
     (dest / "exit_code.txt").write_text(f"{proc.returncode}\n")
 
 
@@ -227,14 +243,14 @@ def main(argv) -> int:
     for name, args in CALLS:
         dest = Path("calls") / name
         proc = _offdiag([*args, "--out", str(dest)], out, env)
-        _record(out / dest, proc, proc.stdout)
+        _record(out / dest, proc, proc.stdout, src)
 
     for seed in SEEDS:
         for quick in (False, True):
             dest = Path("suite") / f"seed{seed}{'_quick' if quick else ''}"
             proc = _offdiag(["suite", "--seed", str(seed), "--out", str(dest),
                              *(["--quick"] if quick else [])], out, env)
-            _record(out / dest, proc, re.sub(r"\(\d+\.\d+s\)", "(-s)", proc.stdout))
+            _record(out / dest, proc, re.sub(r"\(\d+\.\d+s\)", "(-s)", proc.stdout), src)
     print(f"wrote {len(CALLS)} CLI calls and {2 * len(SEEDS)} suite runs to {out}")
     return 0
 

@@ -36,6 +36,7 @@ from .lattice import (LatticeSequence, LocalizedMatrix, Window, decay_profile,
                       matvec, restrict, ring_lp, shared, sharing)
 from .muckenhoupt import WeightSequence, aq_bound, weighted_norm
 from .norms import beurling_norm
+from .spectral import singular_extremes
 from .weights import WeightMatrix, cross_norm
 
 __all__ = [
@@ -176,8 +177,7 @@ def _svd_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window):
         conj = data[:, mask]  # the interior columns, the one copy
         conj *= sq[:, None]
         conj /= sq[None, mask]
-    s = np.linalg.svd(conj, compute_uv=False)
-    return float(s[-1]), float(s[0])
+    return singular_extremes(conj)
 
 
 def _verdict(lo_full: float, lo_half: float | None, scale: float) -> str:

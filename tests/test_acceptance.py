@@ -1,22 +1,23 @@
 """Exit criteria, run at full scale with the pinned tolerances.
 
-Each test executes one registry criterion and prints its pass/fail line; the
-registry (offdiag.suite) is the single place tolerances live, shared with
-the `offdiag suite` CLI verb.
+Each test executes one registry criterion through the runner, which times it
+and applies its wall-clock limit, and prints its pass/fail line; the registry
+(offdiag.suite) is the single place tolerances live, shared with the
+`offdiag suite` CLI verb.
 """
 
 import numpy as np
 import pytest
 
-from offdiag import lattice, muckenhoupt, stability, weights
+from offdiag import lattice, muckenhoupt, stability, suite, weights
 from offdiag.suite import CRITERIA, run_criterion
 
 SEED = 42
 
 
-@pytest.mark.parametrize("cid,fn", CRITERIA, ids=[cid for cid, _ in CRITERIA])
-def test_acceptance(cid, fn):
-    result = fn(SEED, False)
+@pytest.mark.parametrize("cid", [cid for cid, _ in CRITERIA])
+def test_acceptance(cid):
+    result = run_criterion(cid, seed=SEED, quick=False)
     line = (f"[{'PASS' if result.passed else 'FAIL'}] {result.cid} {result.title}: "
             f"{result.summary} ({result.elapsed:.2f}s)")
     print(line)
@@ -26,6 +27,20 @@ def test_acceptance(cid, fn):
 def test_registry_is_complete():
     assert [cid for cid, _ in CRITERIA] == [f"C{k:02d}" for k in range(1, 15)]
     assert run_criterion("C03", seed=SEED, quick=True).passed
+
+
+def test_runner_applies_the_wall_clock_limit(monkeypatch):
+    # the runner's clock alone decides the limit: C05 made to read 11 s against
+    # its 10 s fails with the same numbers, and C03, which has no limit, passes
+    on_time = run_criterion("C05", seed=SEED)
+    assert on_time.passed
+    ticks = iter([0.0, 11.0, 0.0, 1e6])
+    monkeypatch.setattr(suite, "_clock", lambda: next(ticks))
+    late = run_criterion("C05", seed=SEED)
+    assert late.elapsed == 11.0
+    assert not late.passed
+    assert (late.summary, late.details) == (on_time.summary, on_time.details)
+    assert run_criterion("C03", seed=SEED).passed
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])

@@ -11,7 +11,7 @@ from offdiag.inversion import (SingularMatrixError, inverse_closedness_experimen
                                left_inverse, spectral_bracket, wiener_invert)
 from offdiag.lattice import LocalizedMatrix, Window, decay_profile, generate, scale
 from offdiag.norms import beurling_norm
-from offdiag.spectral import operator_norm_l2
+from offdiag.spectral import operator_norm_l2, singular_extremes
 
 
 def toeplitz(win, coeffs):
@@ -59,6 +59,15 @@ class TestSpectralHelpers:
         a = generate("banded_random", win, seed=1, bandwidth=2)
         dense = operator_norm_l2(a.data)
         assert dense == pytest.approx(np.linalg.norm(a.data, 2), rel=1e-13)
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["real", "complex"])
+    def test_singular_extremes_are_the_svd_ends(self, rotate):
+        # one values-only SVD: sigma_max has the bits of numpy's spectral norm
+        a = generate("banded_random", Window(2, 4), seed=3, bandwidth=2)
+        m = np.exp(0.7j) * a.data if rotate else a.data
+        s = np.linalg.svd(m, compute_uv=False)
+        assert singular_extremes(m) == (s[-1], s[0])
+        assert operator_norm_l2(m) == np.linalg.norm(m, 2)
 
 
 class TestRealComplexAgreement:

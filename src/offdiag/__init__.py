@@ -7,15 +7,14 @@ constructive preconditioned-Neumann inversion engine whose decay profile
 witnesses inverse-closedness at desk scale.
 """
 
-from .lattice import (DecayProfile, LatticeSequence, LocalizedMatrix, Window,
-                      adjoint, add, apply, decay_profile, embed, generate,
-                      multiply, restrict, scale)
+from .lattice import (LatticeSequence, LocalizedMatrix, Window, adjoint, add, apply,
+                      decay_profile, embed, generate, multiply, restrict, scale)
 from .muckenhoupt import WeightSequence, aq_bound, maximal, weighted_norm
 from .norms import beurling_norm, norm_report, schur_norm, sjostrand_norm
 from .weights import WeightMatrix, check_submultiplicative, default_companion, theta_fit
 
 __all__ = [
-    "Window", "LocalizedMatrix", "LatticeSequence", "DecayProfile",
+    "Window", "LocalizedMatrix", "LatticeSequence",
     "decay_profile", "adjoint", "add", "scale", "multiply", "apply",
     "embed", "restrict", "generate",
     "WeightMatrix", "default_companion", "check_submultiplicative", "theta_fit",

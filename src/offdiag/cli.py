@@ -398,7 +398,7 @@ def invert_cmd(matrix_path, tol, kmax, out):
     }, config, None)
     write_json_artifact(out / "inverse_matrix.json", matrix_to_dict(a_inv), config, None)
     write_csv_artifact(out / "inverse_profile.csv", "n,h",
-                       [f"{n},{float(h)!r}" for n, h in enumerate(rep.inverse_profile.values)],
+                       [f"{n},{float(h)!r}" for n, h in enumerate(rep.inverse_profile)],
                        config, None)
     click.echo(f"residual={rep.residual!r} terms={rep.terms_used} "
                f"ring_norm={rep.inverse_ring_norm!r}")

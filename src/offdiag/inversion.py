@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DecayProfile, LocalizedMatrix, Window, decay_profile, ring_lp
+from .lattice import LocalizedMatrix, Window, decay_profile, ring_lp
 from .norms import beurling_norm
 from .spectral import hermitian_extremes
 
@@ -76,7 +76,7 @@ class InversionReport:
     terms_used: int
     residual: float
     residual_history: np.ndarray
-    inverse_profile: DecayProfile
+    inverse_profile: np.ndarray
     inverse_ring_norm: float
     converged: bool
     two_sided_residual: float
@@ -129,7 +129,7 @@ def wiener_invert(a: LocalizedMatrix, tol: float = 1e-10, k_max: int = 500):
         # terms_used counts series terms B^0..B^{terms-1} that X holds
         c1=c1, c2=c2, r0=bracket.r0, terms_used=terms, residual=history[-1],
         residual_history=np.asarray(history), inverse_profile=profile,
-        inverse_ring_norm=ring_lp(profile.values, a.window.d),  # = beurling_norm(a_inv, 1)
+        inverse_ring_norm=ring_lp(profile, a.window.d),  # = beurling_norm(a_inv, 1)
         converged=history[-1] <= tol and two_sided <= tol, two_sided_residual=two_sided)
 
 

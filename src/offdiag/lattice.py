@@ -27,9 +27,11 @@ imaginary column is all zero.  Sequences stay complex.
 
 ``weighted_pass`` is the one place where a matrix meets a weight: it returns
 the weighted magnitude |a(i, j)| u(i, j) and its diagonal suprema, from which
-the decay profile and every norm family are read.  Inside a ``sharing(kind,
-owner)`` block ``shared(kind, key, make)`` makes each key's value once: the
-"passes" kind keys weighted passes, the "sigma" kind ``stability``'s sigma pairs.
+the decay profile and every norm family are read.  A decay profile is a plain
+read-only float64 array h(0..2R), the ring suprema of that pass.  Inside a
+``sharing(kind, owner)`` block ``shared(kind, key, make)`` makes each key's
+value once: the "passes" kind keys weighted passes, the "sigma" kind
+``stability``'s sigma pairs.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "Window",
     "LocalizedMatrix",
     "LatticeSequence",
-    "DecayProfile",
     "WindowMismatchError",
     "ring_counts",
     "ring_lp",
@@ -122,9 +123,16 @@ class Window:
         (..., d) integer array.
 
         An int is a point at d = 1.  Returns an int for one point and an int64
-        array of shape (...) otherwise.
+        array of shape (...) otherwise.  A coordinate that is not an integer
+        (1.5, nan, inf) raises ValueError; integral floats such as 2.0 pass.
         """
-        idx = np.asarray(index, dtype=np.int64)
+        idx = np.asarray(index)
+        if idx.dtype.kind == "f":
+            frac = ~(np.isfinite(idx) & (idx == np.trunc(idx)))
+            if frac.any():
+                raise ValueError(f"lattice point coordinate {float(idx[frac][0])!r} "
+                                 f"is not an integer")
+        idx = idx.astype(np.int64, copy=False)
         if idx.ndim == 0:
             idx = idx.reshape(1)
         if idx.shape[-1] != self.d:
@@ -244,29 +252,6 @@ class LatticeSequence:
         return complex(self.data[self.window.flat(i)])
 
 
-@dataclass(frozen=True, eq=False)
-class DecayProfile:
-    """Radial envelope h(0) >= h(1) >= ... of off-diagonal suprema."""
-
-    values: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("profile must be a nonempty 1-d array")
-        if (arr < 0).any():
-            raise ValueError("profile values must be nonnegative")
-        if (arr[1:] > arr[:-1]).any():
-            raise ValueError("profile must be nonincreasing")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def m_max(self) -> int:
-        return self.values.size - 1
-
-
 _CHUNK_BYTES = 1 << 20  # bound on diagonal_suprema's padded buffer
 
 
@@ -330,14 +315,15 @@ def ring_suprema(diag: np.ndarray) -> np.ndarray:
     """h(m) = sup{diag(k) : |k|_inf >= m}, m = 0..2R, from diagonal suprema.
 
     |k|_inf >= m exactly when some |k_a| >= m, so h is the reverse running
-    max of the per-axis marginal suprema folded onto |k_a|.
+    max of the per-axis marginal suprema folded onto |k_a|.  Returns a fresh
+    C-contiguous array: sums over a reversed view may round differently.
     """
     c = diag.shape[0] // 2
     f = np.zeros(c + 1, dtype=np.float64)
     for a in range(diag.ndim):
         v = diag.max(axis=tuple(b for b in range(diag.ndim) if b != a))
         f = np.maximum(f, np.maximum(v[c:], v[c::-1]))
-    return np.maximum.accumulate(f[::-1])[::-1]
+    return np.ascontiguousarray(np.maximum.accumulate(f[::-1])[::-1])
 
 
 def _place_diagonals(coef: np.ndarray, window: Window) -> np.ndarray:
@@ -400,8 +386,11 @@ def weighted_pass(a: LocalizedMatrix, weight=None) -> tuple[np.ndarray, np.ndarr
 
     ``weight`` is any object with a ``descriptor`` and a ``grid(window)``
     method returning the pointwise weight u(i, j) over the window; None means
-    the trivial weight.  A finite |a| whose weighted magnitude overflows
-    raises ValueError; a matrix that is not finite itself passes as it is.
+    the trivial weight.  For a radial weight u(i, j) = psi(|i - j|_inf), such
+    as every ``WeightMatrix``, the suprema equal ``diagonal_suprema(|a|)``
+    times psi(|k|_inf) bit for bit, since rounding x -> x psi is monotone.
+    A finite |a| whose weighted magnitude overflows raises ValueError; a
+    matrix that is not finite itself passes as it is.
     """
     return shared("passes", (a, weight), lambda: _weighted_pass(a, weight))
 
@@ -422,10 +411,13 @@ def _weighted_pass(a: LocalizedMatrix, weight) -> tuple[np.ndarray, np.ndarray]:
     return mag, diag
 
 
-def decay_profile(a: LocalizedMatrix, weight=None) -> DecayProfile:
+def decay_profile(a: LocalizedMatrix, weight=None) -> np.ndarray:
     """Ring suprema h(m) = sup{|a(i,j)| u(i,j) : |i-j|_inf >= m}, m = 0..2R,
-    read from the ``weighted_pass`` of (a, weight)."""
-    return DecayProfile(ring_suprema(weighted_pass(a, weight)[1]), a.window.d)
+    read from the ``weighted_pass`` of (a, weight): a read-only float64
+    array, nonnegative and nonincreasing by construction."""
+    h = ring_suprema(weighted_pass(a, weight)[1])
+    h.setflags(write=False)
+    return h
 
 
 def adjoint(a: LocalizedMatrix) -> LocalizedMatrix:

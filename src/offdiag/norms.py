@@ -75,7 +75,7 @@ def beurling_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     h(0)^p + sum_{m>=1} ((2m+1)^d - (2m-1)^d) h(m)^p, then the p-th root.
     """
     _check_exponent(p)
-    h = decay_profile(a, weight).values
+    h = decay_profile(a, weight)
     with np.errstate(over="ignore"):  # an overflow is refused below
         value = ring_lp(h, a.window.d, p)
     return _refuse_overflow(value, h, p, weight)
@@ -194,7 +194,7 @@ def dilation_fact_check(a: LocalizedMatrix, n: int) -> DilationReport:
     if n < 1:
         raise ValueError("N must be >= 1")
     d = a.window.d
-    h = decay_profile(a).values
+    h = decay_profile(a)
     base = ring_lp(h, d)
     # |i-j| >= j0/N with integer distances means |i-j| >= ceil(j0/N);
     # contributions vanish once ceil(j0/N) exceeds the window diameter.
@@ -237,7 +237,7 @@ def brandenburg_radii(a: LocalizedMatrix, p: float, weight=None, n_max: int = 16
             if n > 1:
                 power = multiply(power, a)
             # beurling_norm, unrefused: an overflowing root is this call's to refuse
-            roots[n - 1] = ring_lp(decay_profile(power, weight).values, a.window.d, p) ** (1.0 / n)
+            roots[n - 1] = ring_lp(decay_profile(power, weight), a.window.d, p) ** (1.0 / n)
         for _ in range(3):  # seeded probes
             x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             x0 = np.linalg.norm(x)

@@ -214,7 +214,7 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     win = a.window
-    h = decay_profile(a).values
+    h = decay_profile(a)
     if band is None:
         band = min(2 * _bandwidth(h), max(win.radius - 1, 0))
     if band < 0:
@@ -315,7 +315,7 @@ def commutator_diagnostic(a: LocalizedMatrix, n_scale: int, n, n_prime, q: float
     probe_norm = weighted_norm(c, q, w)
 
     aq = aq_bound(w, q, win.side).bound if aq is None else aq
-    h = decay_profile(a).values
+    h = decay_profile(a)
 
     if sep <= 8 * n_scale:
         case = "near"

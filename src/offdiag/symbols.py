@@ -113,6 +113,7 @@ def parse_coeffs(text: str, d: int = 1) -> SymbolCoeffs:
 
     Each item is value@index; complex values use Python syntax (e.g. 1+2j);
     for d > 1 the index is comma-separated inside the item, items split on ';'.
+    Two items at the same index raise ValueError, as two file rows do.
     """
     items = text.split(";") if d > 1 else text.split(",")
     coeffs = {}
@@ -124,6 +125,8 @@ def parse_coeffs(text: str, d: int = 1) -> SymbolCoeffs:
         if not idx_s:
             raise ValueError(f"coefficient item {item!r} is missing '@index'")
         idx = tuple(int(x) for x in idx_s.split(",")) if d > 1 else int(idx_s)
+        if idx in coeffs:
+            raise ValueError(f"two coefficient rows at index {_as_key(idx, d)}")
         coeffs[idx] = complex(val_s)
     return SymbolCoeffs(d, coeffs)
 

@@ -1,8 +1,9 @@
 """Two-index weights u(i, j), companion weights, and series certificates.
 
-Every built-in closed form is a RadialForm psi(n) of n = |i - j|_inf, which a
-WeightMatrix stores with its descriptor when it is built (a table stores
-None), so evaluation, companions and series read that form alone.  The
+A WeightMatrix is its radial form: one of the four closed forms trivial,
+polynomial(alpha), subexponential(delta, tau) and constant(c), each a
+RadialForm psi(n) of n = |i - j|_inf stored with its descriptor, so the
+grid, the companion and every series read that form alone.  The
 cross-norm C_p(v, u) and the scale-indexed quantity B_N(p) reduce to
 ring-weighted series over Z^d with exact ring cardinalities
 (2m+1)^d - (2m-1)^d, whose terms are exact tail suprema of v/u.  Partial
@@ -123,16 +124,14 @@ class RadialForm:
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Weight u(i, j) >= 1: a RadialForm in |i - j|_inf, or a table (radial None).
+    """Weight u(i, j) = psi(|i - j|_inf) >= 1 for a closed-form RadialForm psi.
 
     Each constructor checks its own parameters, which must be finite.
     """
 
     d: int
     descriptor: str
-    radial: RadialForm | None = None
-    table_window: Window | None = None
-    table_values: np.ndarray | None = None
+    radial: RadialForm
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -162,26 +161,10 @@ class WeightMatrix:
             raise WeightValidationError("constant weight needs a finite c >= 1")
         return cls(d, f"constant({c:g})", RadialForm(scale=c))
 
-    @classmethod
-    def table(cls, window: Window, values) -> "WeightMatrix":
-        vals = np.array(values, dtype=np.float64)
-        if vals.shape != (window.size, window.size):
-            raise WeightValidationError("table shape does not match window")
-        if not np.all((vals >= 1.0) & (vals < math.inf)):
-            raise WeightValidationError("table weight entries must be finite and >= 1")
-        if not np.array_equal(vals, vals.T):
-            raise WeightValidationError("table weight must be symmetric")
-        vals.setflags(write=False)
-        return cls(window.d, f"table(R={window.radius})", None, window, vals)
-
     # -- evaluation ---------------------------------------------------------
     def grid(self, window: Window) -> np.ndarray:
         if window.d != self.d:
             raise ValueError(f"weight dimension {self.d} does not match window d={window.d}")
-        if self.radial is None:
-            if window != self.table_window:
-                raise ValueError("table weight defined on a different window")
-            return self.table_values
         with np.errstate(over="ignore"):  # an overflow is refused below
             psi = self.radial.value(np.arange(window.side))
         if not math.isfinite(psi[-1]):  # every closed form is nondecreasing
@@ -199,8 +182,6 @@ def default_companion(u: WeightMatrix, p: float) -> WeightMatrix:
     form pairs with the trivial companion.
     """
     r = u.radial
-    if r is None:
-        raise ValueError("table weights need an explicit companion")
     if r.tau != 0.0:
         return WeightMatrix.subexponential(r.delta, r.tau / 2.0, u.d)
     if r.alpha != 0.0:
@@ -309,18 +290,15 @@ def _p_prime(p: float) -> float:
 def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float, window: Window | None = None) -> SeriesValue:
     """C_p(v, u): l^{p/(p-1)} norm over k in Z^d of the ring suprema of v/u.
 
-    Closed-form pairs use the infinite ring series with a certified tail;
-    table weights fall back to the window-restricted sum.
+    A pair whose ratio v/u is a RadialForm uses the infinite ring series with a
+    certified tail; a pair of incompatible exponential scales, whose ratio is
+    not, falls back to the sum over ``window``.
     """
-    ur, vr = u.radial, v.radial
-    if ur is not None and vr is not None:
-        ratio = vr.ratio(ur)
-        if ratio is not None:
-            return ring_power_series(ratio, _p_prime(p), u.d, 0)
+    ratio = v.radial.ratio(u.radial)
+    if ratio is not None:
+        return ring_power_series(ratio, _p_prime(p), u.d, 0)
     if window is None:
-        window = u.table_window or v.table_window
-    if window is None:
-        raise ValueError("table-form cross norm needs a window")
+        raise ValueError(f"the cross norm of {v.descriptor} over {u.descriptor} needs a window")
     r = ring_suprema(diagonal_suprema(v.grid(window) / u.grid(window), window))
     val = ring_lp(r, window.d, _p_prime(p))
     return SeriesValue(val, val, 0.0, r.size, False)
@@ -397,10 +375,7 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
         raise ValueError(f"t_grid needs 2 distinct points to fit a slope, got {distinct}")
     if not np.all((t_grid >= 1.0) & (t_grid < math.inf)):  # nan too
         raise ValueError("t_grid must lie in [1, inf)")
-    ur, vr = u.radial, v.radial
-    if ur is None or vr is None:
-        raise ValueError("theta_fit needs closed-form weights")
-    ratio = vr.ratio(ur)
+    ratio = v.radial.ratio(u.radial)
     if ratio is None:
         raise ValueError("incompatible exponential scales in v/u")
 
@@ -408,7 +383,7 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
     # A_N = sum_{|k| <= N} sup_{|k| <= n <= N} v(n) = v(N) (2N+1)^d: every closed
     # form WeightMatrix accepts (c >= 1, alpha >= 0, tau > 0) is nondecreasing
     with np.errstate(over="ignore"):  # an overflow is refused below
-        a_vals = vr.value(n_grid) * (2.0 * n_grid + 1.0) ** d
+        a_vals = v.radial.value(n_grid) * (2.0 * n_grid + 1.0) ** d
     if not np.all(np.isfinite(a_vals)):
         raise ValueError(f"A_N = v(N) (2N+1)^d of the {v.descriptor} companion overflows "
                          f"within n_max = {n_max}")

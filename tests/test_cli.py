@@ -98,7 +98,7 @@ class TestVerbs:
         prof_lines = (out / "inverse_profile.csv").read_text().splitlines()
         assert prof_lines[0].startswith("# schema_version=")
         assert prof_lines[1] == "n,h"
-        h = wiener_invert(load_matrix(matrix_file))[1].inverse_profile.values
+        h = wiener_invert(load_matrix(matrix_file))[1].inverse_profile
         assert prof_lines[2:] == [f"{n},{float(v)!r}" for n, v in enumerate(h)]
         inv_doc = json.loads((out / "inverse_matrix.json").read_text())
         assert "config_hash" in inv_doc and "entries" in inv_doc
@@ -587,6 +587,21 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("validation error: ") and res.output.count("\n") == 1
         assert "finite" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args, index", [
+        (["toeplitz", "minmod", "--coeffs", "2@0,1@0"], "(0,)"),
+        (["gen", "--kind", "toeplitz_from_coeffs", "--radius", "2", "--coeffs", "2@0,1@0,-3@0"],
+         "(0,)"),
+        (["gen", "--kind", "toeplitz_from_coeffs", "--d", "2", "--radius", "2",
+          "--coeffs", "1@0,0;2@0,0"], "(0, 0)"),
+    ], ids=["minmod-d1", "gen-d1", "gen-d2"])
+    def test_repeated_coefficient_index_exit_code(self, runner, tmp_path, args, index):
+        # each exited 0 with the last value: min|a_hat|=1.0, or -3 on the diagonal
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"validation error: two coefficient rows at index {index}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("exc, line", [

@@ -121,7 +121,7 @@ class TestWienerInvert:
         diffs = ix[:, None] - ix[None, :]
         closed = np.where(diffs >= 0, 0.5 * (-0.5) ** np.maximum(diffs, 0), 0.0)
         assert np.abs(a_inv.data - closed).max() <= 1e-8
-        assert np.abs(rep.inverse_profile.values[:21]
+        assert np.abs(rep.inverse_profile[:21]
                       - 0.5 ** (np.arange(21) + 1.0)).max() <= 1e-8
 
     def test_two_sided_residual(self):
@@ -224,7 +224,7 @@ class TestWienerInvert:
                             / operator_norm_l2(generate("banded_random", win, seed=8,
                                                         bandwidth=2).data))
         _, rep = wiener_invert(a, tol=1e-10, k_max=1000)
-        assert np.all(np.diff(rep.inverse_profile.values) <= 0)
+        assert np.all(np.diff(rep.inverse_profile) <= 0)
 
     @pytest.mark.parametrize("d, radius, coeffs", [
         (1, 32, {0: 2.0, 1: 1.0}), (2, 6, {(0, 0): 3.0, (1, 0): 1.0, (0, 1): 0.5j})])
@@ -242,7 +242,7 @@ class TestWienerInvert:
         assert len(calls) == 1
         monkeypatch.undo()
         assert rep.inverse_ring_norm == beurling_norm(a_inv, 1.0, None)
-        assert np.array_equal(rep.inverse_profile.values, decay_profile(a_inv).values)
+        assert np.array_equal(rep.inverse_profile, decay_profile(a_inv))
 
     def test_singular_raises(self):
         win = Window(1, 8)
@@ -398,7 +398,7 @@ class TestDemkoMossSmith:
         # the largest column l^1 norm of A^{-1}
         dense = np.linalg.inv(a.data)
         err = np.abs(x.data @ a.data - np.eye(win.size)).max() * np.abs(dense).sum(axis=0).max()
-        h = rep.inverse_profile.values
+        h = rep.inverse_profile
         n = np.arange(h.size)
         bound = big_c * row_sum * lam ** np.maximum(n - b, 0) + err
         assert np.all(h <= bound)

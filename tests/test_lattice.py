@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offdiag import lattice
-from offdiag.lattice import (DecayProfile, LatticeSequence, LocalizedMatrix,
+from offdiag.lattice import (LatticeSequence, LocalizedMatrix,
                              Window, WindowMismatchError, add, adjoint, apply,
                              decay_profile, diagonal_suprema, embed, generate,
                              load_matrix, matrix_from_dict, matrix_to_dict, matvec, multiply,
@@ -86,6 +86,22 @@ class TestWindow:
             Window(1, 2).flat((7,))
         with pytest.raises(ValueError, match=r"index \(0, -3\) outside"):
             Window(2, 2).flat(np.array([[0, 0], [0, -3]]))
+
+    def test_non_integer_point_refused(self):
+        # the int64 cast truncated them: 1.5 read as point 1, (1.2,), (1.9,) as entry (1, 1)
+        win = Window(1, 3)
+        for bad in (1.5, (2.7,), -0.5, math.nan, math.inf, np.array([[1.0], [2.5]])):
+            with pytest.raises(ValueError, match="is not an integer"):
+                win.flat(bad)
+        with pytest.raises(ValueError, match=r"coordinate 0\.25 is not an integer"):
+            Window(2, 2).flat((1, 0.25))
+        with pytest.raises(ValueError, match="is not an integer"):
+            LatticeSequence.delta(win, 2.7)
+        with pytest.raises(ValueError, match="is not an integer"):
+            LocalizedMatrix(win, np.eye(win.size)).entry((1.2,), (1.9,))
+        # integral floats, the form read_rows passes, still name their points
+        assert win.flat(2.0) == win.flat(2) == 5
+        assert np.array_equal(Window(2, 1).flat(np.array([[1.0, -1.0], [0.0, 0.0]])), [6, 4])
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -171,24 +187,24 @@ class TestDecayProfile:
     def test_identity(self):
         win = Window(1, 2)
         prof = decay_profile(generate("identity", win))
-        assert prof.values.tolist() == [1, 0, 0, 0, 0]
+        assert prof.tolist() == [1, 0, 0, 0, 0]
 
     def test_shift(self):
         win = Window(1, 4)
         prof = decay_profile(generate("shift", win))
-        assert prof.values.tolist() == [1, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert prof.tolist() == [1, 1, 0, 0, 0, 0, 0, 0, 0]
 
     def test_geometric(self):
         # a(i,j) = 2^{-|i-j|}: the ring sup sits on the inner boundary
         win = Window(1, 3)
         a = LocalizedMatrix(win, 2.0 ** (-sup_dist(win).astype(float)))
-        assert np.array_equal(decay_profile(a).values, 0.5 ** np.arange(7.0))
+        assert np.array_equal(decay_profile(a), 0.5 ** np.arange(7.0))
 
     @pytest.mark.parametrize("d,r,seed", [(1, 4, 0), (1, 6, 1), (2, 2, 2), (3, 1, 3)])
     def test_matches_enumeration_oracle(self, d, r, seed):
         # oracle uses Python complex abs, implementation numpy abs: 1-ulp slack
         a = rand_matrix(Window(d, r), seed)
-        got = decay_profile(a).values
+        got = decay_profile(a)
         want = brute_profile(a, 2 * r)
         assert np.allclose(got, want, rtol=1e-14, atol=0)
 
@@ -196,14 +212,15 @@ class TestDecayProfile:
     @settings(max_examples=25, deadline=None)
     def test_nonincreasing(self, seed):
         a = rand_matrix(Window(1, 5), seed)
-        vals = decay_profile(a).values
+        vals = decay_profile(a)
         assert np.all(np.diff(vals) <= 0)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DecayProfile(np.array([1.0, 2.0]), 1)
-        with pytest.raises(ValueError):
-            DecayProfile(np.array([-1.0]), 1)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_is_a_read_only_float64_array(self, d):
+        # the array ring_suprema makes, contiguous, so sums over it keep their bits
+        prof = decay_profile(rand_matrix(Window(d, 3), d))
+        assert type(prof) is np.ndarray and prof.dtype == np.float64 and prof.shape == (7,)
+        assert prof.flags.c_contiguous and not prof.flags.writeable
 
 
 def reference_diagonal_suprema(mag, win):
@@ -646,8 +663,8 @@ class TestEmbedRestrict:
     def test_embed_preserves_profile_head(self):
         small, big = Window(1, 3), Window(1, 8)
         a = rand_matrix(small, 21)
-        p_small = decay_profile(a).values
-        p_big = decay_profile(embed(a, big)).values
+        p_small = decay_profile(a)
+        p_big = decay_profile(embed(a, big))
         assert np.array_equal(p_big[: p_small.size], p_small)
 
     def test_dimension_guard(self):

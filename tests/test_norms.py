@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -149,10 +150,23 @@ class TestOrderingAndAxioms:
         assert beurling_norm(z, math.inf) == 0.0
 
 
+class GridWeight:
+    """A weight given by its values on one window.  The norms take any object
+    with a descriptor and a grid(window) method, so a weight need not be radial."""
+
+    descriptor = "table"
+
+    def __init__(self, values):
+        self.values = values
+
+    def grid(self, window):
+        return self.values
+
+
 def sym_table(win, seed):
     rng = np.random.default_rng(seed)
     vals = 1.0 + rng.uniform(0.0, 3.0, (win.size, win.size))
-    return WeightMatrix.table(win, np.maximum(vals, vals.T))
+    return GridWeight(np.maximum(vals, vals.T))
 
 
 def weight_of(kind, win):
@@ -198,6 +212,29 @@ class TestWeightedPass:
                 assert rep.schur == float(max(np.max(np.sum(mag**p, axis=1) ** (1 / p)),
                                               np.max(np.sum(mag**p, axis=0) ** (1 / p))))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("u", [
+        WeightMatrix.trivial, lambda d: WeightMatrix.polynomial(2.0, d),
+        lambda d: WeightMatrix.polynomial(0.37, d), lambda d: WeightMatrix.constant(4.0, d),
+        lambda d: WeightMatrix.constant(1.3, d), lambda d: WeightMatrix.subexponential(0.5, 0.7, d),
+    ], ids=["trivial", "polynomial-2", "polynomial-0.37", "constant-4", "constant-1.3",
+            "subexponential"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_radial_weight_factors_out_of_the_diagonal_suprema(self, d, u, real):
+        # u(i, j) = psi(|i - j|_inf) is constant on each diagonal k = i - j, and x -> x psi
+        # rounds monotonically, so the weighted suprema are the plain ones times psi(|k|_inf)
+        u = u(d)
+        for radius, seed in ((1, 0), (2, 1), (3 if d < 3 else 2, 2)):
+            win = Window(d, radius)
+            a = rand_matrix(win, 10 * d + seed)
+            if real:
+                a = LocalizedMatrix(win, a.data.real)
+            k = np.abs(np.arange(-2 * radius, 2 * radius + 1))
+            psi_k = u.radial.value(np.arange(win.side))[functools.reduce(np.maximum.outer,
+                                                                          [k] * d)]
+            want = diagonal_suprema(np.abs(a.data), win) * psi_k
+            assert weighted_pass(a, u)[1].tobytes() == want.tobytes()
+
     def test_pass_is_read_only(self):
         a = rand_matrix(Window(1, 3), 1)
         for arr in weighted_pass(a, WeightMatrix.polynomial(1.0, 1)):
@@ -236,8 +273,8 @@ class TestWeightedPass:
         win = Window(1, 4)
         a = rand_matrix(win, 5)
         twin = LocalizedMatrix(win, a.data)
-        t0, t1 = sym_table(win, 0), sym_table(win, 1)
-        assert t0.descriptor == t1.descriptor
+        t0, t1 = WeightMatrix.polynomial(1.0000001, 1), WeightMatrix.polynomial(1.0000002, 1)
+        assert t0.descriptor == t1.descriptor == "polynomial(1)"
         u = WeightMatrix.polynomial(1.0, 1)
         with sharing("passes"):
             first, second = weighted_pass(a, u), weighted_pass(twin, u)
@@ -253,7 +290,7 @@ class TestWeightedPass:
         win = Window(1, 3)
         a = LocalizedMatrix(win, np.full((win.size, win.size), 4.0))
         u = (WeightMatrix.constant(1e308, 1) if kind == "constant"
-             else WeightMatrix.table(win, np.full((win.size, win.size), 1e308)))
+             else GridWeight(np.full((win.size, win.size), 1e308)))
         for fn in (norm_report, beurling_norm, sjostrand_norm, schur_norm):
             with pytest.raises(ValueError, match="overflows"):
                 fn(a, 2.0, u)

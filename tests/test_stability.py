@@ -271,7 +271,7 @@ class TestSigmaPairScratch:
         win = Window(1, 256)
         a = toeplitz(win, {0: 3.0, 1: 1 + 1j, -1: 0.5j})
         w = WeightSequence.power(win, 0.5)
-        band = 2 * stability._bandwidth(lattice.decay_profile(a).values)
+        band = 2 * stability._bandwidth(lattice.decay_profile(a))
         n, m = win.size, int(stability._interior_mask(win, band).sum())
         tracemalloc.start()
         try:

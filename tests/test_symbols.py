@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,3 +353,15 @@ class TestParse:
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_coeffs("2")
+
+    @pytest.mark.parametrize("text, d, index", [("2@0,1@0", 1, "(0,)"),
+                                                ("2@0,1@1,-3@1", 1, "(1,)"),
+                                                ("1@0,0;2@0,0", 2, "(0, 0)")])
+    def test_repeated_index_refused(self, text, d, index):
+        # the last item won: "2@0,1@0" read as {(0,): 1}, while a file's rows were refused
+        with pytest.raises(ValueError, match=re.escape(f"two coefficient rows at index {index}")):
+            parse_coeffs(text, d)
+        rows = [[*map(int, item.split("@")[1].split(",")), float(item.split("@")[0]), 0.0]
+                for item in text.split(";" if d > 1 else ",")]
+        with pytest.raises(ValueError, match=re.escape(f"two coefficient rows at index {index}")):
+            symbol_from_dict({"d": d, "coeffs": rows})

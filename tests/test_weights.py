@@ -47,25 +47,6 @@ class TestEval:
             assert np.array_equal(g, g.T)
             assert np.all(g >= 1.0)
 
-    def test_table_validation(self):
-        win = Window(1, 1)
-        ok = np.full((3, 3), 2.0)
-        WeightMatrix.table(win, ok)
-        bad = ok.copy()
-        bad[0, 1] = 0.5
-        with pytest.raises(WeightValidationError):
-            WeightMatrix.table(win, bad)
-        asym = ok.copy()
-        asym[0, 1] = 3.0
-        with pytest.raises(WeightValidationError):
-            WeightMatrix.table(win, asym)
-
-    def test_table_lookup_out_of_window(self):
-        win = Window(1, 1)
-        u = WeightMatrix.table(win, np.full((3, 3), 2.0))
-        with pytest.raises(ValueError, match="different window"):
-            u.grid(Window(1, 5))
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             WeightMatrix.trivial(2).grid(Window(1, 3))
@@ -99,24 +80,20 @@ class TestConstructors:
         lambda: WeightMatrix.constant(math.nan, D1),
         lambda: WeightMatrix.subexponential(math.nan, 0.5, D1),
         lambda: WeightMatrix.subexponential(0.5, math.nan, D1),
-        lambda: WeightMatrix.table(Window(1, 1), np.full((3, 3), math.inf)),
-        lambda: WeightMatrix.table(Window(1, 1), np.full((3, 3), math.nan)),
     ], ids=["polynomial-negative", "constant-below-one", "delta-zero", "delta-one",
             "tau-zero", "tau-above-one", "polynomial-inf", "polynomial-nan", "constant-inf",
-            "constant-nan", "delta-nan", "tau-nan", "table-inf", "table-nan"])
+            "constant-nan", "delta-nan", "tau-nan"])
     def test_refuses_out_of_range(self, build):
         with pytest.raises(WeightValidationError):
             build()
 
     def test_descriptor_and_form_are_stored(self):
-        win = Window(1, 2)
         cases = [
             (WeightMatrix.trivial(D1), "trivial", RadialForm()),
             (WeightMatrix.polynomial(2, D1), "polynomial(2)", RadialForm(alpha=2.0)),
             (WeightMatrix.constant(4.0, D1), "constant(4)", RadialForm(scale=4.0)),
             (WeightMatrix.subexponential(0.5, 0.25, D1), "subexponential(0.5,0.25)",
              RadialForm(tau=0.25, delta=0.5)),
-            (WeightMatrix.table(win, np.full((5, 5), 2.0)), "table(R=2)", None),
         ]
         for u, descriptor, radial in cases:
             assert u.descriptor == descriptor and u.radial == radial
@@ -143,11 +120,6 @@ class TestCompanions:
 
     def test_companion_constant_below_the_edge(self):
         assert default_companion(WeightMatrix.polynomial(1023.5, D1), 2.0).radial.scale == 2.0**1023.5
-
-    def test_table_needs_explicit(self):
-        win = Window(1, 1)
-        with pytest.raises(ValueError):
-            default_companion(WeightMatrix.table(win, np.ones((3, 3))), 1.0)
 
     @pytest.mark.parametrize("u,p", [
         (WeightMatrix.trivial(D1), 1.0),
@@ -192,15 +164,15 @@ class TestSubmultiplicative:
 
     def test_blocks_cover_every_triple(self, monkeypatch):
         # a window past one block is still checked on every triple, block by block
+        # u = (1+n)^2 against the trivial v: the margin (1+a)^2 + (1+b)^2 - (1+a+b)^2 = 1 - 2ab
+        # is least at i = -R, k = 0, j = R (a = b = R), so 1 - 2 R^2 is the worst of every triple
         win = Window(1, 40)
-        vals = np.ones((win.size, win.size))
-        vals[-1, -1] = 100.0  # u(R, R) = 100 > u(R, k) v(k, R) + v(R, k) u(k, R) = 2, k != R
-        u = WeightMatrix.table(win, vals)
+        u = WeightMatrix.polynomial(2.0, D1)
         v = WeightMatrix.trivial(D1)
         whole = check_submultiplicative(u, v, 2.0, win)
         monkeypatch.setattr(weights, "_SUBMULT_BLOCK", 2 * win.size**2 + 1)
         blocked = check_submultiplicative(u, v, 2.0, win)
-        assert whole.worst_margin == blocked.worst_margin == 2.0 - 100.0
+        assert whole.worst_margin == blocked.worst_margin == 1.0 - 2.0 * 40**2
         assert not blocked.holds
 
     def test_divergent_cp(self):
@@ -221,12 +193,20 @@ class TestSubmultiplicative:
                                WeightMatrix.constant(4.0, D1), 2.0, win).value
         assert c_small_u > c4
 
-    def test_table_cross_norm_window_restricted(self):
-        win = Window(1, 6)
-        u = WeightMatrix.table(win, WeightMatrix.polynomial(2.0, D1).grid(win))
-        v = WeightMatrix.constant(4.0, D1)
-        val = cross_norm(u, v, 1.0, win).value
-        assert val == 4.0
+    def test_incompatible_scales_cross_norm_window_restricted(self):
+        # v/u = exp(n^{1/4} - n^{1/2}) is no RadialForm: its sup over the window is 1 at n <= 1
+        u = WeightMatrix.subexponential(0.5, 1.0, D1)
+        v = WeightMatrix.subexponential(0.25, 1.0, D1)
+        assert v.radial.ratio(u.radial) is None
+        assert cross_norm(u, v, 1.0, Window(1, 6)).value == 1.0
+        win = Window(2, 3)
+        r = np.exp(np.arange(7.0) ** 0.25 - np.arange(7.0) ** 0.5)  # |i - j|_inf <= 2R = 6
+        want = float(np.sum(ring_counts(2, 6) * np.maximum.accumulate(r[::-1])[::-1] ** 2) ** 0.5)
+        got = cross_norm(WeightMatrix.subexponential(0.5, 1.0, 2),
+                         WeightMatrix.subexponential(0.25, 1.0, 2), 2.0, win).value
+        assert got == pytest.approx(want, rel=1e-14)
+        with pytest.raises(ValueError, match="needs a window"):
+            cross_norm(u, v, 1.0)
 
 
 class TestThetaFit:

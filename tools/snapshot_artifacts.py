@@ -193,6 +193,9 @@ CALLS = [
     ("refuse_minmod_coeff_nan_json", ["toeplitz", "minmod", "--coeffs", "inputs/sym_nan.json"]),
     ("refuse_gen_coeff_nan", ["gen", "--kind", "toeplitz_from_coeffs", "--radius", "4",
                               "--coeffs", "nan@0,1@1"]),
+    ("refuse_minmod_repeated_index", ["toeplitz", "minmod", "--coeffs", "2@0,1@0"]),
+    ("refuse_gen_repeated_index_d2", ["gen", "--kind", "toeplitz_from_coeffs", "--d", "2",
+                                      "--radius", "2", "--coeffs", "1@0,0;2@0,0"]),
     ("refuse_gen_amplitude_inf", ["gen", "--kind", "banded_random", "--radius", "4",
                                   "--bandwidth", "1", "--seed", "1", "--amplitude", "inf"]),
     ("refuse_gen_alpha_nan", ["gen", "--kind", "polynomial_decay_random", "--radius", "4",

@@ -17,7 +17,8 @@ chunks of at most ``_CHUNK_BYTES`` (1 MiB; rows, or slices of rows where a
 row is larger), so besides its output it holds one such buffer, and a decay
 profile holds |a| u and that buffer.
 ``Window.flat`` maps one lattice point or an (..., d) array of them to
-positions.
+positions; it, the generators' offsets and symbol indices read coordinates
+through ``integer_coords``, which refuses one that is not an integer.
 
 A matrix is stored real (float64, one real n x n array) exactly when every
 imaginary part of its input is zero, and complex (complex128, two) otherwise.
@@ -31,7 +32,8 @@ the decay profile and every norm family are read.  A decay profile is a plain
 read-only float64 array h(0..2R), the ring suprema of that pass.  Inside a
 ``sharing(kind, owner)`` block ``shared(kind, key, make)`` makes each key's
 value once: the "passes" kind keys weighted passes, the "sigma" kind
-``stability``'s sigma pairs.
+``stability``'s sigma pairs, and the "constants" kind the weight constants
+A_q(w) and C_p(v, u), which depend on the weights alone.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "LocalizedMatrix",
     "LatticeSequence",
     "WindowMismatchError",
+    "integer_coords",
     "ring_counts",
     "ring_lp",
     "diagonal_suprema",
@@ -126,13 +129,7 @@ class Window:
         array of shape (...) otherwise.  A coordinate that is not an integer
         (1.5, nan, inf) raises ValueError; integral floats such as 2.0 pass.
         """
-        idx = np.asarray(index)
-        if idx.dtype.kind == "f":
-            frac = ~(np.isfinite(idx) & (idx == np.trunc(idx)))
-            if frac.any():
-                raise ValueError(f"lattice point coordinate {float(idx[frac][0])!r} "
-                                 f"is not an integer")
-        idx = idx.astype(np.int64, copy=False)
+        idx = integer_coords(index)
         if idx.ndim == 0:
             idx = idx.reshape(1)
         if idx.shape[-1] != self.d:
@@ -145,6 +142,18 @@ class Window:
             raise ValueError(f"index {bad} outside window radius {self.radius}")
         pos = coord @ self.side ** np.arange(self.d - 1, -1, -1)
         return int(pos) if idx.ndim == 1 else pos
+
+
+def integer_coords(index) -> np.ndarray:
+    """index as an int64 array; a coordinate that is not an integer (1.5, nan,
+    inf) raises ValueError, and integral floats such as 2.0 pass."""
+    idx = np.asarray(index)
+    if idx.dtype.kind == "f":
+        frac = ~(np.isfinite(idx) & (idx == np.trunc(idx)))
+        if frac.any():
+            raise ValueError(f"lattice point coordinate {float(idx[frac][0])!r} "
+                             f"is not an integer")
+    return idx.astype(np.int64, copy=False)
 
 
 def ring_counts(d: int, m_max: int, m_min: int = 0) -> np.ndarray:
@@ -483,7 +492,7 @@ def _as_offset(window: Window, offset) -> np.ndarray:
         vec = np.zeros(window.d, dtype=np.int64)
         vec[0] = int(offset)
         return vec
-    vec = np.asarray(offset, dtype=np.int64)
+    vec = integer_coords(offset)
     if vec.shape != (window.d,):
         raise ValueError(f"offset {offset!r} does not match dimension {window.d}")
     return vec

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LocalizedMatrix, decay_profile, matvec, multiply, ring_lp, sharing,
-                      weighted_pass)
+from .lattice import (LocalizedMatrix, decay_profile, matvec, multiply, ring_lp, shared,
+                      sharing, weighted_pass)
 from .spectral import operator_norm_l2
-from .weights import ThetaFit
+from .weights import ThetaFit, cross_norm
 
 __all__ = [
     "NormReport",
@@ -148,8 +148,14 @@ class ProductInequalityReport:
     cp: float
 
 
+def _cp(u, v, p: float) -> float:
+    """C_p(v, u), summed once per (u, v, p, d) in a ``sharing("constants")`` block."""
+    return shared("constants", (u.radial, v.radial, p, u.d),
+                  lambda: cross_norm(u, v, p)).value
+
+
 def product_inequality_check(a: LocalizedMatrix, b: LocalizedMatrix, p: float,
-                             u, v, cp: float | None = None) -> ProductInequalityReport:
+                             u, v) -> ProductInequalityReport:
     """Check both product bounds for the u/companion-v pair.
 
     * split form: ||AB||_{p,u} <= 2^{2/p} 5^{(d-1)/p}
@@ -158,14 +164,10 @@ def product_inequality_check(a: LocalizedMatrix, b: LocalizedMatrix, p: float,
       infimal companion bound: ||AB||_{p,u} <= 2^{1+2/p} 5^{(d-1)/p}
       C_p(v,u) ||A||_{p,u} ||B||_{p,u}.  Substituting C_p >= M_p only
       enlarges the right-hand side, so nonnegative margins remain required.
-      A given ``cp`` must be exactly ``cross_norm(u, v, p, a.window).value``.
     """
-    from .weights import cross_norm
-
     d = a.window.d
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    if cp is None:
-        cp = cross_norm(u, v, p, a.window).value
+    cp = _cp(u, v, p)
     lhs = beurling_norm(multiply(a, b), p, u)
     a_pu = beurling_norm(a, p, u)
     b_pu = beurling_norm(b, p, u)

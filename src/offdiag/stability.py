@@ -3,19 +3,22 @@
 Certification strategy: on a finite window the q = 2 case is decidable by
 dense SVD after conjugating by diag(w^{1/2}) and restricting probes to an
 interior band (suppressing carve-out boundary artifacts).  A q != 2 verdict
-is the q = 2 verdict of the trivial weight, whatever w is; its raw sampled
-bracket is reported alongside and labeled as such.  The theory transfers
-that verdict to (q, w) only when w is an A_q weight, and the A_q scan is not
-consulted, so a weight far outside A_q can read "stable" wrongly: 2I + S with
-w_k = 16^k reads "stable" at q = 4.  "degrading" is the
-operational negation at desk scale: the certified lower bound losing a
-factor >= 2 when the window radius doubles.  A real operand (one stored as
+is the q = 2 verdict of the trivial weight; its raw sampled bracket is
+reported alongside and labeled as such.  The theory transfers that verdict
+to (q, w) only when w is an A_q weight, so the transfer is gated on the A_q
+scan: when the scan at radius R exceeds twice the scan at R/2, the verdict
+is "inconclusive" (2I + S and I - S under w_k = 16^k at q = 4, which the
+transfer would call stable and degrading).  "degrading" is the operational
+negation at desk scale: the certified lower bound losing a factor >= 2 when
+the window radius doubles; the gate is a desk-scale test in the same sense,
+not a proof that w lies outside A_q.  A real operand (one stored as
 float64) is conjugated and decomposed in real arithmetic: the singular values
 of the complex path to roundoff, by a cheaper LAPACK SVD.
 
 A bracket decomposes its window and the half-radius window.  The Toeplitz
 ladder and ``cross_stability_verdicts`` share sigma pairs in a ``sharing("sigma",
-owner)`` block of their symbol or matrix: one SVD per (window, band, weights).
+owner)`` block of their symbol or matrix: one SVD per (window, band, weights),
+and A_q scans in a ``sharing("constants")`` block.
 A sigma pair copies only the interior columns of its window's matrix and
 conjugates that copy in place; at weight 1 with the interior columns in one
 run (every d = 1 window, band 0 at any d) it hands LAPACK a view, as scaling by
@@ -35,9 +38,9 @@ import numpy as np
 from .lattice import (LatticeSequence, LocalizedMatrix, Window, decay_profile,
                       matvec, restrict, ring_lp, shared, sharing)
 from .muckenhoupt import WeightSequence, aq_bound, weighted_norm
-from .norms import beurling_norm
+from .norms import _cp, beurling_norm
 from .spectral import singular_extremes
-from .weights import WeightMatrix, cross_norm
+from .weights import WeightMatrix
 
 __all__ = [
     "PartitionOperator",
@@ -108,13 +111,18 @@ class BoundednessReport:
     cp_used: float
 
 
+def _aq(w: WeightSequence, q: float, n_cap: int) -> float:
+    """The scanned A_q(w), made once per key in a ``sharing("constants")`` block."""
+    return shared("constants", (w.window, q, n_cap, w.values.tobytes()),
+                  lambda: aq_bound(w, q, n_cap)).bound
+
+
 def boundedness_check(a: LocalizedMatrix, q: float, w: WeightSequence, p: float,
                       u: WeightMatrix, trials: int = 100, seed: int = 0,
-                      v: WeightMatrix | None = None, cp: float | None = None) -> BoundednessReport:
+                      v: WeightMatrix | None = None) -> BoundednessReport:
     """Check ||Ac||_{q,w} <= 2^{2d} 3^{d/q} A_q(w)^{1/q} C_p(v,u) ||A||_{p,u} ||c||_{q,w}
     on random c, with the scanned A_q bound and the computable cross-norm
-    standing in for the infimal companion bound.  A given ``cp`` must be
-    exactly ``cross_norm(u, v, p, a.window).value``, which depends on the weights only."""
+    standing in for the infimal companion bound."""
     from .weights import default_companion
 
     if trials < 1:
@@ -122,8 +130,8 @@ def boundedness_check(a: LocalizedMatrix, q: float, w: WeightSequence, p: float,
     win = a.window
     if v is None:
         v = default_companion(u, p)
-    aq = aq_bound(w, q, win.side).bound
-    cp = cross_norm(u, v, p, win).value if cp is None else cp
+    aq = _aq(w, q, win.side)
+    cp = _cp(u, v, p)
     const = (2.0 ** (2 * win.d) * 3.0 ** (win.d / q) * aq ** (1.0 / q)
              * cp * beurling_norm(a, p, u))
     rng = np.random.default_rng(seed)
@@ -201,9 +209,10 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     (method "svd"; the certified path).  q != 2: lower is the minimum over
     sampled interior probes — an upper bound on the true infimum, labeled
     "sampled" — and upper is the boundedness constant; the verdict is the
-    q = 2 verdict of the trivial weight.  That verdict carries over to
-    (q, w) only for w in A_q, which is not checked, so a weight far outside
-    A_q can read "stable" wrongly.  The default band, the verdict's scale and
+    q = 2 verdict of the trivial weight, which carries over to (q, w) only
+    for w in A_q.  It turns "inconclusive" when the A_q scan at the radius
+    exceeds twice the scan at half the radius: a desk-scale sign that w
+    lies outside A_q, not a proof.  The default band, the verdict's scale and
     the q != 2 ring norm come from one decay profile; a negative band is
     refused.
     """
@@ -239,7 +248,7 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
                 continue
             lhs = weighted_norm(LatticeSequence(win, matvec(a.data, data), copy=False), q, w)
             lower = min(lower, lhs / denom)
-        aq = aq_bound(w, q, win.side).bound
+        aq = _aq(w, q, win.side)
         upper = (2.0 ** (2 * win.d) * 3.0 ** (win.d / q) * aq ** (1.0 / q)
                  * ring_lp(h, win.d))
         cert_w = WeightSequence.trivial(win)
@@ -248,6 +257,8 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     half = Window(win.d, win.radius // 2)
     lo_half = _sigma_pair(a, cert_w, band, half)[0] if half.radius > band else None
     verdict = _verdict(lo_full, lo_half, float(h[0]))
+    if q != 2 and verdict != "inconclusive" and aq > 2.0 * _aq(w.restrict(half), q, half.side):
+        verdict = "inconclusive"
     report = StabilityReport(q, w.descriptor, float(lower), float(upper), verdict,
                              method, band, lo_full, lo_half if lo_half is not None else math.nan)
     if report.lower > report.upper + 1e-12 * max(report.upper, 1.0):
@@ -267,9 +278,9 @@ def cross_stability_verdicts(a: LocalizedMatrix, pairs, trials: int = 200,
     seed + k; the consistency flag records whether all verdicts coincide
     (the transfer prediction).  Every q != 2 pair and every trivial-weight
     q = 2 pair certify on the same trivial-weight operands, which the call
-    decomposes once; each report equals its own ``stability_bracket`` call.
-    An empty pair list is refused."""
-    with sharing("sigma", a):
+    decomposes once, and the A_q scans are shared too; each report equals
+    its own ``stability_bracket`` call.  An empty pair list is refused."""
+    with sharing("sigma", a), sharing("constants"):
         reports = [stability_bracket(a, q, w, trials=trials, seed=seed + k)
                    for k, (q, w) in enumerate(pairs)]
     if not reports:
@@ -290,15 +301,13 @@ class CommutatorReport:
 
 
 def commutator_diagnostic(a: LocalizedMatrix, n_scale: int, n, n_prime, q: float,
-                          w: WeightSequence, c: LatticeSequence,
-                          aq: float | None = None) -> CommutatorReport:
+                          w: WeightSequence, c: LatticeSequence) -> CommutatorReport:
     """Exact norm of (Psi_n A - A Psi_n) Psi_{n'} c against the two-case bound.
 
     Near case (|n - n'| <= 8N):
         [2^{2d+2d/q} N^{-1/2} A_q^{1/q} ||A||_ring
          + 2^{3d+2d/q+1} A_q^{1/q} sum_{|k| >= sqrt(N)/2} h(|k|)] ||c||_{q,w};
     far case: 2^{2d} N^d A_q^{1/q} h(ceil(|n-n'|/2)) (alpha_n / alpha_{n'})^{1/q} ||c||_{q,w}.
-    A given ``aq`` must be exactly ``aq_bound(w, q, a.window.side).bound``.
     """
     win = a.window
     if c.window != win:
@@ -314,7 +323,7 @@ def commutator_diagnostic(a: LocalizedMatrix, n_scale: int, n, n_prime, q: float
     lhs = weighted_norm(LatticeSequence(win, commutated, copy=False), q, w)
     probe_norm = weighted_norm(c, q, w)
 
-    aq = aq_bound(w, q, win.side).bound if aq is None else aq
+    aq = _aq(w, q, win.side)
     h = decay_profile(a)
 
     if sep <= 8 * n_scale:

@@ -77,12 +77,6 @@ def _weight_combos(d: int):
     ]
 
 
-def _weight_table():
-    """d -> _weight_combos(d) with C_p(v, u) appended; closed-form weights need no window."""
-    return {d: [(p, u, v, weights.cross_norm(u, v, p).value) for p, u, v in _weight_combos(d)]
-            for d in (1, 2)}
-
-
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
@@ -90,12 +84,11 @@ def _weight_table():
 
 def c01_product_inequalities(seed: int, quick: bool) -> CriterionResult:
     n_pairs = 16 if quick else 200
-    table = _weight_table()
     worst = math.inf
     checks = 0
     for a, b, d, _ in _pair_corpus(seed, n_pairs):
-        for p, u, v, cp in table[d]:
-            rep = norms.product_inequality_check(a, b, p, u, v, cp=cp)
+        for p, u, v in _weight_combos(d):
+            rep = norms.product_inequality_check(a, b, p, u, v)
             worst = min(worst, rep.margin_split, rep.margin_algebra)
             checks += 2
     return CriterionResult(
@@ -186,7 +179,6 @@ def c03_identity_norm(seed: int, quick: bool) -> CriterionResult:
 def c04_boundedness(seed: int, quick: bool) -> CriterionResult:
     n_draws = 20 if quick else 100
     rng = np.random.default_rng([seed, 104])
-    table = _weight_table()
     worst = math.inf
     for k in range(n_draws):
         d = 1 if k % 2 == 0 else 2
@@ -202,9 +194,9 @@ def c04_boundedness(seed: int, quick: bool) -> CriterionResult:
             else:
                 alpha = float(rng.uniform(max(-d + 0.25, -1.0), min(d * (q - 1) - 0.25, 3.0)))
             w = WeightSequence.power(win, alpha)
-        p, u, v, cp = table[d][int(rng.integers(0, 2))]
+        p, u, v = _weight_combos(d)[int(rng.integers(0, 2))]
         rep = stability.boundedness_check(a, q, w, p, u, trials=4,
-                                          seed=int(rng.integers(1 << 30)), v=v, cp=cp)
+                                          seed=int(rng.integers(1 << 30)), v=v)
         worst = min(worst, rep.worst_margin)
     return CriterionResult(
         "C04", "weighted boundedness margins with scanned A_q", worst >= -1e-10,
@@ -383,8 +375,7 @@ def c13_commutator_margins(seed: int, quick: bool) -> CriterionResult:
     n_draws = 12 if quick else 50
     rng = np.random.default_rng([seed, 113])
     win = Window(1, 128)
-    scanned = [(w, muckenhoupt.aq_bound(w, 2.0, win.side).bound)
-               for w in (WeightSequence.trivial(win), WeightSequence.power(win, 0.5))]
+    ws = (WeightSequence.trivial(win), WeightSequence.power(win, 0.5))
     worst = math.inf
     cases = {"near": 0, "far": 0}
     for k in range(n_draws):
@@ -393,10 +384,10 @@ def c13_commutator_margins(seed: int, quick: bool) -> CriterionResult:
         kmax = win.radius // n_scale
         n = n_scale * int(rng.integers(-kmax, kmax + 1))
         n_prime = n_scale * int(rng.integers(-kmax, kmax + 1))
-        w, aq = scanned[k % 2]
+        w = ws[k % 2]
         data = rng.standard_normal(win.size) + 1j * rng.standard_normal(win.size)
         c = LatticeSequence(win, data, copy=False)
-        rep = stability.commutator_diagnostic(a, n_scale, n, n_prime, 2.0, w, c, aq=aq)
+        rep = stability.commutator_diagnostic(a, n_scale, n, n_prime, 2.0, w, c)
         cases[rep.case] += 1
         worst = min(worst, rep.margin)
     return CriterionResult(
@@ -446,9 +437,11 @@ _clock = time.perf_counter
 
 
 def _run(cid: str, fn, seed: int, quick: bool) -> CriterionResult:
-    """fn's result, timed, with its wall-clock limit ANDed into passed."""
+    """fn's result, timed, with its wall-clock limit ANDed into passed; its
+    weight constants are shared, C14's nested runs included."""
     t0 = _clock()
-    result = fn(seed, quick)
+    with sharing("constants"):
+        result = fn(seed, quick)
     result.elapsed = _clock() - t0
     result.passed = result.passed and result.elapsed < _LIMITS.get(cid, math.inf)
     return result

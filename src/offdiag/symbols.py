@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LocalizedMatrix, Window, generate, integral, is_number, json_number,
-                      json_object, ring_lp, sharing)
+from .lattice import (LocalizedMatrix, Window, generate, integer_coords, integral, is_number,
+                      json_number, json_object, ring_lp, sharing)
 from .muckenhoupt import WeightSequence
 from .stability import stability_bracket
 
@@ -44,14 +44,13 @@ class VanishingSymbolError(ArithmeticError):
 
 
 def _as_key(n, d: int) -> tuple:
-    if isinstance(n, (int, np.integer)):
-        if d != 1:
-            raise ValueError(f"scalar index {n} for d={d}")
-        return (int(n),)
-    key = tuple(int(x) for x in n)
-    if len(key) != d:
+    """n as a d-tuple of ints (a scalar at d = 1); refuses a non-integer coordinate."""
+    idx = integer_coords(n)
+    if idx.ndim == 0 and d != 1:
+        raise ValueError(f"scalar index {n} for d={d}")
+    if idx.shape not in ((), (d,)):
         raise ValueError(f"index {n!r} does not match d={d}")
-    return key
+    return tuple(int(x) for x in idx.reshape(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +66,11 @@ class SymbolCoeffs:
             v = complex(v)
             if not np.isfinite(v):
                 raise ValueError(f"symbol coefficient {v} at {n!r} is not finite")
-            if v != 0:
-                clean[_as_key(n, self.d)] = v
-        object.__setattr__(self, "coeffs", clean)
+            key = _as_key(n, self.d)
+            if key in clean:  # 0 and (0,), say, name one index
+                raise ValueError(f"two coefficient rows at index {key}")
+            clean[key] = v
+        object.__setattr__(self, "coeffs", {n: v for n, v in clean.items() if v != 0})
 
     @property
     def support_radius(self) -> int:
@@ -288,7 +289,8 @@ def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, w: WeightSequence | 
     that does not reach the largest radius is refused before any bracket runs.
     The rungs share their sigma pairs: the half-radius sigma_min of rung R is
     the sigma_min of a rung R/2 with the same band, so a doubling ladder of k
-    rungs makes k + 1 SVDs, not 2k.  Each bracket equals its own
+    rungs makes k + 1 SVDs, not 2k; likewise rung R's half-window A_q scan
+    is rung R/2's full scan.  Each bracket equals its own
     ``stability_bracket`` call.
     """
     mm = symbol_min_modulus(a)
@@ -301,7 +303,7 @@ def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, w: WeightSequence | 
     if w is None:
         w = WeightSequence.trivial(Window(a.d, int(max(radii, default=0))))
     ws = [w.restrict(Window(a.d, int(r))) for r in radii]
-    with sharing("sigma", a):
+    with sharing("sigma", a), sharing("constants"):
         brackets = tuple(stability_bracket(toeplitz_matrix(a, w_r.window), q, w_r,
                                            trials=trials, seed=seed) for w_r in ws)
     return ToeplitzStabilityReport(verdict, mm, brackets)

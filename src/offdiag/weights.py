@@ -8,8 +8,9 @@ cross-norm C_p(v, u) and the scale-indexed quantity B_N(p) reduce to
 ring-weighted series over Z^d with exact ring cardinalities
 (2m+1)^d - (2m-1)^d, whose terms are exact tail suprema of v/u.  Partial
 sums are extended adaptively and closed with integral-comparison tail
-bounds; reported values are certified upper bounds.  Every closed form is
-nondecreasing, so A_N = v(N) (2N+1)^d.
+bounds; reported values are certified upper bounds.  Both refuse a pair of
+incompatible exponential scales, whose ratio v/u is no closed form.  Every
+closed form is nondecreasing, so A_N = v(N) (2N+1)^d.
 scipy serves only the incomplete-gamma tail of subexponential series, so it
 is imported there, on first use, and not with the package.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Window, diagonal_suprema, radial_matrix, ring_counts, ring_lp, ring_suprema
+from .lattice import Window, radial_matrix, ring_counts
 
 __all__ = [
     "WeightMatrix",
@@ -287,21 +288,14 @@ def _p_prime(p: float) -> float:
     return p / (p - 1.0)
 
 
-def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float, window: Window | None = None) -> SeriesValue:
-    """C_p(v, u): l^{p/(p-1)} norm over k in Z^d of the ring suprema of v/u.
-
-    A pair whose ratio v/u is a RadialForm uses the infinite ring series with a
-    certified tail; a pair of incompatible exponential scales, whose ratio is
-    not, falls back to the sum over ``window``.
-    """
+def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float) -> SeriesValue:
+    """C_p(v, u): l^{p/(p-1)} norm over k in Z^d of the ring suprema of v/u,
+    an infinite ring series with a certified tail.  A pair of incompatible
+    exponential scales, whose ratio v/u is no RadialForm, is refused."""
     ratio = v.radial.ratio(u.radial)
-    if ratio is not None:
-        return ring_power_series(ratio, _p_prime(p), u.d, 0)
-    if window is None:
-        raise ValueError(f"the cross norm of {v.descriptor} over {u.descriptor} needs a window")
-    r = ring_suprema(diagonal_suprema(v.grid(window) / u.grid(window), window))
-    val = ring_lp(r, window.d, _p_prime(p))
-    return SeriesValue(val, val, 0.0, r.size, False)
+    if ratio is None:
+        raise ValueError("incompatible exponential scales in v/u")
+    return ring_power_series(ratio, _p_prime(p), u.d, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +327,7 @@ def check_submultiplicative(u: WeightMatrix, v: WeightMatrix, p: float,
         t2 = vg[i0:i0 + rows, None, :] * ug.T[None, :, :]
         margin = t1 + t2 - ug[i0:i0 + rows, :, None]
         worst = min(worst, float(margin.min()))
-    cp = cross_norm(u, v, p, window)
+    cp = cross_norm(u, v, p)
     return SubmultReport(worst, cp.value, cp.partial, cp.tail_bound)
 
 

@@ -646,6 +646,22 @@ class TestGenerate:
         with pytest.raises(ValueError, match="finite"):
             generate(kind, Window(1, 2), seed=0, **params)
 
+    @pytest.mark.parametrize("d, params", [
+        (1, {"kind": "shift", "offset": (1.5,)}),
+        (2, {"kind": "shift", "offset": (1, 0.5)}),
+        (1, {"kind": "toeplitz_from_coeffs", "coeffs": {(0.5,): 1.0}}),
+        (2, {"kind": "toeplitz_from_coeffs", "coeffs": {(0, 0): 2.0, (1, -0.9): 1.0}}),
+    ])
+    def test_non_integral_offset_refused(self, d, params):
+        # the int64 cast truncated them: offset (1.5,) placed the shift at 1
+        with pytest.raises(ValueError, match="is not an integer"):
+            generate(window=Window(d, 2), **params)
+
+    def test_integral_float_offset_is_the_integer(self):
+        win = Window(2, 2)
+        assert np.array_equal(generate("shift", win, offset=(1.0, -1.0)).data,
+                              generate("shift", win, offset=(1, -1)).data)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("nope", Window(1, 2))

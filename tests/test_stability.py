@@ -11,8 +11,7 @@ from offdiag.muckenhoupt import WeightSequence, aq_bound
 from offdiag.stability import (PartitionOperator, boundedness_check,
                                commutator_diagnostic, cross_stability_verdicts,
                                stability_bracket)
-from offdiag.suite import _weight_combos
-from offdiag.weights import WeightMatrix, cross_norm
+from offdiag.weights import WeightMatrix
 
 
 def toeplitz(win, coeffs):
@@ -186,6 +185,49 @@ def _fields(report):
                  for v in dataclasses.astuple(report))
 
 
+def _exponential(win, base=16.0):
+    """The table w_k = base^k along the first axis: far outside every A_q."""
+    return WeightSequence.table(win, base ** win.indices[:, 0].astype(float))
+
+
+class TestAqGate:
+    """A q != 2 verdict transfers the trivial-weight one only while the A_q scan
+    at R stays within twice the scan at R/2."""
+
+    @pytest.mark.parametrize("radius", [16, 64])
+    @pytest.mark.parametrize("coeffs, transferred", [({0: 2.0, 1: 1.0}, "stable"),
+                                                     ({0: 1.0, 1: -1.0}, "degrading")])
+    @pytest.mark.parametrize("weight", ["16^k", "power:3.5"])
+    def test_outside_aq_is_inconclusive(self, weight, coeffs, transferred, radius):
+        # the transfer read 2I + S stable and I - S degrading, though under 16^k the
+        # w^{1/4}-conjugate of I - S is I - 2S, bounded below by 1 on interior probes
+        win = Window(1, radius)
+        a = toeplitz(win, coeffs)
+        w = _exponential(win) if weight == "16^k" else WeightSequence.power(win, 3.5)
+        rep = stability_bracket(a, 4.0, w, trials=5)
+        assert rep.verdict == "inconclusive"
+        assert stability_bracket(a, 4.0, WeightSequence.trivial(win), trials=5).verdict \
+            == transferred
+
+    @pytest.mark.parametrize("coeffs, verdict", [({0: 2.0, 1: 1.0}, "stable"),
+                                                 ({0: 1.0, 1: -1.0}, "degrading")])
+    def test_inside_aq_keeps_the_transfer(self, coeffs, verdict):
+        # power:2.5 is in A_4 (-1 < alpha < 3): its scan grows 1.4-1.6x per doubling
+        win = Window(1, 64)
+        rep = stability_bracket(toeplitz(win, coeffs), 4.0, WeightSequence.power(win, 2.5),
+                                trials=5)
+        assert rep.verdict == verdict
+
+    def test_cross_pair_inconsistent(self):
+        # q = 2 keeps its own weighted SVD verdict; q = 4 no longer copies it
+        win = Window(1, 16)
+        w = _exponential(win)
+        res = cross_stability_verdicts(toeplitz(win, {0: 2.0, 1: 1.0}), [(2.0, w), (4.0, w)],
+                                       trials=5)
+        assert [r.verdict for r in res.reports] == ["stable", "inconclusive"]
+        assert not res.consistent
+
+
 class TestCrossSharesSigmaPairs:
     """One decomposition per operand within a call; each report still its own call's."""
 
@@ -354,17 +396,25 @@ class TestBoundedness:
                                 WeightMatrix.polynomial(2.0, 1), trials=20, seed=3)
         assert rep.worst_margin >= -1e-10
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("combo", [0, 1])
-    def test_given_cp_matches_computed(self, d, combo):
-        # the suite passes C_p once per weight pair; the report must not change
-        win = Window(d, 6 if d == 1 else 3)
-        a = generate("polynomial_decay_random", win, seed=7, alpha=2.5)
-        w = WeightSequence.power(win, 0.5)
-        p, u, v = _weight_combos(d)[combo]
-        given = boundedness_check(a, 2.0, w, p, u, trials=6, seed=4, v=v,
-                                  cp=cross_norm(u, v, p, win).value)
-        assert given == boundedness_check(a, 2.0, w, p, u, trials=6, seed=4, v=v)
+    def test_shared_constants_keyed_by_every_input(self):
+        # one "constants" block over reports whose A_q or C_p differ in one key
+        # part each (window, q, weight; p, u, v, d): every report, made on a miss
+        # and again on a hit, equals its unshared call
+        cases = []
+        for d, r in ((1, 6), (2, 3)):
+            win = Window(d, r)
+            a = generate("polynomial_decay_random", win, seed=7, alpha=2.5)
+            poly, const = WeightMatrix.polynomial, WeightMatrix.constant
+            pairs = [(2.0, poly(2.0, d), const(4.0, d)), (2.0, poly(2.0, d), const(8.0, d)),
+                     (3.0, poly(2.0, d), const(4.0, d)), (2.0, poly(1.0, d), const(4.0, d))]
+            for q, alpha in ((2.0, 0.5), (4.0, 0.5), (2.0, 0.25)):
+                cases += [(a, q, WeightSequence.power(win, alpha), p, u, v) for p, u, v in pairs]
+        alone = [boundedness_check(a, q, w, p, u, trials=2, v=v) for a, q, w, p, u, v in cases]
+        assert len({(r.aq_bound_used, r.cp_used) for r in alone}) == len(cases)
+        with lattice.sharing("constants"):
+            made = [boundedness_check(a, q, w, p, u, trials=2, v=v)
+                    for a, q, w, p, u, v in cases + cases]
+        assert made == alone + alone
 
 
 class TestPartitionOperator:
@@ -461,15 +511,17 @@ class TestCommutator:
 
     @pytest.mark.parametrize("n,n_prime,case", [(0, 16, "near"), (-96, 32, "far")])
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_given_aq_matches_scan(self, n, n_prime, case, alpha):
-        # the suite scans A_q once per weight; the report must not change
+    def test_shared_aq_matches_scan(self, n, n_prime, case, alpha):
+        # a "constants" block scans A_q once per weight; the report must not change
         win = Window(1, 128)
         a = generate("polynomial_decay_random", win, seed=3, alpha=3.0)
         w = WeightSequence.trivial(win) if alpha == 0.0 else WeightSequence.power(win, alpha)
         rng = np.random.default_rng(2)
         c = LatticeSequence(win, rng.standard_normal(win.size)
                             + 1j * rng.standard_normal(win.size))
-        rep = commutator_diagnostic(a, 8, n, n_prime, 2.0, w, c,
-                                    aq=aq_bound(w, 2.0, win.side).bound)
-        assert rep.case == case
-        assert rep == commutator_diagnostic(a, 8, n, n_prime, 2.0, w, c)
+        alone = commutator_diagnostic(a, 8, n, n_prime, 2.0, w, c)
+        assert alone.case == case
+        assert alone.aq_bound_used == aq_bound(w, 2.0, win.side).bound
+        with lattice.sharing("constants"):
+            made = commutator_diagnostic(a, 8, n, n_prime, 2.0, w, c)
+            assert commutator_diagnostic(a, 8, n, n_prime, 2.0, w, c) == made == alone

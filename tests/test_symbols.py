@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from offdiag import lattice, symbols
+from offdiag import lattice, stability, symbols
 from offdiag.lattice import Window, multiply, restrict
 from offdiag.muckenhoupt import WeightSequence
 from offdiag.norms import beurling_norm
@@ -257,13 +257,15 @@ def _ladder_weight(kind, top):
         return WeightSequence.trivial(top)
     if kind == "power":
         return WeightSequence.power(top, 0.5)
+    if kind == "outside":  # 16^k along the first axis: every q != 2 rung reads inconclusive
+        return WeightSequence.table(top, 16.0 ** top.indices[:, 0].astype(float))
     return WeightSequence.table(top, 1.0 + 0.5 * np.cos(top.indices.sum(axis=1)))
 
 
 class TestSharedLadder:
     """The rungs reuse sigma pairs; every bracket is still its own call's."""
 
-    @pytest.mark.parametrize("kind", ["trivial", "power", "table"])
+    @pytest.mark.parametrize("kind", ["trivial", "power", "table", "outside"])
     @pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("d, ladder", [(d, r) for d in (1, 2) for r in _LADDERS[d]])
     def test_rungs_equal_separate_brackets(self, d, ladder, q, kind):
@@ -289,9 +291,21 @@ class TestSharedLadder:
         assert len(calls) == 10  # nothing carried over from the first call
         assert lattice._SHARED.get() is None
 
+    def test_doubling_ladder_makes_one_aq_scan_per_window(self, monkeypatch):
+        # rung R's half-window scan is rung R/2's full scan: 5 scans, not 8
+        calls = []
+        scan = stability.aq_bound
+        monkeypatch.setattr(stability, "aq_bound",
+                            lambda w, q, n_cap: calls.append(w.window.radius) or scan(w, q, n_cap))
+        a = SymbolCoeffs(1, {0: 2.0, 1: 1.0})
+        rep = toeplitz_stability_criterion(a, 4.0, radii=(8, 16, 32, 64), trials=3)
+        assert sorted(calls) == [4, 8, 16, 32, 64]
+        assert [b.verdict for b in rep.brackets] == ["stable"] * 4
+        assert lattice._SHARED.get() is None
+
     def test_pairs_dropped_when_a_rung_fails(self, monkeypatch):
         def fail(*args, **kwargs):
-            assert lattice._SHARED.get() == {"sigma": (a, {})}
+            assert lattice._SHARED.get() == {"sigma": (a, {}), "constants": (None, {})}
             raise ArithmeticError("rung failed")
 
         a = SymbolCoeffs(1, {0: 2.0})
@@ -308,6 +322,38 @@ class TestSharedLadder:
             got = restrict(toeplitz_matrix(a, Window(d, radius)), half).data
             want = toeplitz_matrix(a, half).data
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestIndices:
+    @pytest.mark.parametrize("d, coeffs", [(1, {0.5: 1.0}), (1, {(1.5,): 2.0}),
+                                           (1, {math.nan: 1.0}),
+                                           (2, {(0, 0): 3.0, (0.9, 0): 1.0}),
+                                           (2, {(1, -2.5): 1.0})])
+    def test_non_integral_index_refused(self, d, coeffs):
+        # (0.9, 0) was truncated onto (0, 0), merged and kept as 1; 0.5 raised TypeError
+        with pytest.raises(ValueError, match="is not an integer"):
+            SymbolCoeffs(d, coeffs)
+
+    def test_integral_float_index_is_the_integer(self):
+        assert SymbolCoeffs(1, {2.0: 1.0, (-1.0,): 2.0}).coeffs == {(2,): 1.0, (-1,): 2.0}
+        a = SymbolCoeffs(2, {(1.0, 0): 1.0})
+        assert a.coeffs == {(1, 0): 1.0}
+        assert a.value((1, 0.0)) == 1.0
+        with pytest.raises(ValueError, match="is not an integer"):
+            a.value((1, 0.5))
+
+    @pytest.mark.parametrize("coeffs, index", [({0: 2.0, (0,): 1.0}, "(0,)"),
+                                               ({(0,): 2.0, 0: 0.0}, "(0,)"),
+                                               ({np.int64(3): 1.0, (3.0,): 1.0}, "(3,)")])
+    def test_two_keys_at_one_index_refused(self, coeffs, index):
+        # the last key won: {0: 2.0, (0,): 1.0} read as {(0,): 1}; a zero one dropped the other
+        with pytest.raises(ValueError, match=re.escape(f"two coefficient rows at index {index}")):
+            SymbolCoeffs(1, coeffs)
+
+    @pytest.mark.parametrize("d, key", [(2, 1), (1, (0, 1)), (2, (1,)), (2, ((0, 1),))])
+    def test_index_of_the_wrong_shape_refused(self, d, key):
+        with pytest.raises(ValueError, match="for d=|does not match d="):
+            SymbolCoeffs(d, {key: 1.0})
 
 
 class TestSerialization:

@@ -10,7 +10,10 @@ import pytest
 
 import offdiag
 from offdiag import weights
-from offdiag.lattice import Window, ring_counts
+from offdiag.lattice import Window, generate, ring_counts
+from offdiag.muckenhoupt import WeightSequence
+from offdiag.norms import product_inequality_check
+from offdiag.stability import boundedness_check
 from offdiag.weights import (RadialForm, WeightMatrix, WeightValidationError,
                              check_submultiplicative, cross_norm,
                              default_companion, theta_fit)
@@ -185,28 +188,30 @@ class TestSubmultiplicative:
     def test_cp_monotone_in_v(self):
         u = WeightMatrix.polynomial(2.0, D1)
         win = Window(1, 16)
-        c4 = cross_norm(u, WeightMatrix.constant(4.0, D1), 2.0, win).value
-        c8 = cross_norm(u, WeightMatrix.constant(8.0, D1), 2.0, win).value
+        c4 = cross_norm(u, WeightMatrix.constant(4.0, D1), 2.0).value
+        c8 = cross_norm(u, WeightMatrix.constant(8.0, D1), 2.0).value
         assert c8 > c4
         # pointwise larger u gives smaller cross norm
         c_small_u = cross_norm(WeightMatrix.polynomial(1.0, D1),
-                               WeightMatrix.constant(4.0, D1), 2.0, win).value
+                               WeightMatrix.constant(4.0, D1), 2.0).value
         assert c_small_u > c4
 
-    def test_incompatible_scales_cross_norm_window_restricted(self):
-        # v/u = exp(n^{1/4} - n^{1/2}) is no RadialForm: its sup over the window is 1 at n <= 1
-        u = WeightMatrix.subexponential(0.5, 1.0, D1)
-        v = WeightMatrix.subexponential(0.25, 1.0, D1)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_incompatible_scales_refused(self, d):
+        # v/u = exp(n^{1/4} - n^{1/2}) is no RadialForm: a window sum would only
+        # bound C_p from below, so every path to C_p refuses the pair as theta_fit does
+        u = WeightMatrix.subexponential(0.5, 1.0, d)
+        v = WeightMatrix.subexponential(0.25, 1.0, d)
         assert v.radial.ratio(u.radial) is None
-        assert cross_norm(u, v, 1.0, Window(1, 6)).value == 1.0
-        win = Window(2, 3)
-        r = np.exp(np.arange(7.0) ** 0.25 - np.arange(7.0) ** 0.5)  # |i - j|_inf <= 2R = 6
-        want = float(np.sum(ring_counts(2, 6) * np.maximum.accumulate(r[::-1])[::-1] ** 2) ** 0.5)
-        got = cross_norm(WeightMatrix.subexponential(0.5, 1.0, 2),
-                         WeightMatrix.subexponential(0.25, 1.0, 2), 2.0, win).value
-        assert got == pytest.approx(want, rel=1e-14)
-        with pytest.raises(ValueError, match="needs a window"):
-            cross_norm(u, v, 1.0)
+        win = Window(d, 3)
+        a = generate("identity", win)
+        for call in (lambda: cross_norm(u, v, 2.0),
+                     lambda: check_submultiplicative(u, v, 2.0, win),
+                     lambda: product_inequality_check(a, a, 2.0, u, v),
+                     lambda: boundedness_check(a, 2.0, WeightSequence.trivial(win), 2.0, u, v=v),
+                     lambda: theta_fit(u, v, 2.0, d, n_max=8)):
+            with pytest.raises(ValueError, match="incompatible exponential scales in v/u"):
+                call()
 
 
 class TestThetaFit:
@@ -351,6 +356,52 @@ class TestRadialForm:
     def test_divergent(self):
         r = RadialForm(scale=1.0, alpha=1.0)
         assert math.isinf(r.tail_sup(np.array([5]))[0])
+
+
+def _upper_gamma(a, x):
+    """Gamma(a, x) = e^{-x} int_0^inf e^{-s} (x + s)^{a-1} ds by 80-point Gauss-Laguerre."""
+    s, w = np.polynomial.laguerre.laggauss(80)
+    return math.exp(-x) * float(np.sum(w * (x + s) ** (a - 1.0)))
+
+
+# (cross_norm value, theta_fit D, theta, b_tail_bound) of subexponential(delta, 1)
+# against its default companion at p = 2, theta_fit with n_max = 256
+_EXP_TAIL_PINS = {
+    (0.3, 1): (4.354727951863636, 9.18701403782795, 0.9881252851852877, 0.03596432209388249),
+    (0.3, 2): (101.85714317717436, 131.07447950896815, 0.980188274083867, 884.0749657118195),
+    (0.9, 1): (1.5154257664453148, 6.084810049351608, 0.6894321229525213, 0.0),
+    (0.9, 2): (3.210407326661277, 17.88918237493791, 0.772436418163722, 0.0),
+}
+
+
+class TestIncompleteGammaTail:
+    """A non-integer 1/delta sends the subexponential tail through Gamma(a, x)."""
+
+    @pytest.mark.parametrize("delta, d", sorted(_EXP_TAIL_PINS))
+    def test_values_pinned(self, delta, d):
+        u = WeightMatrix.subexponential(delta, 1.0, d)
+        v = default_companion(u, 2.0)
+        fit = theta_fit(u, v, 2.0, d, n_max=256)
+        got = (cross_norm(u, v, 2.0).value, fit.D, fit.theta, fit.b_tail_bound)
+        assert got == pytest.approx(_EXP_TAIL_PINS[delta, d], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("delta, d", sorted(_EXP_TAIL_PINS))
+    def test_tail_against_quadrature(self, delta, d):
+        # v/u = e^{-n^delta / 2}; at p' = 2 the tail past m_end is bounded by
+        # 2d 3^{d-1} K (Gamma(a, lam m_end^delta) / (delta lam^a) + e^{-2 lam m_end^delta})
+        # with a = 1/delta, lam = 1/2 and K the tail sup of e^{-lam n^delta}
+        u = WeightMatrix.subexponential(delta, 1.0, d)
+        v = default_companion(u, 2.0)
+        a, lam = 1.0 / delta, 0.5
+        sv = cross_norm(u, v, 2.0)
+        fit = theta_fit(u, v, 2.0, d, n_max=256)
+        for tail, m_end in ((sv.tail_bound, sv.terms - 1), (fit.b_tail_bound, 4096)):
+            x = lam * m_end**delta
+            k_sup = float(RadialForm(alpha=d - 1.0, tau=-lam, delta=delta)
+                          .tail_sup(np.array([m_end]))[0])
+            want = 2 * d * 3 ** (d - 1) * k_sup * (
+                _upper_gamma(a, x) / (delta * lam**a) + math.exp(-2.0 * lam * m_end**delta))
+            assert tail == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 _COLD_PROCESS = """

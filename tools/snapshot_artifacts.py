@@ -46,6 +46,9 @@ INPUTS = {
                        "values": [[k, 1.5 + (k % 4) / 4] for k in range(-16, 17, 3)]},
     "ws_unknown.json": {"form": "spline", "alpha": 1.0},
     "ws_alpha_nan.json": '{"form": "power", "alpha": NaN}',
+    # w_k = 16^k, far outside every A_q: the q != 2 verdicts read inconclusive
+    "ws_table_sixteen.json": {"form": "table", "d": 1, "radius": 16,
+                              "values": [[k, 16.0**k] for k in range(-16, 17)]},
     "ws_table_huge.json": {"form": "table", "d": 1, "radius": 16,
                            "values": [[k, 1e305] for k in range(-16, 17)]},
     "ws_table_tiny.json": {"form": "table", "d": 1, "radius": 16,
@@ -67,6 +70,7 @@ C = "calls/gen_complex/matrix.json"  # complex Toeplitz, d = 1, R = 12
 B = "calls/gen_banded_d2/matrix.json"  # complex, d = 2, R = 3
 D2 = "calls/gen_toeplitz_d2/matrix.json"  # complex Toeplitz, d = 2, R = 3
 F = "calls/gen_toeplitz_four/matrix.json"  # real, d = 1, R = 16, four nonzeros a row
+V = "calls/gen_toeplitz_vanishing/matrix.json"  # I - S, real, d = 1, R = 16
 
 # (name, arguments after `offdiag`); each call writes into calls/<name>
 CALLS = [
@@ -83,6 +87,8 @@ CALLS = [
     ("gen_shift_d2", ["gen", "--kind", "shift", "--d", "2", "--radius", "2", "--offset", "1"]),
     ("gen_toeplitz_four", ["gen", "--kind", "toeplitz_from_coeffs", "--radius", "16",
                            "--coeffs", "3@0,1@1,0.5@-1,0.25@2"]),
+    ("gen_toeplitz_vanishing", ["gen", "--kind", "toeplitz_from_coeffs", "--radius", "16",
+                                "--coeffs", "1@0,-1@1"]),
     ("norm_trivial", ["norm", "--matrix", T, "--p", "1", "--weight", "trivial"]),
     ("norm_polynomial", ["norm", "--matrix", T, "--p", "2", "--weight", "polynomial:2"]),
     ("norm_constant", ["norm", "--matrix", C, "--weight", "constant:4"]),
@@ -111,6 +117,8 @@ CALLS = [
                             "--v", "inputs/w_constant.json", "--d", "2", "--nmax", "64",
                             "--tpoints", "11"]),
     ("thetafit_constant", ["thetafit", "--u", "constant:3", "--nmax", "64", "--tpoints", "11"]),
+    # the first call whose series tail takes the incomplete gamma of a non-integer 1/delta
+    ("thetafit_subexponential_p2", ["thetafit", "--u", "subexponential:0.3,1", "--p", "2"]),
     ("thetafit_polynomial_zero", ["thetafit", "--u", "polynomial:0", "--nmax", "64",
                                   "--tpoints", "11"]),
     ("aq_power", ["weights", "aq", "--wseq", "power:0.5", "--radius", "16", "--q", "2",
@@ -157,6 +165,13 @@ CALLS = [
     ("stability_cross_tables", ["stability", "cross", "--matrix", T, "--trials", "20", "--pairs",
                                 "1:trivial;2:trivial;4:trivial;"
                                 "2:inputs/ws_table.json;2:inputs/ws_table2.json"]),
+    # the A_q scan doubles with the radius, so q = 4 transfers no verdict
+    ("stability_sixteen_q4", ["stability", "--matrix", T, "--q", "4", "--trials", "20",
+                              "--wseq", "inputs/ws_table_sixteen.json"]),
+    ("stability_vanishing_sixteen_q4", ["stability", "--matrix", V, "--q", "4", "--trials", "20",
+                                        "--wseq", "inputs/ws_table_sixteen.json"]),
+    ("stability_cross_sixteen", ["stability", "cross", "--matrix", T, "--trials", "20", "--pairs",
+                                 "2:inputs/ws_table_sixteen.json;4:inputs/ws_table_sixteen.json"]),
     ("toeplitz_minmod", ["toeplitz", "minmod", "--coeffs", "2@0,1@1"]),
     ("toeplitz_recip", ["toeplitz", "recip", "--coeffs", "2@0,1@1"]),
     ("invert_real", ["invert", "--matrix", T]),

@@ -520,7 +520,11 @@ def toeplitz_recip_cmd(coeffs, tol, out):
 @click.option("--out", default="out", show_default=True)
 @_exit_codes
 def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, out):
-    """Symbol-side stability verdict with bracket-scaling corroboration."""
+    """Symbol-side stability verdict with bracket-scaling corroboration.
+
+    The top-level verdict reads min|a_hat| alone and ignores --q and --wseq;
+    the per-radius brackets carry the (q, w) verdicts.
+    """
     a = _coeffs_arg(coeffs, d)
     rad = tuple(int(x) for x in radii.split(","))
     top = Window(d, max(rad))

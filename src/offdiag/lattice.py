@@ -548,8 +548,13 @@ def generate(kind: str, window: Window, seed=None, **params) -> LocalizedMatrix:
             raise ValueError(f"unknown toeplitz params: {sorted(params)}")
         span = 2 * window.radius
         coef = np.zeros((2 * span + 1,) * window.d, dtype=np.complex128)
+        seen = set()
         for key, v in coeffs.items():
             vec = _as_offset(window, key)
+            index = tuple(vec.tolist())
+            if index in seen:  # 0 and (0,), say, name one offset
+                raise ValueError(f"two coefficient rows at index {index}")
+            seen.add(index)
             if np.abs(vec).max() <= span:  # farther diagonals miss the window
                 coef[tuple(vec + span)] = complex(v)
         if not coef.imag.any():  # placed real: the (4R+1)^d coefficients are demoted, not n x n

@@ -283,9 +283,12 @@ def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, w: WeightSequence | 
                                  seed: int = 0) -> ToeplitzStabilityReport:
     """Stability verdict from the symbol: stable iff the certified minimum
     modulus is positive; a grid zero means a vanishing symbol (degrading),
-    and an uncertified positive grid minimum is inconclusive.  Bracket
-    scaling over the radius ladder is attached as empirical corroboration,
-    under the weight w (trivial when None) restricted to each radius; a w
+    and an uncertified positive grid minimum is inconclusive.  That top-level
+    verdict reads min|a_hat| alone, so it ignores q and w: it is the
+    trivial-weight verdict.  The (q, w) verdicts are the per-radius brackets'.
+    Bracket scaling over the radius ladder is attached as empirical
+    corroboration, under the weight w (trivial when None) restricted to each
+    radius; a w
     that does not reach the largest radius is refused before any bracket runs.
     The rungs share their sigma pairs: the half-radius sigma_min of rung R is
     the sigma_min of a rung R/2 with the same band, so a doubling ladder of k

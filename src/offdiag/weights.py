@@ -11,8 +11,6 @@ sums are extended adaptively and closed with integral-comparison tail
 bounds; reported values are certified upper bounds.  Both refuse a pair of
 incompatible exponential scales, whose ratio v/u is no closed form.  Every
 closed form is nondecreasing, so A_N = v(N) (2N+1)^d.
-scipy serves only the incomplete-gamma tail of subexponential series, so it
-is imported there, on first use, and not with the package.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ _SERIES_REL_EPS = 1e-18
 _SERIES_MIN_TERMS = 512
 _SERIES_MAX_TERMS = 200_000
 _SUBMULT_BLOCK = 4_000_000  # margin entries formed at once
+_GAMMA_EPS = 2.0**-52  # where the incomplete-gamma series and fraction stop
 
 
 class WeightValidationError(ValueError):
@@ -217,6 +216,39 @@ def _poly_tail(scale_pp: float, expo: float, d: int, m_end: int) -> float:
     return 2 * d * 3 ** (d - 1) * scale_pp * (1.0 + m_end) ** (-s) / s
 
 
+def _upper_gamma(a: float, x: float) -> float:
+    """Gamma(a, x) for a, x > 0, or inf where Gamma(a) or x^a e^{-x} overflows.
+
+    For x >= a + 1, Legendre's continued fraction (DLMF 8.9.2) by modified
+    Lentz; below it, Gamma(a) minus the power series of gamma(a, x) (DLMF 8.7.1).
+    """
+    try:
+        front = math.exp(a * math.log(x) - x)  # x^a e^{-x}
+        if x < a + 1.0:
+            term = total = 1.0 / a
+            n = a
+            while term > _GAMMA_EPS * total:
+                n += 1.0
+                term *= x / n
+                total += term
+            return math.gamma(a) - front * total
+    except OverflowError:
+        return math.inf
+    b = x + 1.0 - a
+    c, dd = math.inf, 1.0 / b  # c = inf makes the first c equal to b
+    h, i = dd, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        dd = 1.0 / (an * dd + b)
+        c = b + an / c
+        step = dd * c
+        h *= step
+        if abs(step - 1.0) <= _GAMMA_EPS:
+            return front * h
+
+
 def _exp_tail(scale_pp: float, beta: float, lam2: float, delta: float, d: int, m_end: int) -> float:
     """Upper bound for 2d 3^(d-1) scale_pp sum_{m > m_end} (1+m)^beta e^{-lam2 m^delta}.
 
@@ -224,13 +256,15 @@ def _exp_tail(scale_pp: float, beta: float, lam2: float, delta: float, d: int, m
     polynomial envelope times one factor at its tail sup, and integrates the
     other exactly via the upper incomplete gamma function.
     """
-    from scipy.special import gammaincc, gamma as gamma_fn
-
     lam = lam2 / 2.0
     envelope = RadialForm(scale=1.0, alpha=beta, tau=-lam, delta=delta)
     k_sup = float(envelope.tail_sup(np.array([m_end]))[0])
     a = 1.0 / delta
-    integral = (1.0 / delta) * lam ** (-a) * gamma_fn(a) * float(gammaincc(a, lam * m_end**delta))
+    try:
+        scale = (1.0 / delta) * lam ** (-a)
+    except OverflowError:  # lam^{-a} past the largest double
+        return math.inf
+    integral = scale * _upper_gamma(a, lam * m_end**delta)
     return 2 * d * 3 ** (d - 1) * scale_pp * k_sup * (integral + math.exp(-lam2 * m_end**delta))
 
 

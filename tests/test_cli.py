@@ -758,6 +758,15 @@ class TestStrictJson:
         assert doc["diverged"] is True and (doc["D"], doc["theta"]) == ("inf", "nan")
         assert doc["b_tail_bound"] == "inf" and set(doc["margins"]) == {"nan"}
 
+    @pytest.mark.parametrize("delta", ["0.005", "0.001"])
+    def test_thetafit_overflowing_gamma_tail_diverges(self, runner, tmp_path, delta):
+        # Gamma(1/delta) overflows: the tail is inf and the fit diverges, exit 0
+        out = tmp_path / "o"
+        res = _invoke(runner, ["thetafit", "--u", f"subexponential:{delta},1", "--p", "2",
+                               "--tpoints", "5", "--out", str(out)])
+        assert res.exit_code == 0 and "D=inf" in res.output
+        assert json.loads((out / "thetafit.json").read_text())["diverged"] is True
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, runner, tmp_path, matrix_file):

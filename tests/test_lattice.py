@@ -662,6 +662,16 @@ class TestGenerate:
         assert np.array_equal(generate("shift", win, offset=(1.0, -1.0)).data,
                               generate("shift", win, offset=(1, -1)).data)
 
+    @pytest.mark.parametrize("d, coeffs, index", [
+        (1, {0: 2.0, (0,): 1.0}, r"\(0,\)"),
+        (2, {1: 2.0, (1, 0): 5.0}, r"\(1, 0\)"),
+        (1, {9: 1.0, (9.0,): 1.0}, r"\(9,\)"),  # a diagonal beyond 2R too
+    ], ids=["d1", "d2", "beyond-2R"])
+    def test_two_keys_naming_one_offset_refused(self, d, coeffs, index):
+        # the later key won: {0: 2, (0,): 1} put 1 on the diagonal, {1: 2, (1, 0): 5} kept 5
+        with pytest.raises(ValueError, match=f"two coefficient rows at index {index}"):
+            generate("toeplitz_from_coeffs", Window(d, 2), coeffs=coeffs)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("nope", Window(1, 2))

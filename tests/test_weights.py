@@ -403,43 +403,87 @@ class TestIncompleteGammaTail:
                 _upper_gamma(a, x) / (delta * lam**a) + math.exp(-2.0 * lam * m_end**delta))
             assert tail == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("delta", [0.05, 0.25, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("f", [0.25, 0.9, 1.0, 1.1, 4.0])
+    def test_upper_gamma_against_quadrature(self, delta, f):
+        # x = f (a + 1): f < 1 takes Gamma(a) minus the series, f >= 1 the continued fraction
+        a = 1.0 / delta
+        x = f * (a + 1.0)
+        assert weights._upper_gamma(a, x) == pytest.approx(_upper_gamma(a, x), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("delta", [0.005, 0.001])
+    def test_overflowing_tail_reads_diverged(self, delta):
+        # Gamma(1/delta) overflows: the tail bound is inf, not an OverflowError
+        assert weights._upper_gamma(1.0 / delta, 0.5) == math.inf
+        assert weights._upper_gamma(1.0 / delta, 1.0 / delta + 1.0) == math.inf  # x^a e^{-x}
+        u = WeightMatrix.subexponential(delta, 1.0, 1)
+        v = default_companion(u, 2.0)
+        sv, fit = cross_norm(u, v, 2.0), theta_fit(u, v, 2.0, 1, n_max=64)
+        assert sv.diverged and sv.value == math.inf
+        assert fit.diverged and fit.D == math.inf and fit.b_tail_bound == math.inf
+
+    @pytest.mark.parametrize("delta, tau", [(0.0005, 1.0), (0.01, 0.001)])
+    def test_overflowing_lambda_power_reads_diverged(self, delta, tau):
+        # lam^{-1/delta} past the largest double raised OverflowError (exit 2 from thetafit)
+        u = WeightMatrix.subexponential(delta, tau, 1)
+        fit = theta_fit(u, default_companion(u, 2.0), 2.0, 1, n_max=64)
+        assert fit.diverged and fit.b_tail_bound == math.inf
+
 
 _COLD_PROCESS = """
-import importlib, json, pkgutil, sys
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+import importlib, json, pkgutil
 import offdiag
 for mod in pkgutil.iter_modules(offdiag.__path__):
     importlib.import_module("offdiag." + mod.name)
+from click.testing import CliRunner
 from offdiag import suite
-from offdiag.weights import WeightMatrix, cross_norm, default_companion
+from offdiag.cli import main
+from offdiag.weights import WeightMatrix, cross_norm, default_companion, theta_fit
 
-scipy_of = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 passed = all(r.passed for r in suite.run_all(seed=1, quick=True, out_dir=sys.argv[1]))
-after_suite = scipy_of()
 values = {}
-for d in (1, 2):
-    u = WeightMatrix.subexponential(0.5, 1.0, d)
-    values[d] = float(cross_norm(u, default_companion(u, 2.0), 2.0).value)
-print(json.dumps({"passed": passed, "after_suite": after_suite, "values": values,
-                  "special_loaded": "scipy.special" in sys.modules}))
+for delta in (0.3, 0.5):
+    for d in (1, 2):
+        u = WeightMatrix.subexponential(delta, 1.0, d)
+        v = default_companion(u, 2.0)
+        fit = theta_fit(u, v, 2.0, d, n_max=256)
+        values[f"{delta},{d}"] = [cross_norm(u, v, 2.0).value, fit.D, fit.theta,
+                                  fit.b_tail_bound]
+cli = CliRunner().invoke(main, ["thetafit", "--u", "subexponential:0.3,1", "--p", "2",
+                                "--out", sys.argv[2]])
+print(json.dumps({"passed": passed, "values": values,
+                  "cli_exit": cli.exit_code, "cli_output": cli.output}))
 """
 
 
 @pytest.fixture(scope="module")
 def cold_process(tmp_path_factory):
-    """One fresh interpreter: every offdiag module, a quick suite, then a subexponential tail."""
+    """One fresh interpreter in which scipy cannot be imported: every offdiag
+    module, a quick suite, the subexponential tails and a `thetafit` run."""
     env = dict(os.environ, PYTHONPATH=str(Path(offdiag.__file__).parents[1]))
-    out_dir = str(tmp_path_factory.mktemp("suite"))
-    out = subprocess.run([sys.executable, "-c", _COLD_PROCESS, out_dir],
+    out_dirs = [str(tmp_path_factory.mktemp(name)) for name in ("suite", "thetafit")]
+    out = subprocess.run([sys.executable, "-c", _COLD_PROCESS, *out_dirs],
                          capture_output=True, text=True, env=env, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
-class TestScipyIsLazy:
-    def test_package_and_suite_never_import_scipy(self, cold_process):
+class TestRunsWithoutScipy:
+    def test_package_and_suite_run_without_scipy(self, cold_process):
         assert cold_process["passed"]
-        assert cold_process["after_suite"] == []
 
-    def test_subexponential_tail_loads_scipy_and_keeps_values(self, cold_process):
-        # pinned: importing scipy on first use must not move a bit of the tail
-        assert cold_process["values"] == {"1": 2.0834619353212767, "2": 9.824883965332074}
-        assert cold_process["special_loaded"]
+    def test_subexponential_tails_keep_values(self, cold_process):
+        values = cold_process["values"]
+        # pinned bit for bit: the delta = 1/2 cross-norms, whose tail takes Gamma(2, x)
+        assert (values["0.5,1"][0], values["0.5,2"][0]) == (2.0834619353212767, 9.824883965332074)
+        for d in (1, 2):
+            assert values[f"0.3,{d}"] == pytest.approx(_EXP_TAIL_PINS[0.3, d], rel=1e-12, abs=0.0)
+            u = WeightMatrix.subexponential(0.5, 1.0, d)
+            v = default_companion(u, 2.0)
+            fit = theta_fit(u, v, 2.0, d, n_max=256)
+            assert values[f"0.5,{d}"][1:] == [fit.D, fit.theta, fit.b_tail_bound]
+
+    def test_thetafit_runs_without_scipy(self, cold_process):
+        assert cold_process["cli_exit"] == 0
+        assert "theta=" in cold_process["cli_output"]

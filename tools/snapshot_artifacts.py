@@ -119,6 +119,15 @@ CALLS = [
     ("thetafit_constant", ["thetafit", "--u", "constant:3", "--nmax", "64", "--tpoints", "11"]),
     # the first call whose series tail takes the incomplete gamma of a non-integer 1/delta
     ("thetafit_subexponential_p2", ["thetafit", "--u", "subexponential:0.3,1", "--p", "2"]),
+    # x < a + 1 at the tail's start: Gamma(a) minus the series of gamma(a, x)
+    ("thetafit_subexponential_series", ["thetafit", "--u", "subexponential:0.05,1",
+                                        "--p", "2"]),
+    # an integer 1/delta at p = 2, d = 2
+    ("thetafit_subexponential_quarter_d2", ["thetafit", "--u", "subexponential:0.25,1",
+                                            "--p", "2", "--d", "2"]),
+    # Gamma(1000) overflows: the tail is inf and the fit reads diverged, exit 0
+    ("thetafit_subexponential_overflow", ["thetafit", "--u", "subexponential:0.001,1",
+                                          "--p", "2"]),
     ("thetafit_polynomial_zero", ["thetafit", "--u", "polynomial:0", "--nmax", "64",
                                   "--tpoints", "11"]),
     ("aq_power", ["weights", "aq", "--wseq", "power:0.5", "--radius", "16", "--q", "2",

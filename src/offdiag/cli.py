@@ -118,12 +118,6 @@ def parse_weight_sequence(spec: str, window: Window) -> WeightSequence:
     return WeightSequence.table(win, vals)
 
 
-def _out_dir(out) -> Path:
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # --p of `norm` and `radius`: a norm exponent in [1, infinity], where 0 reads as infinity
 _exponent_option = click.option("--p", default=1.0, show_default=True,
                                 callback=lambda _ctx, _param, p: math.inf if p == 0 else p)
@@ -231,7 +225,7 @@ def gen_cmd(kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coeffs, 
     config = {"command": "gen", "kind": kind, "d": d, "radius": radius,
               "params": {k: str(v) for k, v in params.items()},
               "amplitude": amplitude}
-    path = _out_dir(out) / "matrix.json"
+    path = Path(out) / "matrix.json"
     write_json_artifact(path, matrix_to_dict(a), config, seed)
     click.echo(f"wrote {path} ({a.nnz} entries)")
 
@@ -249,7 +243,7 @@ def norm_cmd(matrix_path, p, weight, out):
     rep = norms.norm_report(a, p, u)
     config = {"command": "norm", "matrix": str(matrix_path), "p": str(p),
               "weight": weight}
-    write_json_artifact(_out_dir(out) / "norm_report.json", {
+    write_json_artifact(Path(out) / "norm_report.json", {
         "beurling": rep.beurling, "sjostrand": rep.sjostrand,
         "schur": rep.schur, "jaffard": rep.jaffard,
         "p": str(p), "weight_id": rep.weight_id,
@@ -280,7 +274,7 @@ def weights_aq_cmd(wseq, d, radius, q, ncap, out):
     rep = muckenhoupt.aq_bound(w, q, ncap)
     config = {"command": "weights aq", "wseq": wseq, "d": d, "radius": radius,
               "q": q, "ncap": ncap}
-    write_json_artifact(_out_dir(out) / "aq_report.json", {
+    write_json_artifact(Path(out) / "aq_report.json", {
         "q": q, "bound": rep.bound, "argmax_anchor": rep.argmax_anchor,
         "argmax_n": rep.argmax_n, "n_cap": rep.n_cap, "weight_id": w.descriptor,
     }, config, None)
@@ -296,22 +290,14 @@ def weights_maximal_cmd(seq_path, out):
     c = load_sequence(seq_path)
     mc = muckenhoupt.maximal(c)
     config = {"command": "weights maximal", "seq": str(seq_path)}
-    write_json_artifact(_out_dir(out) / "maximal.json",
+    write_json_artifact(Path(out) / "maximal.json",
                         {"sequence": sequence_to_dict(mc)}, config, None)
     click.echo(f"max of Mc: {float(np.real(mc.data).max())!r}")
 
 
 def _parse_pairs(spec: str):
-    pairs = []
-    for item in spec.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        q_s, _, w_s = item.partition(":")
-        pairs.append((float(q_s), w_s or "trivial"))
-    if not pairs:
-        raise ValueError("no (q, weight) pairs given")
-    return pairs
+    items = [item.strip().partition(":") for item in spec.split(";") if item.strip()]
+    return [(float(q_s), w_s or "trivial") for q_s, _, w_s in items]
 
 
 @main.group("stability", invoke_without_command=True)
@@ -335,12 +321,12 @@ def stability_group(ctx, matrix_path, q, wseq, band, trials, seed, out):
     rep = stability.stability_bracket(a, q, w, band=band, trials=trials, seed=seed)
     config = {"command": "stability", "matrix": str(matrix_path), "q": q,
               "wseq": wseq, "band": band, "trials": trials}
-    write_json_artifact(_out_dir(out) / "stability_report.json", {
+    write_json_artifact(Path(out) / "stability_report.json", {
         "q": rep.q, "weight_id": rep.weight_id, "lower": rep.lower,
         "upper": rep.upper, "verdict": rep.verdict, "method": rep.method,
         "probe_band": rep.probe_band,
     }, config, seed)
-    write_csv_artifact(_out_dir(out) / "stability_report.csv",
+    write_csv_artifact(Path(out) / "stability_report.csv",
                        "q,weight,lower,upper,verdict,method",
                        [f"{rep.q!r},{rep.weight_id},{rep.lower!r},{rep.upper!r},"
                         f"{rep.verdict},{rep.method}"], config, seed)
@@ -365,9 +351,9 @@ def stability_cross_cmd(matrix_path, pairs, trials, seed, out):
               "pairs": pairs, "trials": trials}
     rows = [f"{r.q!r},{r.weight_id},{r.lower!r},{r.upper!r},{r.verdict},{r.method}"
             for r in res.reports]
-    write_csv_artifact(_out_dir(out) / "stability_cross.csv",
+    write_csv_artifact(Path(out) / "stability_cross.csv",
                        "q,weight,lower,upper,verdict,method", rows, config, seed)
-    write_json_artifact(_out_dir(out) / "stability_cross.json", {
+    write_json_artifact(Path(out) / "stability_cross.json", {
         "consistent": res.consistent,
         "reports": [{"q": r.q, "weight_id": r.weight_id, "lower": r.lower,
                      "upper": r.upper, "verdict": r.verdict, "method": r.method}
@@ -390,7 +376,7 @@ def invert_cmd(matrix_path, tol, kmax, out):
     a_inv, rep = inversion.wiener_invert(a, tol=tol, k_max=kmax)
     config = {"command": "invert", "matrix": str(matrix_path), "tol": tol,
               "kmax": kmax}
-    out = _out_dir(out)
+    out = Path(out)
     write_json_artifact(out / "inverse_report.json", {
         "c1": rep.c1, "c2": rep.c2, "r0": rep.r0, "terms_used": rep.terms_used,
         "residual": rep.residual, "two_sided_residual": rep.two_sided_residual,
@@ -427,7 +413,7 @@ def thetafit_cmd(u_spec, v_spec, p, d, nmax, tmax, tpoints, out):
     fit = weights.theta_fit(u, v, p, d, n_max=nmax, t_grid=t_grid)
     config = {"command": "thetafit", "u": u_spec, "v": v_spec, "p": p, "d": d,
               "nmax": nmax, "tmax": tmax, "tpoints": tpoints}
-    write_json_artifact(_out_dir(out) / "thetafit.json", {
+    write_json_artifact(Path(out) / "thetafit.json", {
         "D": fit.D, "theta": fit.theta,
         "satisfied": fit.satisfied, "diverged": fit.diverged,
         "t_grid": fit.t_grid, "min_values": fit.min_values, "margins": fit.margins,
@@ -452,10 +438,10 @@ def radius_cmd(matrix_path, p, weight, nmax, seed, out):
     rep = norms.brandenburg_radii(a, p, u, n_max=nmax, seed=seed)
     config = {"command": "radius", "matrix": str(matrix_path), "p": p,
               "weight": weight, "nmax": nmax}
-    write_csv_artifact(_out_dir(out) / "radius_roots.csv", "n,root",
+    write_csv_artifact(Path(out) / "radius_roots.csv", "n,root",
                        [f"{n + 1},{float(r)!r}" for n, r in enumerate(rep.roots)],
                        config, seed)
-    write_json_artifact(_out_dir(out) / "radius_report.json", {
+    write_json_artifact(Path(out) / "radius_report.json", {
         "roots": rep.roots, "opnorm_l2": rep.opnorm_l2,
         "radius_estimate": rep.radius_estimate, "gap": rep.gap,
     }, config, seed)
@@ -479,7 +465,7 @@ def toeplitz_minmod_cmd(coeffs, d, grid, out):
     a = _coeffs_arg(coeffs, d)
     rep = symbols.symbol_min_modulus(a, grid)
     config = {"command": "toeplitz minmod", "coeffs": coeffs, "d": d, "grid": grid}
-    write_json_artifact(_out_dir(out) / "minmod.json", {
+    write_json_artifact(Path(out) / "minmod.json", {
         "min_modulus": rep.min_modulus, "argmin_xi": rep.argmin_xi,
         "slack": rep.slack, "certified": rep.certified, "grid": rep.grid,
     }, config, None)
@@ -499,9 +485,9 @@ def toeplitz_recip_cmd(coeffs, tol, out):
     config = {"command": "toeplitz recip", "coeffs": coeffs, "tol": tol}
     rows = [f"{n[0]},{v.real!r},{v.imag!r}"
             for n, v in sorted(b.coeffs.items())]
-    write_csv_artifact(_out_dir(out) / "reciprocal_coeffs.csv", "n,re,im",
+    write_csv_artifact(Path(out) / "reciprocal_coeffs.csv", "n,re,im",
                        rows, config, None)
-    write_json_artifact(_out_dir(out) / "reciprocal_report.json", {
+    write_json_artifact(Path(out) / "reciprocal_report.json", {
         "astar_norm": rep.astar_norm, "grid": rep.grid,
         "outer_quarter_mass": rep.outer_quarter_mass,
         "min_modulus": rep.min_modulus,
@@ -536,9 +522,9 @@ def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, out):
               "q": q, "wseq": wseq, "radii": radii, "trials": trials}
     rows = [f"{r.q!r},{r.weight_id},{rad[k]},{r.lower!r},{r.upper!r},{r.verdict}"
             for k, r in enumerate(rep.brackets)]
-    write_csv_artifact(_out_dir(out) / "toeplitz_stability.csv",
+    write_csv_artifact(Path(out) / "toeplitz_stability.csv",
                        "q,weight,radius,lower,upper,verdict", rows, config, seed)
-    write_json_artifact(_out_dir(out) / "toeplitz_stability.json", {
+    write_json_artifact(Path(out) / "toeplitz_stability.json", {
         "verdict": rep.verdict,
         "min_modulus": rep.min_modulus.min_modulus,
         "certified": rep.min_modulus.certified,

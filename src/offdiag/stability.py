@@ -40,7 +40,7 @@ from .lattice import (LatticeSequence, LocalizedMatrix, Window, decay_profile,
 from .muckenhoupt import WeightSequence, aq_bound, weighted_norm
 from .norms import _cp, beurling_norm
 from .spectral import singular_extremes
-from .weights import WeightMatrix
+from .weights import WeightMatrix, default_companion
 
 __all__ = [
     "PartitionOperator",
@@ -123,8 +123,6 @@ def boundedness_check(a: LocalizedMatrix, q: float, w: WeightSequence, p: float,
     """Check ||Ac||_{q,w} <= 2^{2d} 3^{d/q} A_q(w)^{1/q} C_p(v,u) ||A||_{p,u} ||c||_{q,w}
     on random c, with the scanned A_q bound and the computable cross-norm
     standing in for the infimal companion bound."""
-    from .weights import default_companion
-
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     win = a.window

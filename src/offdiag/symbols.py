@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (LocalizedMatrix, Window, generate, integer_coords, integral, is_number,
-                      json_number, json_object, ring_lp, sharing)
+                      json_number, json_object, ring_lp, ring_suprema, sharing)
 from .muckenhoupt import WeightSequence
 from .stability import stability_bracket
 
@@ -55,19 +55,23 @@ def _as_key(n, d: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class SymbolCoeffs:
-    """Finitely supported coefficients n in Z^d -> complex."""
+    """Finitely supported coefficients n in Z^d -> complex, given as a dict or
+    as (index, value) pairs and kept as a dict of d-tuples to nonzero values.
+    A non-finite value, or two entries naming one index (0 and (0,), say),
+    raise ValueError: the symbol side's one refusal of a repeated index."""
 
     d: int
     coeffs: dict
 
     def __post_init__(self):
         clean = {}
-        for n, v in self.coeffs.items():
+        pairs = self.coeffs.items() if isinstance(self.coeffs, dict) else self.coeffs
+        for n, v in pairs:
             v = complex(v)
             if not np.isfinite(v):
                 raise ValueError(f"symbol coefficient {v} at {n!r} is not finite")
             key = _as_key(n, self.d)
-            if key in clean:  # 0 and (0,), say, name one index
+            if key in clean:
                 raise ValueError(f"two coefficient rows at index {key}")
             clean[key] = v
         object.__setattr__(self, "coeffs", {n: v for n, v in clean.items() if v != 0})
@@ -96,17 +100,14 @@ def symbol_from_dict(payload: dict) -> SymbolCoeffs:
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
             and all(is_number(x) for row in rows for x in row)):
         raise ValueError("coefficient rows must be lists of numbers")
-    coeffs = {}
+    pairs = []
     for row in rows:
         if len(row) != d + 2:
             raise ValueError(f"coefficient row of length {len(row)} for d={d}")
         if not all(integral(x) for x in row[:d]):
             raise ValueError(f"coefficient row {row} must start with an integer index")
-        index = tuple(int(x) for x in row[:d])
-        if index in coeffs:
-            raise ValueError(f"two coefficient rows at index {index}")
-        coeffs[index] = complex(row[d], row[d + 1])
-    return SymbolCoeffs(d, coeffs)
+        pairs.append((tuple(int(x) for x in row[:d]), complex(row[d], row[d + 1])))
+    return SymbolCoeffs(d, pairs)
 
 
 def parse_coeffs(text: str, d: int = 1) -> SymbolCoeffs:
@@ -117,7 +118,7 @@ def parse_coeffs(text: str, d: int = 1) -> SymbolCoeffs:
     Two items at the same index raise ValueError, as two file rows do.
     """
     items = text.split(";") if d > 1 else text.split(",")
-    coeffs = {}
+    pairs = []
     for item in items:
         item = item.strip()
         if not item:
@@ -126,10 +127,8 @@ def parse_coeffs(text: str, d: int = 1) -> SymbolCoeffs:
         if not idx_s:
             raise ValueError(f"coefficient item {item!r} is missing '@index'")
         idx = tuple(int(x) for x in idx_s.split(",")) if d > 1 else int(idx_s)
-        if idx in coeffs:
-            raise ValueError(f"two coefficient rows at index {_as_key(idx, d)}")
-        coeffs[idx] = complex(val_s)
-    return SymbolCoeffs(d, coeffs)
+        pairs.append((idx, complex(val_s)))
+    return SymbolCoeffs(d, pairs)
 
 
 def astar_norm(a: SymbolCoeffs) -> float:
@@ -138,16 +137,16 @@ def astar_norm(a: SymbolCoeffs) -> float:
     For d > 1 the corresponding quantity is the unweighted ring norm of the
     generated Toeplitz matrix, computed from the coefficients directly
     (every difference is realized on the infinite lattice):
-    sum_m ring(m, d) sup_{|n|_inf >= m} |a(n)|.
+    sum_m ring(m, d) sup_{|n|_inf >= m} |a(n)|.  The tail suprema are
+    ``ring_suprema`` of the (2r+1)^d array |a(n)|, r the support radius.
     """
     if not a.coeffs:
         return 0.0
-    m_max = a.support_radius
-    per_dist = np.zeros(m_max + 1)
+    r = a.support_radius
+    mag = np.zeros((2 * r + 1,) * a.d)
     for n, v in a.coeffs.items():
-        m = max(abs(x) for x in n)
-        per_dist[m] = max(per_dist[m], abs(v))
-    tail_sup = np.maximum.accumulate(per_dist[::-1])[::-1]
+        mag[tuple(x + r for x in n)] = abs(v)
+    tail_sup = ring_suprema(mag)
     if a.d == 1:
         return float(np.sum(tail_sup))
     return ring_lp(tail_sup, a.d)
@@ -208,9 +207,12 @@ class ReciprocalReport:
 def reciprocal_coeffs(a: SymbolCoeffs, tol: float = 1e-10):
     """Coefficients of 1 / a_hat by adaptive grid doubling (d = 1).
 
-    Doubles the grid until the outermost quarter of the unfolded
-    coefficients carries l^1 mass <= tol (aliasing control).  Refuses
-    symbols whose nonvanishing cannot be certified.
+    Doubles the grid until nonvanishing is certified, then until the
+    outermost quarter of the unfolded coefficients carries l^1 mass <= tol
+    (aliasing control); neither loop doubles past the grid cap 2^20.
+    Raises VanishingSymbolError when nonvanishing is not certified, when the
+    coefficients of 1 / a_hat are not finite (a_hat zero or so small that
+    1 / a_hat overflows), or when the mass at the largest grid tried is above tol.
     """
     g_max = 1 << 20  # grid cap
     if a.d != 1:
@@ -218,39 +220,28 @@ def reciprocal_coeffs(a: SymbolCoeffs, tol: float = 1e-10):
     if not 0 < tol < math.inf:  # nan too
         raise ValueError(f"tol must be positive and finite, got {tol}")
     mm = symbol_min_modulus(a)
+    while not mm.certified and 2 * mm.grid <= g_max:
+        mm = symbol_min_modulus(a, 2 * mm.grid)
     if not mm.certified:
-        g = mm.grid
-        while not mm.certified and g <= g_max:
-            g *= 2
-            mm = symbol_min_modulus(a, g)
-        if not mm.certified:
-            raise VanishingSymbolError(
-                f"symbol minimum modulus {mm.min_modulus:.3e} not certified positive"
-            )
+        raise VanishingSymbolError(f"symbol minimum modulus {mm.min_modulus:.3e} "
+                                   "not certified positive")
     g = max(mm.grid, 32)
     while True:
-        values = np.fft.fft(_fold(a, g))
-        if np.any(values == 0):
-            raise VanishingSymbolError("symbol vanishes on the sampling grid")
-        b_folded = np.fft.ifft(1.0 / values)
+        with np.errstate(all="ignore"):  # a zero or tiny a_hat is refused below
+            b_folded = np.fft.ifft(1.0 / np.fft.fft(_fold(a, g)))
+        if not np.all(np.isfinite(b_folded)):
+            raise VanishingSymbolError(f"coefficients of 1/a_hat are not finite at grid {g}")
         ns = np.where(np.arange(g) <= g // 2, np.arange(g), np.arange(g) - g)
-        outer = np.abs(ns) > g // 4
-        mass = float(np.abs(b_folded[outer]).sum())
-        if mass <= tol or g >= g_max:
+        mass = float(np.abs(b_folded[np.abs(ns) > g // 4]).sum())  # the outer quarter
+        if mass <= tol or 2 * g > g_max:
             break
         g *= 2
-    if mass > tol:
-        raise VanishingSymbolError(
-            f"aliasing mass {mass:.3e} above tol at the grid cap {g_max}"
-        )
-    coeffs = {}
-    for m in range(g):
-        v = b_folded[m]
-        if abs(v) > 0.0:
-            coeffs[int(ns[m])] = complex(v)
-    b = SymbolCoeffs(1, coeffs)
-    report = ReciprocalReport(g, mass, astar_norm(b), mm.min_modulus)
-    return b, report
+    if not mass <= tol:  # nan too
+        raise VanishingSymbolError(f"aliasing mass {mass:.3e} above tol at grid {g}, "
+                                   f"the largest within the cap {g_max}")
+    nz = np.flatnonzero(b_folded)
+    b = SymbolCoeffs(1, zip(ns[nz].tolist(), b_folded[nz].tolist()))
+    return b, ReciprocalReport(g, mass, astar_norm(b), mm.min_modulus)
 
 
 def convolve(a: SymbolCoeffs, b: SymbolCoeffs) -> SymbolCoeffs:

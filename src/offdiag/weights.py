@@ -62,10 +62,12 @@ class RadialForm:
             out = out * np.exp(self.tau * n**self.delta)
         return out
 
-    def ratio(self, other: "RadialForm") -> "RadialForm | None":
-        """self / other, or None when the exponential scales are incompatible."""
+    def ratio(self, other: "RadialForm") -> "RadialForm":
+        """self / other.  Two exponential scales tau n^delta with different
+        delta have no closed-form ratio: that pair raises ValueError, the
+        refusal every C_p and theta path of an incompatible v/u reaches."""
         if self.tau != 0.0 and other.tau != 0.0 and self.delta != other.delta:
-            return None
+            raise ValueError("incompatible exponential scales in v/u")
         delta = self.delta if self.tau != 0.0 else other.delta
         return RadialForm(
             scale=self.scale / other.scale,
@@ -326,10 +328,7 @@ def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float) -> SeriesValue:
     """C_p(v, u): l^{p/(p-1)} norm over k in Z^d of the ring suprema of v/u,
     an infinite ring series with a certified tail.  A pair of incompatible
     exponential scales, whose ratio v/u is no RadialForm, is refused."""
-    ratio = v.radial.ratio(u.radial)
-    if ratio is None:
-        raise ValueError("incompatible exponential scales in v/u")
-    return ring_power_series(ratio, _p_prime(p), u.d, 0)
+    return ring_power_series(v.radial.ratio(u.radial), _p_prime(p), u.d, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +390,22 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
 
     B_N is the tail l^{p/(p-1)} norm of the ring suprema of v/u from
     |k| >= N/2; the exponent theta is the log-log slope over the top decade
-    of the t-grid and D is inflated so the inequality holds at every grid t.
+    of the t-grid (the points t >= max t / 10, or the two largest points when
+    the decade holds fewer), fitted in ascending t, so the order of t_grid
+    does not change (D, theta); D is inflated so the inequality holds at
+    every grid t.  A v/u of incompatible exponential scales is refused.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if t_grid is None:
         t_grid = np.geomspace(1.0, 1e6, 61)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
+    t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)  # strided, t**theta may round apart
     distinct = np.unique(t_grid).size
     if distinct < 2:
         raise ValueError(f"t_grid needs 2 distinct points to fit a slope, got {distinct}")
     if not np.all((t_grid >= 1.0) & (t_grid < math.inf)):  # nan too
         raise ValueError("t_grid must lie in [1, inf)")
     ratio = v.radial.ratio(u.radial)
-    if ratio is None:
-        raise ValueError("incompatible exponential scales in v/u")
 
     n_grid = np.arange(1, n_max + 1)
     # A_N = sum_{|k| <= N} sup_{|k| <= n <= N} v(n) = v(N) (2N+1)^d: every closed
@@ -443,10 +443,12 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
                         satisfied=False, diverged=True, b_tail_bound=math.inf)
 
     min_vals = np.min(a_vals[:, None] + b_vals[:, None] * t_grid[None, :], axis=0)
-    top = t_grid >= t_grid[-1] / 10.0
+    by_t = np.argsort(t_grid, kind="stable")
+    t_fit, min_fit = t_grid[by_t], min_vals[by_t]
+    top = t_fit >= t_fit[-1] / 10.0
     if np.count_nonzero(top) < 2:
         top = slice(-2, None)
-    slope = float(np.polyfit(np.log(t_grid[top]), np.log(min_vals[top]), 1)[0])
+    slope = float(np.polyfit(np.log(t_fit[top]), np.log(min_fit[top]), 1)[0])
     satisfied = 0.02 < slope < 0.98
     theta = slope
     big_d = float(np.max(min_vals / t_grid**theta))

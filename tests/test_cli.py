@@ -691,6 +691,20 @@ class TestExitCodes:
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    def test_underflowing_symbol_exit_code(self, runner, tmp_path):
+        # 1/a_hat overflowed with three RuntimeWarnings, then the valid input
+        # was refused as a validation error (exit 1)
+        res = runner.invoke(main, ["toeplitz", "recip", "--coeffs", "1e-310@0",
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output == "numerical failure: coefficients of 1/a_hat are not finite at grid 32\n"
+
+    def test_empty_pairs_exit_code(self, runner, tmp_path, matrix_file):
+        res = runner.invoke(main, ["stability", "cross", "--matrix", str(matrix_file),
+                                   "--pairs", " ; ", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert res.output == "validation error: no (q, weight) pairs given\n"
+
 
 class TestWeightSpecs:
     @pytest.mark.parametrize("inline, doc", [

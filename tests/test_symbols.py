@@ -55,6 +55,23 @@ class TestAstarNorm:
         tail = astar_norm(a)
         assert 1.0 - 1e-12 <= ring / tail < 2.0
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tail_suprema_by_distance(self, d):
+        # sum_m ring(m, d) h(m) with h(m) the sup of |a(n)| over |n|_inf >= m,
+        # from a per-distance table: the ring_suprema route keeps its bits
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            r = int(rng.integers(0, 6))
+            keys = {tuple(rng.integers(-r, r + 1, d).tolist()) for _ in range(8)}
+            a = SymbolCoeffs(d, {n: complex(*rng.standard_normal(2)) for n in keys})
+            per = np.zeros(r + 1)
+            for n, v in a.coeffs.items():
+                m = max(abs(x) for x in n)
+                per[m] = max(per[m], abs(v))
+            tails = np.ascontiguousarray(np.maximum.accumulate(per[::-1])[::-1])
+            want = float(np.sum(tails)) if d == 1 else lattice.ring_lp(tails, d)
+            assert astar_norm(a) == want
+
     def test_matches_toeplitz_ring_norm(self):
         # finiteness correspondence: the d=1 matrix ring norm equals the
         # two-sided tail sum, computable from the coefficients alone
@@ -167,6 +184,32 @@ class TestReciprocal:
     def test_d2_rejected(self):
         with pytest.raises(ValueError):
             reciprocal_coeffs(SymbolCoeffs(2, {(0, 0): 2.0}), tol=1e-8)
+
+    @pytest.mark.parametrize("coeffs, match", [
+        ({0: 1.0, 1: -1.0}, "not certified positive"),
+        # certified at 12 * 2^9, yet the outer-quarter mass stays above 1e-10
+        ({0: 1.0, 1: -0.999}, "above tol at grid 786432, the largest within the cap 1048576"),
+    ])
+    def test_no_grid_above_the_cap(self, monkeypatch, coeffs, match):
+        # doubling from 12, a power of two times 3, overshot the cap 2^20 to 1,572,864
+        grids = []
+
+        def fold(a, g):
+            grids.append(g)
+            return real_fold(a, g)
+
+        real_fold = symbols._fold
+        monkeypatch.setattr(symbols, "_fold", fold)
+        with pytest.raises(VanishingSymbolError, match=re.escape(match)):
+            reciprocal_coeffs(SymbolCoeffs(1, coeffs))
+        assert max(grids) == 786432
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-308])
+    def test_underflowing_symbol_refused(self, c):
+        # 1/a_hat (1e-310) or its inverse FFT (1e-308) overflows: numpy warned,
+        # then the non-finite coefficients read as a validation error
+        with pytest.raises(VanishingSymbolError, match="not finite at grid 32"):
+            reciprocal_coeffs(SymbolCoeffs(1, {0: c}))
 
     @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
     def test_non_positive_or_non_finite_tol_refused(self, tol):
@@ -349,6 +392,17 @@ class TestIndices:
         # the last key won: {0: 2.0, (0,): 1.0} read as {(0,): 1}; a zero one dropped the other
         with pytest.raises(ValueError, match=re.escape(f"two coefficient rows at index {index}")):
             SymbolCoeffs(1, coeffs)
+
+    def test_pairs_read_as_a_dict(self):
+        pairs = [(0, 2.0), ((1,), 1.0), (-1, 0.0)]
+        assert SymbolCoeffs(1, pairs).coeffs == SymbolCoeffs(1, dict(pairs)).coeffs
+        assert SymbolCoeffs(2, iter([((1, 0), 1j)])).coeffs == {(1, 0): 1j}
+
+    @pytest.mark.parametrize("d, pairs, index", [(1, [(0, 2.0), (0, 1.0)], "(0,)"),
+                                                 (2, [((1, 0), 1.0), ((1, 0), 0.0)], "(1, 0)")])
+    def test_two_pairs_at_one_index_refused(self, d, pairs, index):
+        with pytest.raises(ValueError, match=re.escape(f"two coefficient rows at index {index}")):
+            SymbolCoeffs(d, pairs)
 
     @pytest.mark.parametrize("d, key", [(2, 1), (1, (0, 1)), (2, (1,)), (2, ((0, 1),))])
     def test_index_of_the_wrong_shape_refused(self, d, key):

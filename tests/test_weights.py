@@ -202,7 +202,8 @@ class TestSubmultiplicative:
         # bound C_p from below, so every path to C_p refuses the pair as theta_fit does
         u = WeightMatrix.subexponential(0.5, 1.0, d)
         v = WeightMatrix.subexponential(0.25, 1.0, d)
-        assert v.radial.ratio(u.radial) is None
+        with pytest.raises(ValueError, match="incompatible exponential scales"):
+            v.radial.ratio(u.radial)
         win = Window(d, 3)
         a = generate("identity", win)
         for call in (lambda: cross_norm(u, v, 2.0),
@@ -224,6 +225,19 @@ class TestThetaFit:
         assert fit.certificate_holds()
         # certificate at t = 1: min_N(A_N + B_N) <= D
         assert fit.min_values[0] <= fit.D
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_grid_order_does_not_change_the_fit(self, order):
+        # the top decade was read off the last point: the reversed grid gave
+        # theta 0.43043, D 13.623 for theta 0.40188, D 16.145
+        u, v = WeightMatrix.polynomial(2.0, D1), WeightMatrix.constant(4.0, D1)
+        t = np.geomspace(1.0, 1e6, 61)
+        perm = (slice(None, None, -1) if order == "reversed"  # a strided view
+                else np.random.default_rng(3).permutation(61))
+        want, got = theta_fit(u, v, 2.0, 1, t_grid=t), theta_fit(u, v, 2.0, 1, t_grid=t[perm])
+        assert (got.theta, got.D, got.satisfied) == (want.theta, want.D, want.satisfied)
+        assert np.array_equal(got.min_values, want.min_values[perm])
+        assert got.certificate_holds()
 
     @pytest.mark.parametrize("u, v", [
         (WeightMatrix.polynomial(2.0, 2), WeightMatrix.constant(4.0, 2)),

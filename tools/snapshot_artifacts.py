@@ -57,6 +57,8 @@ INPUTS = {
     "ws_table_extreme.json": {"form": "table", "d": 1, "radius": 16,
                               "values": [[0, 1e300], [1, 1e-300]]},
     "sym_nan.json": '{"d": 1, "coeffs": [[0, NaN, 0], [1, 1, 0]]}',
+    "sym_d2.json": {"d": 2, "coeffs": [[0, 0, 4.0, 0.0], [1, 0, 1.0, 0.0], [0, -1, 0.5, 0.5],
+                                       [-1, 1, -0.25, 0.0]]},
     "seq_d1.json": {"d": 1, "radius": 8,
                     "entries": [[-8, 1.0, 0.0], [-1, 0.5, -0.5], [3, 2.0, 0.0], [8, 0.0, 1.0]]},
     "seq_d2.json": {"d": 2, "radius": 3,
@@ -183,6 +185,10 @@ CALLS = [
                                  "2:inputs/ws_table_sixteen.json;4:inputs/ws_table_sixteen.json"]),
     ("toeplitz_minmod", ["toeplitz", "minmod", "--coeffs", "2@0,1@1"]),
     ("toeplitz_recip", ["toeplitz", "recip", "--coeffs", "2@0,1@1"]),
+    ("toeplitz_minmod_d2_json", ["toeplitz", "minmod", "--d", "2",
+                                 "--coeffs", "inputs/sym_d2.json"]),
+    # a reciprocal with 1,536 coefficients
+    ("toeplitz_recip_long", ["toeplitz", "recip", "--coeffs", "1@0,-0.9@1"]),
     ("invert_real", ["invert", "--matrix", T]),
     ("invert_complex", ["invert", "--matrix", C]),
     ("invert_d2", ["invert", "--matrix", D2]),
@@ -234,6 +240,10 @@ CALLS = [
     ("refuse_recip_tol_nan", ["toeplitz", "recip", "--coeffs", "2@0,1@1", "--tol", "nan"]),
     ("refuse_thetafit_tmax_nan", ["thetafit", "--u", "polynomial:2", "--tmax", "nan"]),
     ("refuse_thetafit_tmax_inf", ["thetafit", "--u", "polynomial:2", "--tmax", "inf"]),
+    ("refuse_stability_cross_no_pairs", ["stability", "cross", "--matrix", T, "--pairs", ";"]),
+    # refused as vanishing: each exits 2
+    ("refuse_recip_underflow", ["toeplitz", "recip", "--coeffs", "1e-310@0"]),
+    ("refuse_recip_grid_cap", ["toeplitz", "recip", "--coeffs", "1@0,-0.999@1"]),
 ]
 
 SEEDS = (1, 7, 42)

@@ -3,12 +3,12 @@
 Every verb reads/writes the documented JSON/CSV formats, stamps each artifact
 with a schema version, the seed, and a hash of the invoking configuration,
 and does no arithmetic of its own beyond formatting.  Exit codes: 0 success,
-1 validation failure (click's usage errors included), 2 numerical failure.
+1 validation failure (click's usage errors included), 2 numerical failure;
+the root group `_Cli` alone maps a failure to its code and one stderr line.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import inversion, muckenhoupt, norms, stability, symbols, weights
 from .lattice import (Window, generate, json_number, json_object, load_matrix, load_sequence,
@@ -131,40 +132,13 @@ def _coeffs_arg(spec: str, d: int):
     return parse_coeffs(spec, d)
 
 
-class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _exit_codes(fn):
-    """Run a verb, mapping its failures to exit 1 or 2 with a one-line message."""
-
-    @functools.wraps(fn)
-    def verb(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(2)
-        except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
-            click.echo(f"validation error: {exc}", err=True)
-            sys.exit(1)
-        except MemoryError as exc:  # numpy names the allocation it could not make
-            click.echo(f"validation error: {str(exc) or 'out of memory'}", err=True)
-            sys.exit(1)
-        except _Fail as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(exc.code)
-
-    return verb
-
-
 class _Cli(click.Group):
-    """The root group: click's usage errors exit 1, as validation failures.
+    """The root group, the one owner of the exit codes.
 
     Every parse of an argument list, the root's and each verb's, runs inside
-    one of these two calls, and click keeps its own message.
+    one of these two calls, and so does every verb body, nested ones
+    included.  Click's usage errors exit 1 with click's own message; a
+    verb's failure exits 1 (validation) or 2 (numerical) with one line.
     """
 
     def make_context(self, *args, **kwargs):
@@ -180,6 +154,15 @@ class _Cli(click.Group):
         except click.UsageError as exc:
             exc.exit_code = 1
             raise
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(2)
+        except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
+            click.echo(f"validation error: {exc}", err=True)
+            sys.exit(1)
+        except MemoryError as exc:  # numpy names the allocation it could not make
+            click.echo(f"validation error: {str(exc) or 'out of memory'}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Cli)
@@ -200,7 +183,6 @@ def main():
 @click.option("--offset", default=None, type=int)
 @click.option("--coeffs", default=None, help="e.g. '2@0,1@1'")
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def gen_cmd(kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coeffs, out):
     """Generate a matrix and write it as matrix.json."""
     window = Window(d, radius)
@@ -235,7 +217,6 @@ def gen_cmd(kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coeffs, 
 @_exponent_option
 @click.option("--weight", default="trivial", show_default=True)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def norm_cmd(matrix_path, p, weight, out):
     """Norm report (ring / diagonal / row-column / sup families)."""
     a = load_matrix(matrix_path)
@@ -264,7 +245,6 @@ def weights_group():
 @click.option("--q", required=True, type=float)
 @click.option("--ncap", default=8, show_default=True)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def weights_aq_cmd(wseq, d, radius, q, ncap, out):
     """Scan the discrete A_q bound over cubes inside the window."""
     window = Window(d, radius)
@@ -284,7 +264,6 @@ def weights_aq_cmd(wseq, d, radius, q, ncap, out):
 @weights_group.command("maximal")
 @click.option("--seq", "seq_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def weights_maximal_cmd(seq_path, out):
     """Discrete maximal function of a sequence."""
     c = load_sequence(seq_path)
@@ -309,10 +288,15 @@ def _parse_pairs(spec: str):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
 @click.pass_context
-@_exit_codes
 def stability_group(ctx, matrix_path, q, wseq, band, trials, seed, out):
     """Stability bracket for one (q, w); subcommand `cross` for a table."""
-    if ctx.invoked_subcommand is not None:
+    sub = ctx.invoked_subcommand
+    if sub is not None:
+        given = [param.opts[0] for param in ctx.command.params
+                 if ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
+        if given:
+            raise ValueError(f"{', '.join(given)} before `{sub}` would be ignored; "
+                             f"`{sub}` takes its options after its name")
         return
     if matrix_path is None:
         raise ValueError("--matrix is required")
@@ -340,7 +324,6 @@ def stability_group(ctx, matrix_path, q, wseq, band, trials, seed, out):
 @click.option("--trials", default=200, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def stability_cross_cmd(matrix_path, pairs, trials, seed, out):
     """Stability verdicts across several (q, w) pairs plus a consistency flag."""
     a = load_matrix(matrix_path)
@@ -369,7 +352,6 @@ def stability_cross_cmd(matrix_path, pairs, trials, seed, out):
 @click.option("--kmax", default=500, show_default=True,
               help="squaring doubles the series terms held while fewer than this are held")
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def invert_cmd(matrix_path, tol, kmax, out):
     """Preconditioned Neumann inverse with decay-profile witness."""
     a = load_matrix(matrix_path)
@@ -389,8 +371,9 @@ def invert_cmd(matrix_path, tol, kmax, out):
     click.echo(f"residual={rep.residual!r} terms={rep.terms_used} "
                f"ring_norm={rep.inverse_ring_norm!r}")
     if not rep.converged:
-        raise _Fail(2, f"series not converged at {rep.terms_used} terms "
-                       f"(residual {rep.residual!r})")
+        click.echo(f"series not converged at {rep.terms_used} terms "
+                   f"(residual {rep.residual!r})", err=True)
+        sys.exit(2)
 
 
 @main.command("thetafit")
@@ -402,7 +385,6 @@ def invert_cmd(matrix_path, tol, kmax, out):
 @click.option("--tmax", default=1e6, show_default=True)
 @click.option("--tpoints", default=61, show_default=True)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def thetafit_cmd(u_spec, v_spec, p, d, nmax, tmax, tpoints, out):
     """Fit the (D, theta) growth certificate from the weight pair."""
     u = parse_weight_matrix(u_spec, d)
@@ -430,7 +412,6 @@ def thetafit_cmd(u_spec, v_spec, p, d, nmax, tmax, tpoints, out):
 @click.option("--nmax", default=16, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def radius_cmd(matrix_path, p, weight, nmax, seed, out):
     """Root sequence ||A^n||^{1/n} next to the l2 radius estimate."""
     a = load_matrix(matrix_path)
@@ -459,7 +440,6 @@ def toeplitz_group():
 @click.option("--d", default=1, show_default=True)
 @click.option("--grid", default=None, type=int)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def toeplitz_minmod_cmd(coeffs, d, grid, out):
     """Certified minimum modulus of the symbol on the torus."""
     a = _coeffs_arg(coeffs, d)
@@ -477,7 +457,6 @@ def toeplitz_minmod_cmd(coeffs, d, grid, out):
 @click.option("--coeffs", required=True)
 @click.option("--tol", default=1e-10, show_default=True)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def toeplitz_recip_cmd(coeffs, tol, out):
     """Reciprocal symbol coefficients via adaptive grid doubling."""
     a = _coeffs_arg(coeffs, 1)
@@ -504,7 +483,6 @@ def toeplitz_recip_cmd(coeffs, tol, out):
 @click.option("--trials", default=200, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, out):
     """Symbol-side stability verdict with bracket-scaling corroboration.
 
@@ -538,7 +516,6 @@ def toeplitz_stability_cmd(coeffs, d, q, wseq, radii, trials, seed, out):
 @click.option("--quick", is_flag=True)
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", default="out", show_default=True)
-@_exit_codes
 def suite_cmd(quick, seed, out):
     """Run the acceptance battery; exit 2 if any criterion fails."""
     from .suite import run_all
@@ -552,7 +529,8 @@ def suite_cmd(quick, seed, out):
     failed = [r.cid for r in results if not r.passed]
     click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     if failed:
-        raise _Fail(2, f"failed criteria: {', '.join(failed)}")
+        click.echo(f"failed criteria: {', '.join(failed)}", err=True)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

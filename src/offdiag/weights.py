@@ -390,19 +390,20 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
 
     B_N is the tail l^{p/(p-1)} norm of the ring suprema of v/u from
     |k| >= N/2; the exponent theta is the log-log slope over the top decade
-    of the t-grid (the points t >= max t / 10, or the two largest points when
-    the decade holds fewer), fitted in ascending t, so the order of t_grid
-    does not change (D, theta); D is inflated so the inequality holds at
-    every grid t.  A v/u of incompatible exponential scales is refused.
+    of the distinct t of the grid (the t >= max t / 10, or the two largest
+    when the decade holds fewer), fitted in ascending t, so neither the order
+    of t_grid nor a repeated point changes (D, theta); D is inflated so the
+    inequality holds at every grid t.  A v/u of incompatible exponential
+    scales is refused.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if t_grid is None:
         t_grid = np.geomspace(1.0, 1e6, 61)
     t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)  # strided, t**theta may round apart
-    distinct = np.unique(t_grid).size
-    if distinct < 2:
-        raise ValueError(f"t_grid needs 2 distinct points to fit a slope, got {distinct}")
+    t_fit, first = np.unique(t_grid, return_index=True)  # the distinct t, ascending
+    if t_fit.size < 2:
+        raise ValueError(f"t_grid needs 2 distinct points to fit a slope, got {t_fit.size}")
     if not np.all((t_grid >= 1.0) & (t_grid < math.inf)):  # nan too
         raise ValueError("t_grid must lie in [1, inf)")
     ratio = v.radial.ratio(u.radial)
@@ -443,8 +444,7 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
                         satisfied=False, diverged=True, b_tail_bound=math.inf)
 
     min_vals = np.min(a_vals[:, None] + b_vals[:, None] * t_grid[None, :], axis=0)
-    by_t = np.argsort(t_grid, kind="stable")
-    t_fit, min_fit = t_grid[by_t], min_vals[by_t]
+    min_fit = min_vals[first]
     top = t_fit >= t_fit[-1] / 10.0
     if np.count_nonzero(top) < 2:
         top = slice(-2, None)

@@ -1,12 +1,14 @@
 import json
 from types import SimpleNamespace
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from offdiag import stability, symbols
-from offdiag.cli import main, parse_weight_matrix, parse_weight_sequence, write_json_artifact
+from offdiag import stability, suite, symbols
+from offdiag.cli import (_Cli, main, parse_weight_matrix, parse_weight_sequence,
+                         write_json_artifact)
 from offdiag.inversion import wiener_invert
 from offdiag.lattice import Window, generate, load_matrix, save_matrix, save_sequence
 from offdiag.lattice import LatticeSequence
@@ -192,6 +194,8 @@ class TestExitCodes:
         res = runner.invoke(main, ["invert", "--matrix", str(path), "--kmax", "3",
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("series not converged at ") and res.stderr.count("\n") == 1
 
     def test_inverted_bracket_exit_code(self, runner, tmp_path, matrix_file, monkeypatch):
         # a zero A_q bound makes the sampled bracket's upper end 0 < lower
@@ -350,8 +354,9 @@ class TestExitCodes:
         (["stability", "cross", "--matrix", "{matrix}", "--bogus"], "No such option"),
         (["stability", "cross", "--matrix", "{matrix}", "--threads", "2"], "No such option"),
         (["toeplitz", "stability", "--coeffs", "2@0,1@1", "--threads", "2"], "No such option"),
+        (["--bogus"], "No such option"),
     ], ids=["missing-file", "missing-option", "bad-float", "unknown-verb", "unknown-option",
-            "cross-threads", "toeplitz-threads"])
+            "cross-threads", "toeplitz-threads", "root-option"])
     def test_usage_error_exit_code(self, runner, tmp_path, matrix_file, args, message):
         # click's own usage errors are validation failures, not numerical ones
         args = [a.format(matrix=matrix_file) for a in args]
@@ -359,6 +364,64 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert message in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("exc_type, code, prefix", [
+        (ArithmeticError, 2, "numerical failure"),
+        (np.linalg.LinAlgError, 2, "numerical failure"),
+        (ValueError, 1, "validation error"),
+        (KeyError, 1, "validation error"),
+        (OSError, 1, "validation error"),
+        (MemoryError, 1, "validation error"),
+    ])
+    def test_root_group_owns_the_exit_codes(self, runner, exc_type, code, prefix):
+        # verbs with no handler of their own, one of them nested in a group
+        @click.group(cls=_Cli)
+        def root():
+            pass
+
+        @root.group("group")
+        def group():
+            pass
+
+        def fail():
+            raise exc_type("boom")
+
+        root.command("verb")(fail)
+        group.command("nested")(fail)
+        for args in (["verb"], ["group", "nested"]):
+            res = runner.invoke(root, args)
+            assert res.exit_code == code
+            assert isinstance(res.exception, SystemExit)
+            assert res.stderr == f"{prefix}: {exc_type('boom')}\n"
+
+    @pytest.mark.parametrize("early, named", [
+        (["--trials", "5"], "--trials"),
+        (["--out", "ignored", "--trials", "200"], "--trials, --out"),
+        (["--matrix", "{matrix}", "--q", "4"], "--matrix, --q"),
+    ], ids=["trials", "default-value", "bracket-options"])
+    def test_stability_options_before_cross_exit_code(self, runner, tmp_path, matrix_file,
+                                                      monkeypatch, early, named):
+        # cross reads only its own options: these were dropped, and 200 trials ran
+        monkeypatch.chdir(tmp_path)
+        early = [a.format(matrix=matrix_file) for a in early]
+        res = runner.invoke(main, ["stability", *early, "cross", "--matrix", str(matrix_file),
+                                   "--pairs", "4:trivial"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == (f"validation error: {named} before `cross` would be ignored; "
+                              "`cross` takes its options after its name\n")
+        assert list(tmp_path.iterdir()) == [matrix_file]
+
+    def test_suite_failed_criteria_exit_code(self, runner, tmp_path, monkeypatch):
+        def criterion(cid, passed):
+            return cid, lambda seed, quick: suite.CriterionResult(cid, "stub", passed, "summary")
+
+        monkeypatch.setattr(suite, "CRITERIA", [criterion("C01", True), criterion("C02", False)])
+        res = runner.invoke(main, ["suite", "--quick", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout.splitlines()[-1] == "1/2 criteria passed"
+        assert res.stderr == "failed criteria: C02\n"
 
     @pytest.mark.parametrize("args", [["--help"], ["invert", "--help"],
                                       ["toeplitz", "stability", "--help"]],

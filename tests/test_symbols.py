@@ -244,6 +244,14 @@ class TestStabilityCriterion:
         assert rep.verdict == "degrading"
         assert rep.brackets[-1].lower < rep.brackets[0].lower
 
+    def test_uncertified_positive_minimum_inconclusive(self):
+        # grid minimum 0.001 at xi = 0, below the default grid's slack of about 0.26
+        rep = toeplitz_stability_criterion(SymbolCoeffs(1, {0: 1.0, 1: -0.999}), 2.0,
+                                           radii=(8, 16), trials=5, seed=0)
+        assert rep.verdict == "inconclusive"
+        mm = rep.min_modulus
+        assert not mm.certified and 0.0 < mm.min_modulus < mm.slack
+
     def test_constant_symbol(self):
         rep = toeplitz_stability_criterion(SymbolCoeffs(1, {0: 1.0}), 2.0,
                                            radii=(8,), trials=5, seed=0)

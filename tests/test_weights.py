@@ -239,6 +239,16 @@ class TestThetaFit:
         assert np.array_equal(got.min_values, want.min_values[perm])
         assert got.certificate_holds()
 
+    @pytest.mark.parametrize("t_grid", [[1.0, 1e6, 1e6], [1.0, 2.0, 1e6, 1e6]])
+    def test_repeated_points_do_not_change_the_fit(self, t_grid):
+        # the top decade held only copies of 1e6: polyfit warned RankWarning
+        # on two equal abscissae; the fit falls back to the two largest distinct t
+        u, v = WeightMatrix.polynomial(2.0, D1), WeightMatrix.constant(4.0, D1)
+        want = theta_fit(u, v, 2.0, 1, t_grid=np.unique(t_grid))
+        got = theta_fit(u, v, 2.0, 1, t_grid=t_grid)
+        assert (got.theta, got.D, got.satisfied) == (want.theta, want.D, want.satisfied)
+        assert np.array_equal(got.t_grid, t_grid)
+
     @pytest.mark.parametrize("u, v", [
         (WeightMatrix.polynomial(2.0, 2), WeightMatrix.constant(4.0, 2)),
         (WeightMatrix.polynomial(3.0, 2), WeightMatrix.polynomial(1.5, 2)),

@@ -241,9 +241,14 @@ CALLS = [
     ("refuse_thetafit_tmax_nan", ["thetafit", "--u", "polynomial:2", "--tmax", "nan"]),
     ("refuse_thetafit_tmax_inf", ["thetafit", "--u", "polynomial:2", "--tmax", "inf"]),
     ("refuse_stability_cross_no_pairs", ["stability", "cross", "--matrix", T, "--pairs", ";"]),
+    # options of the `stability` group itself would go unused by `cross`
+    ("refuse_stability_options_before_cross", ["stability", "--trials", "5", "cross",
+                                               "--matrix", T, "--pairs", "4:trivial"]),
     # refused as vanishing: each exits 2
     ("refuse_recip_underflow", ["toeplitz", "recip", "--coeffs", "1e-310@0"]),
     ("refuse_recip_grid_cap", ["toeplitz", "recip", "--coeffs", "1@0,-0.999@1"]),
+    # --kmax 3 stops the series of I - S short of tol: the report is written, then exit 2
+    ("invert_not_converged", ["invert", "--matrix", V, "--kmax", "3"]),
 ]
 
 SEEDS = (1, 7, 42)

@@ -1,30 +1,38 @@
 """Stability of window operators on weighted sequence spaces.
 
-Certification strategy: on a finite window the q = 2 case is decidable by
-dense SVD after conjugating by diag(w^{1/2}) and restricting probes to an
-interior band (suppressing carve-out boundary artifacts).  A q != 2 verdict
-is the q = 2 verdict of the trivial weight; its raw sampled bracket is
-reported alongside and labeled as such.  The theory transfers that verdict
-to (q, w) only when w is an A_q weight, so the transfer is gated on the A_q
-scan: when the scan at radius R exceeds twice the scan at R/2, the verdict
-is "inconclusive" (2I + S and I - S under w_k = 16^k at q = 4, which the
-transfer would call stable and degrading).  "degrading" is the operational
-negation at desk scale: the certified lower bound losing a factor >= 2 when
-the window radius doubles; the gate is a desk-scale test in the same sense,
-not a proof that w lies outside A_q.  A real operand (one stored as
+Certification strategy: on a finite window the q = 2 case is decidable from
+the extreme singular values after conjugating by diag(w^{1/2}) and
+restricting probes to an interior band (suppressing carve-out boundary
+artifacts).  A values-only SVD gives them, except on a d = 1 window of at
+least 256 interior columns whose operand has exactly two adjacent nonzero
+diagonals (read from the decay profile's diagonal suprema): there
+``spectral.two_diagonal_extremes`` bisects the tridiagonal Gram of the
+conjugated interior by Sturm counts, and where it does not resolve sigma_min
+the SVD runs after all.  A q != 2 verdict is the q = 2 verdict of the
+trivial weight; its raw sampled bracket is reported alongside and labeled as
+such.  The theory transfers that verdict to (q, w) only when w is an A_q
+weight, so the transfer is gated on the A_q scan: when the scan at radius R
+exceeds twice the scan at R/2, the verdict is "inconclusive" (2I + S and
+I - S under w_k = 16^k at q = 4, which the transfer would call stable and
+degrading).  "degrading" is the operational negation at desk scale: the
+certified lower bound losing a factor >= 2 when the window radius doubles;
+the gate is a desk-scale test in the same sense, not a proof that w lies
+outside A_q.  A real operand (one stored as
 float64) is conjugated and decomposed in real arithmetic: the singular values
 of the complex path to roundoff, by a cheaper LAPACK SVD.
 
 A bracket decomposes its window and the half-radius window.  The Toeplitz
 ladder and ``cross_stability_verdicts`` share sigma pairs in a ``sharing("sigma",
-owner)`` block of their symbol or matrix: one SVD per (window, band, weights),
-and A_q scans in a ``sharing("constants")`` block.
+owner)`` block of their symbol or matrix: one decomposition per (window, band,
+weights), and A_q scans in a ``sharing("constants")`` block.
 A sigma pair copies only the interior columns of its window's matrix and
 conjugates that copy in place; at weight 1 with the interior columns in one
 run (every d = 1 window, band 0 at any d) it hands LAPACK a view, as scaling by
 1 is exact.  A q = 2 bracket holds the operand and LAPACK's copy (and the
 interior copy otherwise), besides the decay profile's |a|; each is one real
-n x n array (or less) for a real operand and two for a complex one.  Complex
+n x n array (or less) for a real operand and two for a complex one.  A
+window on the Sturm path reads its two diagonals from the operand and holds
+O(n) besides, so there the decay profile's |a| sets the peak.  Complex
 probes meet a real operand through ``lattice.matvec``, in real arithmetic.
 """
 
@@ -36,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (LatticeSequence, LocalizedMatrix, Window, decay_profile,
-                      matvec, restrict, ring_lp, shared, sharing)
+                      matvec, restrict, ring_lp, shared, sharing, weighted_pass)
 from .muckenhoupt import WeightSequence, aq_bound, weighted_norm
 from .norms import _cp, beurling_norm
-from .spectral import singular_extremes
+from .spectral import singular_extremes, two_diagonal_extremes
 from .weights import WeightMatrix, default_companion
 
 __all__ = [
@@ -150,7 +158,7 @@ class StabilityReport:
     lower: float
     upper: float
     verdict: str  # stable | degrading | inconclusive
-    method: str  # svd | sampled
+    method: str  # svd (q = 2: the exact sigma pair, by SVD or Sturm counts) | sampled
     probe_band: int
     cert_lower_full: float
     cert_lower_half: float
@@ -161,19 +169,39 @@ def _interior_mask(window: Window, band: int) -> np.ndarray:
     return sup <= window.radius - band
 
 
-def _sigma_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window):
+def _two_diagonals(diag: np.ndarray) -> int | None:
+    """o when the diagonal suprema of a d = 1 operand are nonzero exactly at
+    the offsets i - j in {o, o + 1}, else None."""
+    if diag.ndim != 1:
+        return None
+    k = np.flatnonzero(diag)
+    return int(k[0]) - diag.size // 2 if k.size == 2 and k[1] == k[0] + 1 else None
+
+
+def _sigma_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window,
+                offset: int | None):
     """(sigma_min, sigma_max) of diag(w^{1/2}) A diag(w^{-1/2}), both restricted
-    to window, on its interior probes; keyed by (window, band, weight values)."""
+    to window, on its interior probes; keyed by (window, band, weight values).
+    ``offset`` is A's ``_two_diagonals``; None keeps the SVD."""
     if window != a.window:
         w = w.restrict(window)
     return shared("sigma", (window, band, w.values.tobytes()),
-                  lambda: _svd_pair(a, w, band, window))
+                  lambda: _svd_pair(a, w, band, window, offset))
 
 
-def _svd_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window):
+# the interior columns from which the Sturm kernel beats the SVD (both ~5.5 ms at 253)
+_STURM_COLUMNS = 256
+
+
+def _svd_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window,
+              offset: int | None):
     mask = _interior_mask(window, band)
     if not mask.any():
         raise ValueError(f"empty interior (band {band} >= radius {window.radius})")
+    if offset is not None and mask.sum() >= _STURM_COLUMNS:
+        pair = two_diagonal_extremes(*_conjugated_diagonals(a, w, band, window, offset))
+        if pair is not None:
+            return pair
     data = a.data if window == a.window else restrict(a, window).data
     cols = np.flatnonzero(mask)
     if cols[-1] - cols[0] + 1 == cols.size and (w.values == 1.0).all():
@@ -184,6 +212,23 @@ def _svd_pair(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window):
         conj *= sq[:, None]
         conj /= sq[None, mask]
     return singular_extremes(conj)
+
+
+def _conjugated_diagonals(a: LocalizedMatrix, w: WeightSequence, band: int, window: Window,
+                          offset: int):
+    """Entries (j + offset, j) and (j + offset + 1, j) of the conjugated d = 1
+    window for each interior column j (zero where the row leaves the window),
+    rounded as the dense conjugate rounds them, read from a without a copy."""
+    s = window.side
+    cols = np.arange(band, s - band)
+    rows = cols[:, None] + np.array([offset, offset + 1])
+    inside = (rows >= 0) & (rows < s)
+    rows = np.clip(rows, 0, s - 1)
+    at = a.window.radius - window.radius  # the window's first position in a's
+    sq = np.sqrt(w.values)
+    vals = a.data[rows + at, cols[:, None] + at] * sq[rows] / sq[cols, None]
+    vals[~inside] = 0.0
+    return vals[:, 0], vals[:, 1]
 
 
 def _verdict(lo_full: float, lo_half: float | None, scale: float) -> str:
@@ -204,7 +249,7 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     """Bracket [lower, upper] for ||Ac|| / ||c|| over interior probes.
 
     q = 2: exact extremal singular values of the w-conjugated matrix
-    (method "svd"; the certified path).  q != 2: lower is the minimum over
+    (method "svd" whichever kernel found them; the certified path).  q != 2: lower is the minimum over
     sampled interior probes — an upper bound on the true infimum, labeled
     "sampled" — and upper is the boundedness constant; the verdict is the
     q = 2 verdict of the trivial weight, which carries over to (q, w) only
@@ -221,7 +266,9 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     win = a.window
-    h = decay_profile(a)
+    with sharing("passes"):  # one pass gives the profile and the diagonal pattern
+        h = decay_profile(a)
+        offset = _two_diagonals(weighted_pass(a)[1])
     if band is None:
         band = min(2 * _bandwidth(h), max(win.radius - 1, 0))
     if band < 0:
@@ -230,7 +277,7 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
         raise ValueError(f"empty interior (band {band} >= radius {win.radius})")
 
     if q == 2:
-        lower, upper = _sigma_pair(a, w, band, win)
+        lower, upper = _sigma_pair(a, w, band, win, offset)
         cert_w, lo_full = w, lower
         method = "svd"
     else:
@@ -250,10 +297,10 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
         upper = (2.0 ** (2 * win.d) * 3.0 ** (win.d / q) * aq ** (1.0 / q)
                  * ring_lp(h, win.d))
         cert_w = WeightSequence.trivial(win)
-        lo_full = _sigma_pair(a, cert_w, band, win)[0]
+        lo_full = _sigma_pair(a, cert_w, band, win, offset)[0]
         method = "sampled"
     half = Window(win.d, win.radius // 2)
-    lo_half = _sigma_pair(a, cert_w, band, half)[0] if half.radius > band else None
+    lo_half = _sigma_pair(a, cert_w, band, half, offset)[0] if half.radius > band else None
     verdict = _verdict(lo_full, lo_half, float(h[0]))
     if q != 2 and verdict != "inconclusive" and aq > 2.0 * _aq(w.restrict(half), q, half.side):
         verdict = "inconclusive"

@@ -283,7 +283,7 @@ def toeplitz_stability_criterion(a: SymbolCoeffs, q: float, w: WeightSequence | 
     that does not reach the largest radius is refused before any bracket runs.
     The rungs share their sigma pairs: the half-radius sigma_min of rung R is
     the sigma_min of a rung R/2 with the same band, so a doubling ladder of k
-    rungs makes k + 1 SVDs, not 2k; likewise rung R's half-window A_q scan
+    rungs makes k + 1 decompositions, not 2k; likewise rung R's half-window A_q scan
     is rung R/2's full scan.  Each bracket equals its own
     ``stability_bracket`` call.
     """

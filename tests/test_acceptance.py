@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from offdiag import lattice, muckenhoupt, suite, weights
+from offdiag import lattice, muckenhoupt, stability, suite, weights
 from offdiag.suite import CRITERIA, run_criterion
 
 SEED = 42
@@ -83,10 +83,14 @@ def test_c02_weights_each_matrix_once_per_draw(monkeypatch):
 
 
 def test_c08_shares_sigma_pairs_within_each_ladder(monkeypatch):
-    # radii 32 .. 256 and their halves: 5 windows per operator, 16 SVDs before
+    # radii 32 .. 256 and their halves: 5 windows per operator, 16 decompositions
+    # before; the R = 256 windows (509 interior columns) take the Sturm kernel
     calls = []
-    svd = np.linalg.svd
+    svd, sturm = np.linalg.svd, stability.two_diagonal_extremes
     monkeypatch.setattr(np.linalg, "svd", lambda m, **k: calls.append(m.shape) or svd(m, **k))
+    monkeypatch.setattr(stability, "two_diagonal_extremes",
+                        lambda t, b: calls.append(t.shape) or sturm(t, b))
     assert run_criterion("C08", seed=SEED, quick=False).passed
     assert len(calls) == 10
+    assert calls.count((509,)) == 2
     assert lattice._SHARED.get() is None

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from offdiag import lattice, stability
+from offdiag import lattice, spectral, stability, symbols
 from offdiag.lattice import LatticeSequence, LocalizedMatrix, Window, generate
 from offdiag.muckenhoupt import WeightSequence, aq_bound
+from offdiag.spectral import two_diagonal_extremes
 from offdiag.stability import (PartitionOperator, boundedness_check,
                                commutator_diagnostic, cross_stability_verdicts,
                                stability_bracket)
@@ -304,7 +305,7 @@ class TestSigmaPairScratch:
             for w in (WeightSequence.trivial(win), WeightSequence.power(win, 0.5),
                       TestCrossSharesSigmaPairs.table(win, 0.0)):
                 for band in (0, 2):
-                    assert stability._sigma_pair(a, w, band, win) == \
+                    assert stability._sigma_pair(a, w, band, win, None) == \
                         self.full_conjugate_pair(a, w, band)
 
     def test_q2_bracket_holds_one_interior_copy(self):
@@ -341,7 +342,7 @@ class TestSigmaPairScratch:
         for a in (toeplitz(win, {(0,) * d: 2.0, one: 1.0}),
                   toeplitz(win, {(0,) * d: 2.0, one: 1j})):
             for w in (WeightSequence.trivial(win), WeightSequence.table(win, np.ones(win.size))):
-                peak = self.traced_peak(lambda: stability._sigma_pair(a, w, band, win))
+                peak = self.traced_peak(lambda: stability._sigma_pair(a, w, band, win, None))
                 assert peak <= 64 * win.size
 
     def test_q4_bracket_makes_no_complex_copy_of_a_real_operand(self, monkeypatch):
@@ -354,6 +355,161 @@ class TestSigmaPairScratch:
         peak = self.traced_peak(
             lambda: stability_bracket(a, 4.0, WeightSequence.trivial(win), trials=20))
         assert peak < 1.5 * 8 * win.size**2
+
+
+EPS = np.finfo(float).eps
+
+
+def two_diagonal(win, offset, top, bot):
+    """The d = 1 operand with entries top[j] at (j + offset, j) and bot[j] at
+    (j + offset + 1, j), each dropped where its row leaves the window."""
+    n = win.size
+    data = np.zeros((n, n), dtype=np.result_type(top, bot))
+    j = np.arange(n)
+    for k, v in ((offset, top), (offset + 1, bot)):
+        ok = (j + k >= 0) & (j + k < n)
+        data[j[ok] + k, j[ok]] = v[ok]
+    return LocalizedMatrix(win, data)
+
+
+class TestTwoDiagonalKernel:
+    """The Sturm kernel behind sigma pairs of large two-diagonal d = 1 windows."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record what each ``two_diagonal_extremes`` call returns."""
+        got, kernel = [], stability.two_diagonal_extremes
+        monkeypatch.setattr(stability, "two_diagonal_extremes",
+                            lambda t, b: got.append(kernel(t, b)) or got[-1])
+        return got
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, -1.0), (0.5 + 1j, 2j)])
+    @pytest.mark.parametrize("radius", [128, 256, 512])
+    def test_closed_form(self, a, b, radius):
+        # a + bS on the band-2 interior: sigma^2 = |a|^2 + |b|^2 -+ 2|ab| cos(pi / (m + 1))
+        m = 2 * radius - 3
+        lo, hi = two_diagonal_extremes(np.full(m, a), np.full(m, b))
+        mid, off = abs(a) ** 2 + abs(b) ** 2, 2 * abs(a * b) * math.cos(math.pi / (m + 1))
+        assert abs(lo**2 - (mid - off)) <= 8 * EPS * hi**2
+        assert abs(hi**2 - (mid + off)) <= 8 * EPS * hi**2
+
+    @pytest.mark.parametrize("radius", [256, 512])
+    def test_bracket_takes_the_kernel(self, monkeypatch, radius):
+        got = self.spy(monkeypatch)
+        win = Window(1, radius)
+        rep = stability_bracket(toeplitz(win, {0: 1.0, 1: -1.0}), 2.0,
+                                WeightSequence.trivial(win))
+        m = 2 * radius - 3
+        assert (rep.lower, rep.upper) == got[0] == \
+            two_diagonal_extremes(np.full(m, 1.0), np.full(m, -1.0))
+
+    @pytest.mark.parametrize("radius", [160, 256])
+    @pytest.mark.parametrize("offset", [-2, 0, 3])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_random_operands_match_the_svd(self, monkeypatch, radius, offset, complex_):
+        rng = np.random.default_rng(radius + offset)
+        win = Window(1, radius)
+        top, bot = rng.uniform(1.5, 2.5, win.size), rng.uniform(-1.0, 1.0, win.size)
+        if complex_:
+            top, bot = (v * np.exp(2j * np.pi * rng.random(win.size)) for v in (top, bot))
+        a = two_diagonal(win, offset, top, bot)
+        assert stability._two_diagonals(lattice.weighted_pass(a)[1]) == offset
+        band = 2 * stability._bandwidth(lattice.decay_profile(a))
+        got = self.spy(monkeypatch)
+        for w in (WeightSequence.trivial(win), WeightSequence.power(win, 0.5),
+                  TestCrossSharesSigmaPairs.table(win, 0.0)):
+            lo, hi = stability._sigma_pair(a, w, band, win, offset)
+            assert got.pop() == (lo, hi)  # the kernel resolved the pair
+            want_lo, want_hi = TestSigmaPairScratch.full_conjugate_pair(a, w, band)
+            # 16 eps is the kernel's bound; the SVD's own sigma_max errs by up
+            # to 14 eps here against an extended-precision bisection
+            assert abs(lo**2 - want_lo**2) <= 64 * EPS * want_hi**2
+            assert abs(hi**2 - want_hi**2) <= 64 * EPS * want_hi**2
+
+    @pytest.mark.parametrize("radius", [256, 512])
+    @pytest.mark.parametrize("coeffs", ["2@0,1@1", "1@0,-1@1"])
+    def test_verdicts_match_the_svd_path(self, monkeypatch, coeffs, radius):
+        sym = symbols.parse_coeffs(coeffs)
+
+        def brackets():
+            return [b for q in (2.0, 4.0) for b in symbols.toeplitz_stability_criterion(
+                sym, q, radii=(radius,), trials=10).brackets]
+
+        sturm = brackets()
+        monkeypatch.setattr(stability, "_STURM_COLUMNS", math.inf)
+        dense = brackets()
+        assert [b.verdict for b in sturm] == [b.verdict for b in dense]
+        for s, d in zip(sturm, dense):
+            for field in ("lower", "upper", "cert_lower_full", "cert_lower_half"):
+                assert getattr(s, field) == pytest.approx(getattr(d, field), rel=1e-9)
+
+    def test_zero_entry_decouples_the_gram(self, monkeypatch):
+        # filterwarnings = error: a 0/0 or a divide warning would fail here
+        win = Window(1, 160)
+        top, bot = np.full(win.size, 2.0), np.full(win.size, 1.0)
+        bot[win.size // 2] = 0.0  # beta = 0 in the interior: two uncoupled blocks
+        a = two_diagonal(win, 0, top, bot)
+        got = self.spy(monkeypatch)
+        lo, hi = stability._sigma_pair(a, WeightSequence.trivial(win), 2, win, 0)
+        assert got == [(lo, hi)]
+        want_lo, want_hi = TestSigmaPairScratch.full_conjugate_pair(
+            a, WeightSequence.trivial(win), 2)
+        assert abs(lo**2 - want_lo**2) <= 16 * EPS * want_hi**2
+        assert abs(hi**2 - want_hi**2) <= 16 * EPS * want_hi**2
+
+    def test_zero_pivots_count_exactly(self):
+        # T = tridiag(1, 2, 1), m = 4: eigenvalues 2 + 2 cos(k pi / 5); a shift of 2
+        # makes the first pivot 0, the second infinite, the third finite again;
+        # filterwarnings = error, so the divide-by-zero must not warn
+        alpha, beta2 = np.full(4, 2.0), np.ones(3)
+        eig = np.linalg.eigvalsh(np.diag(alpha) + np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1))
+        shifts = np.array([-1.0, 0.5, 2.0, 2.0 + 1e-300, 3.0, 5.0])
+        want = [(eig < c).sum() for c in shifts]
+        assert list(spectral._sturm_counts(alpha, beta2, shifts)) == want
+
+    @pytest.mark.parametrize("small", [0.0, 1e-6])
+    def test_unresolved_sigma_min_takes_the_svd(self, monkeypatch, small):
+        # a column of norm `small` puts lambda_min below 2^-23 lambda_max; the
+        # SVD's bits come back, with no warning (filterwarnings = error)
+        win = Window(1, 160)
+        top, bot = np.full(win.size, 2.0), np.full(win.size, 1.0)
+        top[win.size // 2] = bot[win.size // 2] = small
+        a = two_diagonal(win, 0, top, bot)
+        w = WeightSequence.power(win, 0.5)
+        got = self.spy(monkeypatch)
+        assert stability._sigma_pair(a, w, 2, win, 0) == \
+            TestSigmaPairScratch.full_conjugate_pair(a, w, 2)
+        assert got == [None]
+
+    def test_non_finite_or_zero_input_is_unresolved(self):
+        ones = np.ones(300)
+        assert two_diagonal_extremes(np.zeros(300), np.zeros(300)) is None
+        assert two_diagonal_extremes(np.where(np.arange(300) == 7, np.nan, 1.0), ones) is None
+        assert two_diagonal_extremes(ones, np.where(np.arange(300) == 7, np.inf, 1.0)) is None
+
+    def test_switch_reads_the_pattern_and_size(self, monkeypatch):
+        got = self.spy(monkeypatch)
+        for win, coeffs in ((Window(1, 256), {0: 2.0}),  # one diagonal
+                            (Window(1, 256), {-1: 1.0, 1: 1.0}),  # not adjacent
+                            (Window(1, 256), {-1: 0.5, 0: 2.0, 1: 1.0}),  # three
+                            (Window(1, 128), {0: 2.0, 1: 1.0}),  # 253 interior columns
+                            (Window(2, 12), {(0, 0): 4.0, (1, 0): 1.0})):  # d = 2
+            stability_bracket(toeplitz(win, coeffs), 2.0, WeightSequence.trivial(win))
+        assert got == []
+
+    def test_switched_pair_holds_no_square_array(self, monkeypatch):
+        # the SVD path hands LAPACK an n x m copy (allocated inside numpy's
+        # linalg, so tracemalloc does not see it); the kernel holds O(n) and a
+        # fixed block of pivots, under a sixteenth of one n x n float64 array
+        got = self.spy(monkeypatch)
+        win = Window(1, 512)
+        n = win.size
+        for a in (toeplitz(win, {0: 2.0, 1: 1.0}), toeplitz(win, {0: 1.0, 1: 1j})):
+            for w in (WeightSequence.trivial(win), WeightSequence.power(win, 0.5)):
+                peak = TestSigmaPairScratch.traced_peak(
+                    lambda: stability._sigma_pair(a, w, 2, win, 0))
+                assert got.pop() is not None
+                assert peak < 8 * n * n / 16
 
 
 class TestBoundedness:

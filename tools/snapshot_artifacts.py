@@ -171,6 +171,12 @@ CALLS = [
                                         "--q", "4", "--radii", "8,16,32,64", "--trials", "20"]),
     ("toeplitz_stability_unsorted", ["toeplitz", "stability", "--coeffs", "2@0,1@1",
                                      "--wseq", "power:0.5", "--radii", "32,8,16,16"]),
+    # two-diagonal windows of 256 interior columns or more: sigma pairs by Sturm counts
+    ("toeplitz_stability_sturm", ["toeplitz", "stability", "--coeffs", "1@0,-1@1",
+                                  "--radii", "128,256"]),
+    ("toeplitz_stability_sturm_power_q4", ["toeplitz", "stability", "--coeffs", "2@0,1@1",
+                                           "--wseq", "power:0.5", "--q", "4",
+                                           "--radii", "160,320", "--trials", "20"]),
     ("toeplitz_stability_complex_d2", ["toeplitz", "stability", "--coeffs", "4@0,0;1@1,0;1j@0,1",
                                        "--d", "2", "--radii", "2,4,8", "--trials", "20"]),
     ("stability_cross_tables", ["stability", "cross", "--matrix", T, "--trials", "20", "--pairs",

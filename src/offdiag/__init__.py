@@ -7,17 +7,16 @@ constructive preconditioned-Neumann inversion engine whose decay profile
 witnesses inverse-closedness at desk scale.
 """
 
-from .lattice import (LatticeSequence, LocalizedMatrix, Window, adjoint, add, apply,
-                      decay_profile, embed, generate, multiply, restrict, scale)
+from .lattice import (LatticeSequence, LocalizedMatrix, Window, adjoint, add, decay_profile,
+                      generate, multiply, restrict, scale)
 from .muckenhoupt import WeightSequence, aq_bound, maximal, weighted_norm
 from .norms import beurling_norm, norm_report, schur_norm, sjostrand_norm
-from .weights import WeightMatrix, check_submultiplicative, default_companion, theta_fit
+from .weights import WeightMatrix, default_companion, theta_fit
 
 __all__ = [
     "Window", "LocalizedMatrix", "LatticeSequence",
-    "decay_profile", "adjoint", "add", "scale", "multiply", "apply",
-    "embed", "restrict", "generate",
-    "WeightMatrix", "default_companion", "check_submultiplicative", "theta_fit",
+    "decay_profile", "adjoint", "add", "scale", "multiply", "restrict", "generate",
+    "WeightMatrix", "default_companion", "theta_fit",
     "beurling_norm", "sjostrand_norm", "schur_norm", "norm_report",
     "WeightSequence", "aq_bound", "maximal", "weighted_norm",
 ]

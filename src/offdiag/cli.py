@@ -125,11 +125,14 @@ _exponent_option = click.option("--p", default=1.0, show_default=True,
 
 
 def _coeffs_arg(spec: str, d: int):
-    """Inline '2@0,1@1' syntax or a SymbolCoeffs JSON path."""
-    if spec.strip().endswith(".json"):
-        with open(spec.strip()) as fh:
-            return symbol_from_dict(json.load(fh))
-    return parse_coeffs(spec, d)
+    """Inline '2@0,1@1' syntax or a SymbolCoeffs JSON path, whose d must be the call's."""
+    if not spec.strip().endswith(".json"):
+        return parse_coeffs(spec, d)
+    with open(spec.strip()) as fh:
+        a = symbol_from_dict(json.load(fh))
+    if a.d != d:
+        raise ValueError(f"symbol file {spec.strip()} has d={a.d}, but the call runs at d={d}")
+    return a
 
 
 class _Cli(click.Group):
@@ -170,10 +173,15 @@ def main():
     """Numerical laboratory for matrix algebras with off-diagonal decay."""
 
 
+# the options each --kind of `gen` reads, besides --kind, --d, --radius and --out
+_GEN_OPTIONS = {"identity": (), "shift": ("offset",),
+                "banded_random": ("seed", "bandwidth", "amplitude"),
+                "polynomial_decay_random": ("seed", "alpha", "amplitude"),
+                "toeplitz_from_coeffs": ("coeffs",)}
+
+
 @main.command("gen")
-@click.option("--kind", required=True,
-              type=click.Choice(["identity", "shift", "banded_random",
-                                 "polynomial_decay_random", "toeplitz_from_coeffs"]))
+@click.option("--kind", required=True, type=click.Choice(list(_GEN_OPTIONS)))
 @click.option("--d", default=1, show_default=True)
 @click.option("--radius", required=True, type=int)
 @click.option("--seed", default=None, type=int)
@@ -183,8 +191,14 @@ def main():
 @click.option("--offset", default=None, type=int)
 @click.option("--coeffs", default=None, help="e.g. '2@0,1@1'")
 @click.option("--out", default="out", show_default=True)
-def gen_cmd(kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coeffs, out):
+@click.pass_context
+def gen_cmd(ctx, kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coeffs, out):
     """Generate a matrix and write it as matrix.json."""
+    unread = [param.opts[0] for param in ctx.command.params
+              if param.name not in ("kind", "d", "radius", "out", *_GEN_OPTIONS[kind])
+              and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
+    if unread:
+        raise ValueError(f"--kind {kind} does not take {', '.join(unread)}")
     window = Window(d, radius)
     params = {}
     if kind == "banded_random":

@@ -68,8 +68,6 @@ __all__ = [
     "scale",
     "multiply",
     "matvec",
-    "apply",
-    "embed",
     "restrict",
     "generate",
     "matrix_to_dict",
@@ -208,13 +206,6 @@ class LocalizedMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("LocalizedMatrix is immutable")
 
-    @classmethod
-    def from_entries(cls, window: Window, entries: dict) -> "LocalizedMatrix":
-        data = np.zeros((window.size, window.size), dtype=np.complex128)
-        for (i, j), v in entries.items():
-            data[window.flat(i), window.flat(j)] = v
-        return cls(window, data, copy=False)
-
     def entry(self, i, j) -> complex:
         return complex(self.data[self.window.flat(i), self.window.flat(j)])
 
@@ -240,13 +231,6 @@ class LatticeSequence:
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeSequence is immutable")
-
-    @classmethod
-    def from_values(cls, window: Window, values: dict) -> "LatticeSequence":
-        data = np.zeros(window.size, dtype=np.complex128)
-        for i, v in values.items():
-            data[window.flat(i)] = v
-        return cls(window, data, copy=False)
 
     @classmethod
     def delta(cls, window: Window, at=0) -> "LatticeSequence":
@@ -458,23 +442,6 @@ def matvec(data: np.ndarray, x: np.ndarray) -> np.ndarray:
         return data @ x
     pairs = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).reshape(-1, 2)
     return (data @ pairs).view(np.complex128).reshape(-1)
-
-
-def apply(a: LocalizedMatrix, c: LatticeSequence) -> LatticeSequence:
-    _check_same_window(a, c)
-    return LatticeSequence(a.window, matvec(a.data, c.data), copy=False)
-
-
-def embed(a: LocalizedMatrix, window: Window) -> LocalizedMatrix:
-    """Zero-extend a matrix to a larger window (same dimension)."""
-    if window.d != a.window.d:
-        raise WindowMismatchError("embed requires equal dimensions")
-    if window.radius < a.window.radius:
-        raise ValueError("target window must not be smaller")
-    pos = window.flat(a.window.indices)
-    data = np.zeros((window.size, window.size), dtype=a.data.dtype)
-    data[np.ix_(pos, pos)] = a.data
-    return LocalizedMatrix(window, data, copy=False)
 
 
 def restrict(a: LocalizedMatrix, window: Window) -> LocalizedMatrix:

@@ -217,10 +217,6 @@ class CharacterizationReport:
     trials: int
     bound_used: float
 
-    @property
-    def all_nonnegative(self) -> bool:
-        return self.worst_margin >= 0.0
-
 
 def aq_characterization_check(w: WeightSequence, q: float, trials: int,
                               seed: int = 0) -> CharacterizationReport:

@@ -9,8 +9,8 @@ Three norm families on a weighted matrix |a(i,j)| u(i,j):
 * row/column norm: max of sup_i and sup_j of the per-row / per-column l^p.
 
 They collapse to a single entrywise supremum at p = infinity.  On finitely
-supported matrices every inequality below is exact, so the product and
-dilation checks assert true margins, not asymptotics.
+supported matrices every inequality below is exact, so the product checks
+assert true margins, not asymptotics.
 
 Every family reads the matrix through ``lattice.weighted_pass``: the weighted
 magnitude for the row/column norm and the sup, its diagonal suprema for the
@@ -44,8 +44,6 @@ __all__ = [
     "norm_report",
     "ProductInequalityReport",
     "product_inequality_check",
-    "DilationReport",
-    "dilation_fact_check",
     "BrandenburgReport",
     "brandenburg_radii",
     "SquareGrowthReport",
@@ -181,32 +179,6 @@ def product_inequality_check(a: LocalizedMatrix, b: LocalizedMatrix, p: float,
                                    rhs_alg - lhs, c_split, c_alg, cp)
 
 
-@dataclass(frozen=True)
-class DilationReport:
-    lhs: float
-    rhs: float
-    margin: float
-
-
-def dilation_fact_check(a: LocalizedMatrix, n: int) -> DilationReport:
-    """Exact check of the ring-dilation bound
-
-    sum_k sup_{|i-j| >= |k|/N} |a| <= N (2N+1)^{d-1} sum_k sup_{|i-j| >= |k|}.
-    """
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    d = a.window.d
-    h = decay_profile(a)
-    base = ring_lp(h, d)
-    # |i-j| >= j0/N with integer distances means |i-j| >= ceil(j0/N);
-    # contributions vanish once ceil(j0/N) exceeds the window diameter.
-    js = np.arange(0, (h.size - 1) * n + 1)
-    thresholds = -(-js // n)  # ceil division
-    lhs = ring_lp(h[thresholds], d)
-    rhs = n * (2 * n + 1) ** (d - 1) * base
-    return DilationReport(lhs, rhs, rhs - lhs)
-
-
 @dataclass(frozen=True, eq=False)
 class BrandenburgReport:
     roots: np.ndarray  # roots[n-1] = ||A^n||^{1/n}, n = 1..n_max
@@ -264,13 +236,19 @@ class SquareGrowthReport:
 
 def square_growth_check(a: LocalizedMatrix, p: float, u, fit: ThetaFit) -> SquareGrowthReport:
     """Check ||A^2||_{p,u} <= 2^{2+2/p} 5^{(d-1)/p} D ||A||_{p,u}^{1+theta} ||A||_2^{1-theta}
-    with the certified (D, theta) pair."""
+    with the certified (D, theta) pair, at t = ||A||_{p,u} / ||A||_2.  A t
+    outside the fit's certified range [min t_grid, max t_grid] is refused."""
     if not fit.satisfied:
         raise ValueError("theta certificate not satisfied; no growth bound available")
     d = a.window.d
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     n_pu = beurling_norm(a, p, u)
     n_l2 = operator_norm_l2(a.data)
+    lo, hi = float(fit.t_grid.min()), float(fit.t_grid.max())
+    t = n_pu / n_l2 if n_l2 > 0.0 else math.inf
+    if not lo <= t <= hi:
+        raise ValueError(f"t = ||A||_{{p,u}} / ||A||_2 = {t!r} lies outside the theta "
+                         f"certificate's range [{lo!r}, {hi!r}]")
     lhs = beurling_norm(multiply(a, a), p, u)
     const = 2.0 ** (2.0 + 2.0 * inv_p) * 5.0 ** ((d - 1) * inv_p) * fit.D
     rhs = const * n_pu ** (1.0 + fit.theta) * n_l2 ** (1.0 - fit.theta)

@@ -329,7 +329,7 @@ def c11_theta_and_square_growth(seed: int, quick: bool) -> CriterionResult:
                          alpha=2.5)
         rep = norms.square_growth_check(a, 2.0, u, fit)
         worst = min(worst, rep.margin)
-        min_t = min(min_t, rep.norm_pu / max(rep.norm_l2, 1e-300))
+        min_t = min(min_t, rep.norm_pu / rep.norm_l2)  # a zero norm_l2 is refused
     passed = theta_ok and cert_ok and worst >= 0.0
     return CriterionResult(
         "C11", "theta certificate and the squared-norm growth bound", passed,

@@ -160,10 +160,6 @@ class MinModulusReport:
     certified: bool
     grid: int
 
-    @property
-    def certified_min(self) -> float:
-        return self.min_modulus - self.slack
-
 
 def _fold(a: SymbolCoeffs, g: int) -> np.ndarray:
     folded = np.zeros((g,) * a.d, dtype=np.complex128)

@@ -27,18 +27,15 @@ __all__ = [
     "WeightValidationError",
     "RadialForm",
     "SeriesValue",
-    "SubmultReport",
     "ThetaFit",
     "default_companion",
     "cross_norm",
-    "check_submultiplicative",
     "theta_fit",
 ]
 
 _SERIES_REL_EPS = 1e-18
 _SERIES_MIN_TERMS = 512
 _SERIES_MAX_TERMS = 200_000
-_SUBMULT_BLOCK = 4_000_000  # margin entries formed at once
 _GAMMA_EPS = 2.0**-52  # where the incomplete-gamma series and fraction stop
 
 
@@ -332,41 +329,14 @@ def cross_norm(u: WeightMatrix, v: WeightMatrix, p: float) -> SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# Submultiplicativity check and the theta certificate.
+# The theta certificate.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubmultReport:
-    worst_margin: float
-    cp: float
-    cp_partial: float
-    cp_tail_bound: float
-
-    @property
-    def holds(self) -> bool:
-        return bool(self.worst_margin >= 0.0)
-
-
-def check_submultiplicative(u: WeightMatrix, v: WeightMatrix, p: float,
-                            window: Window) -> SubmultReport:
-    """Verify u(i,j) <= u(i,k) v(k,j) + v(i,k) u(k,j) on every triple of the window,
-    in blocks of rows i of at most _SUBMULT_BLOCK margins each, and compute C_p(v, u)."""
-    ug, vg, n = u.grid(window), v.grid(window), window.size
-    rows = max(1, _SUBMULT_BLOCK // (n * n))
-    worst = math.inf
-    for i0 in range(0, n, rows):
-        t1 = ug[i0:i0 + rows, None, :] * vg.T[None, :, :]
-        t2 = vg[i0:i0 + rows, None, :] * ug.T[None, :, :]
-        margin = t1 + t2 - ug[i0:i0 + rows, :, None]
-        worst = min(worst, float(margin.min()))
-    cp = cross_norm(u, v, p)
-    return SubmultReport(worst, cp.value, cp.partial, cp.tail_bound)
 
 
 @dataclass(frozen=True, eq=False)
 class ThetaFit:
-    """Certified pair (D, theta) with min_N(A_N + B_N t) <= D t^theta on the grid."""
+    """Certified pair (D, theta) with min_N(A_N + B_N t) <= D t^theta for every
+    t in the grid's range [min t_grid, max t_grid], not only at its points."""
 
     D: float
     theta: float
@@ -392,9 +362,13 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
     |k| >= N/2; the exponent theta is the log-log slope over the top decade
     of the distinct t of the grid (the t >= max t / 10, or the two largest
     when the decade holds fewer), fitted in ascending t, so neither the order
-    of t_grid nor a repeated point changes (D, theta); D is inflated so the
-    inequality holds at every grid t.  A v/u of incompatible exponential
-    scales is refused.
+    of t_grid nor a repeated point changes (D, theta).  D is inflated so the
+    inequality holds on the grid's range: f(t) = min_N(A_N + B_N t) is
+    nondecreasing (every B_N >= 0), so for t_k <= t <= t_{k+1}, neighbours
+    among the distinct t, f(t) <= f(t_{k+1}) <= D_0 t_{k+1}^theta
+    <= D_0 (t_{k+1} / t_k)^max(theta, 0) t^theta, with D_0 the least D that
+    holds at the grid points.  A v/u of incompatible exponential scales is
+    refused.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -451,7 +425,8 @@ def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
     slope = float(np.polyfit(np.log(t_fit[top]), np.log(min_fit[top]), 1)[0])
     satisfied = 0.02 < slope < 0.98
     theta = slope
-    big_d = float(np.max(min_vals / t_grid**theta))
+    step = float(np.max(t_fit[1:] / t_fit[:-1])) ** max(theta, 0.0)  # the widest gap
+    big_d = float(np.max(min_vals / t_grid**theta)) * step
     margins = big_d * t_grid**theta - min_vals
     return ThetaFit(big_d, theta, n_grid, t_grid, a_vals, b_vals, min_vals,
                     margins, satisfied=satisfied, diverged=False,

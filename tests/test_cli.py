@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import click
@@ -411,6 +412,61 @@ class TestExitCodes:
         assert res.stderr == (f"validation error: {named} before `cross` would be ignored; "
                               "`cross` takes its options after its name\n")
         assert list(tmp_path.iterdir()) == [matrix_file]
+
+    @pytest.mark.parametrize("kind_args, named", [
+        (["identity", "--bandwidth", "3", "--alpha", "2", "--coeffs", "1@0"],
+         "--bandwidth, --alpha, --coeffs"),
+        (["shift", "--seed", "5"], "--seed"),
+        (["identity", "--amplitude", "1.0"], "--amplitude"),
+        (["banded_random", "--seed", "1", "--bandwidth", "1", "--offset", "2"], "--offset"),
+        (["toeplitz_from_coeffs", "--coeffs", "2@0", "--seed", "3", "--alpha", "1"],
+         "--seed, --alpha"),
+    ], ids=["identity", "shift-seed", "default-value", "banded-offset", "toeplitz"])
+    def test_gen_options_its_kind_does_not_take_exit_code(self, runner, tmp_path, monkeypatch,
+                                                         kind_args, named):
+        # these were dropped, and a --seed was stamped into an artifact no seed made
+        monkeypatch.chdir(tmp_path)
+        kind, *rest = kind_args
+        res = runner.invoke(main, ["gen", "--kind", kind, "--radius", "2", *rest])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == f"validation error: --kind {kind} does not take {named}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind_args, seed", [
+        (["identity", "--d", "2"], None),
+        (["shift", "--offset", "-1"], None),
+        (["banded_random", "--seed", "4", "--bandwidth", "1", "--amplitude", "2"], 4),
+        (["polynomial_decay_random", "--seed", "4", "--alpha", "2", "--amplitude", "2"], 4),
+        (["toeplitz_from_coeffs", "--coeffs", "2@0,1@1"], None),
+    ], ids=["identity", "shift", "banded", "polydecay", "toeplitz"])
+    def test_gen_options_its_kind_takes_pass(self, runner, tmp_path, kind_args, seed):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["gen", "--kind", *kind_args, "--radius", "2",
+                                   "--out", str(out)])
+        assert res.exit_code == 0 and res.stderr == ""
+        doc = json.loads((out / "matrix.json").read_text())
+        assert doc["seed"] == seed
+
+    @pytest.mark.parametrize("verb_args, file_d, call_d", [
+        (["toeplitz", "minmod", "--d", "2"], 1, 2),
+        (["toeplitz", "stability", "--d", "2", "--radii", "2,4"], 1, 2),
+        (["gen", "--kind", "toeplitz_from_coeffs", "--d", "2", "--radius", "2"], 1, 2),
+        (["toeplitz", "minmod"], 2, 1),
+        (["toeplitz", "recip"], 2, 1),  # recip runs at d = 1 alone
+    ], ids=["minmod", "stability", "gen", "minmod-d2-file", "recip"])
+    def test_symbol_file_of_another_d_exit_code(self, runner, tmp_path, monkeypatch, verb_args,
+                                                file_d, call_d):
+        # minmod computed at the file's d = 1 and exited 0; stability read "not a sub-window"
+        monkeypatch.chdir(tmp_path)
+        Path("sym.json").write_text(json.dumps({"d": file_d,
+                                                "coeffs": [[0] * file_d + [2.0, 0.0]]}))
+        res = runner.invoke(main, [*verb_args, "--coeffs", "sym.json", "--out", "o"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == (f"validation error: symbol file sym.json has d={file_d}, "
+                              f"but the call runs at d={call_d}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sym.json"]
 
     def test_suite_failed_criteria_exit_code(self, runner, tmp_path, monkeypatch):
         def criterion(cid, passed):

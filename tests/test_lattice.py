@@ -11,12 +11,17 @@ from hypothesis import strategies as st
 
 from offdiag import lattice
 from offdiag.lattice import (LatticeSequence, LocalizedMatrix,
-                             Window, WindowMismatchError, add, adjoint, apply,
-                             decay_profile, diagonal_suprema, embed, generate,
+                             Window, WindowMismatchError, add, adjoint,
+                             decay_profile, diagonal_suprema, generate,
                              load_matrix, matrix_from_dict, matrix_to_dict, matvec, multiply,
                              radial_matrix, read_rows, restrict,
                              ring_counts, save_matrix, scale, sequence_from_dict,
                              sequence_to_dict, shared, sharing, weighted_pass)
+
+
+def apply(a, c):
+    """A c as a sequence, through ``matvec``."""
+    return LatticeSequence(a.window, matvec(a.data, c.data), copy=False)
 
 
 def brute_profile(a, m_max):
@@ -462,7 +467,6 @@ class TestDtype:
         cplx = rand_matrix(win, 5)
         assert multiply(real, real).data.dtype == np.float64
         assert adjoint(real).data.dtype == np.float64
-        assert embed(real, Window(2, 2)).data.dtype == np.float64
         assert restrict(real, Window(2, 0)).data.dtype == np.float64
         assert scale(2.0, real).data.dtype == np.float64
         assert scale(1j, real).data.dtype == np.complex128
@@ -679,25 +683,6 @@ class TestGenerate:
             generate("banded_random", Window(1, 2), seed=0, bandwidth=1, junk=1)
 
 
-class TestEmbedRestrict:
-    def test_roundtrip(self):
-        small, big = Window(1, 3), Window(1, 6)
-        a = rand_matrix(small, 20)
-        back = restrict(embed(a, big), small)
-        assert np.array_equal(back.data, a.data)
-
-    def test_embed_preserves_profile_head(self):
-        small, big = Window(1, 3), Window(1, 8)
-        a = rand_matrix(small, 21)
-        p_small = decay_profile(a)
-        p_big = decay_profile(embed(a, big))
-        assert np.array_equal(p_big[: p_small.size], p_small)
-
-    def test_dimension_guard(self):
-        with pytest.raises(WindowMismatchError):
-            embed(rand_matrix(Window(1, 2), 0), Window(2, 4))
-
-
 class TestSerialization:
     def test_matrix_roundtrip(self, tmp_path):
         a = rand_matrix(Window(2, 1), 30)
@@ -716,7 +701,9 @@ class TestSerialization:
 
     def test_entry_layout(self):
         win = Window(2, 1)
-        a = LocalizedMatrix.from_entries(win, {((1, -1), (0, 0)): 2 + 3j})
+        data = np.zeros((win.size, win.size), dtype=np.complex128)
+        data[win.flat((1, -1)), win.flat((0, 0))] = 2 + 3j
+        a = LocalizedMatrix(win, data)
         doc = matrix_to_dict(a)
         assert doc["entries"] == [[1, -1, 0, 0, 2.0, 3.0]]
 
@@ -748,7 +735,9 @@ class TestSerialization:
 
     def test_sequence_roundtrip(self):
         win = Window(1, 3)
-        c = LatticeSequence.from_values(win, {(-2,): 1j, (3,): 2.0})
+        data = np.zeros(win.size, dtype=np.complex128)
+        data[win.flat(-2)], data[win.flat(3)] = 1j, 2.0
+        c = LatticeSequence(win, data)
         back = sequence_from_dict(sequence_to_dict(c))
         assert np.array_equal(back.data, c.data)
 

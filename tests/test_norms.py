@@ -8,8 +8,7 @@ import pytest
 from offdiag import lattice
 from offdiag.lattice import (LocalizedMatrix, Window, add, adjoint, diagonal_suprema,
                              generate, multiply, scale, sharing, weighted_pass)
-from offdiag.norms import (beurling_norm, brandenburg_radii,
-                           dilation_fact_check, jaffard_value, norm_report,
+from offdiag.norms import (beurling_norm, brandenburg_radii, jaffard_value, norm_report,
                            product_inequality_check, schur_norm,
                            sjostrand_norm, square_growth_check)
 from offdiag.weights import WeightMatrix, default_companion, theta_fit
@@ -359,31 +358,6 @@ class TestProductInequality:
             assert rep.margin_algebra >= -1e-10
 
 
-class TestDilation:
-    def test_n1_equality(self):
-        a = rand_matrix(Window(1, 4), 2)
-        rep = dilation_fact_check(a, 1)
-        assert rep.margin == 0.0
-
-    def test_shift_n2(self):
-        # lhs counts thresholds ceil(|k|/2): 1+2+2 = 5; rhs = 2 * (2*2+1)^0 * 3
-        rep = dilation_fact_check(generate("shift", Window(1, 4)), 2)
-        assert rep.lhs == 5.0
-        assert rep.rhs == 6.0
-        assert rep.margin >= 0.0
-
-    def test_zero(self):
-        z = LocalizedMatrix(Window(1, 3), np.zeros((7, 7)))
-        rep = dilation_fact_check(z, 3)
-        assert rep.lhs == rep.rhs == 0.0
-
-    @pytest.mark.parametrize("seed,n", [(0, 2), (1, 3), (2, 5)])
-    def test_randomized_2d(self, seed, n):
-        a = rand_matrix(Window(2, 2), seed)
-        rep = dilation_fact_check(a, n)
-        assert rep.margin >= -1e-12 * rep.rhs
-
-
 class TestBrandenburg:
     def test_shift_roots(self):
         s = generate("shift", Window(1, 64))
@@ -462,3 +436,17 @@ class TestSquareGrowth:
         rep = square_growth_check(a, 2.0, u, fit)
         assert rep.margin >= 0.0
         assert rep.norm_pu >= rep.norm_l2  # the certificate is applied at t >= 1
+
+    @pytest.mark.parametrize("t_grid, a", [
+        (np.geomspace(2.0, 1e6, 11), generate("identity", Window(1, 4))),  # t = 1, below
+        (np.geomspace(1.0, 1.5, 11), rand_matrix(Window(1, 6), 0)),  # t > 1.5, above
+        (np.geomspace(1.0, 1e6, 11), LocalizedMatrix(Window(1, 2), np.zeros((5, 5)))),  # no t
+    ], ids=["below", "above", "zero-matrix"])
+    def test_t_outside_the_certified_range_refused(self, t_grid, a):
+        # (D, theta) is certified on the grid's range only: no extrapolation past it
+        u = WeightMatrix.polynomial(2.0, 1)
+        fit = theta_fit(u, default_companion(u, 2.0), 2.0, 1, t_grid=t_grid)
+        assert fit.satisfied
+        with pytest.raises(ValueError, match=r"outside the theta certificate's range \[") as exc:
+            square_growth_check(a, 2.0, u, fit)
+        assert "\n" not in str(exc.value)

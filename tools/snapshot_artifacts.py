@@ -57,6 +57,7 @@ INPUTS = {
     "ws_table_extreme.json": {"form": "table", "d": 1, "radius": 16,
                               "values": [[0, 1e300], [1, 1e-300]]},
     "sym_nan.json": '{"d": 1, "coeffs": [[0, NaN, 0], [1, 1, 0]]}',
+    "sym_d1.json": {"d": 1, "coeffs": [[0, 2.0, 0.0], [1, 1.0, 0.0]]},
     "sym_d2.json": {"d": 2, "coeffs": [[0, 0, 4.0, 0.0], [1, 0, 1.0, 0.0], [0, -1, 0.5, 0.5],
                                        [-1, 1, -0.25, 0.0]]},
     "seq_d1.json": {"d": 1, "radius": 8,
@@ -250,6 +251,16 @@ CALLS = [
     # options of the `stability` group itself would go unused by `cross`
     ("refuse_stability_options_before_cross", ["stability", "--trials", "5", "cross",
                                                "--matrix", T, "--pairs", "4:trivial"]),
+    # a symbol file whose d is not the call's
+    ("refuse_minmod_symbol_d_mismatch", ["toeplitz", "minmod", "--d", "2",
+                                         "--coeffs", "inputs/sym_d1.json"]),
+    ("refuse_toeplitz_symbol_d_mismatch", ["toeplitz", "stability", "--d", "2",
+                                           "--coeffs", "inputs/sym_d1.json", "--radii", "2,4"]),
+    # options that the --kind of `gen` does not read
+    ("refuse_gen_identity_unread_options", ["gen", "--kind", "identity", "--radius", "2",
+                                            "--bandwidth", "3", "--alpha", "2",
+                                            "--coeffs", "1@0"]),
+    ("refuse_gen_shift_seed", ["gen", "--kind", "shift", "--radius", "2", "--seed", "5"]),
     # refused as vanishing: each exits 2
     ("refuse_recip_underflow", ["toeplitz", "recip", "--coeffs", "1e-310@0"]),
     ("refuse_recip_grid_cap", ["toeplitz", "recip", "--coeffs", "1@0,-0.999@1"]),

@@ -200,22 +200,15 @@ def gen_cmd(ctx, kind, d, radius, seed, bandwidth, alpha, amplitude, offset, coe
     if unread:
         raise ValueError(f"--kind {kind} does not take {', '.join(unread)}")
     window = Window(d, radius)
-    params = {}
-    if kind == "banded_random":
-        if bandwidth is None:
-            raise ValueError("banded_random requires --bandwidth")
-        params = {"bandwidth": bandwidth, "amplitude": amplitude}
-    elif kind == "polynomial_decay_random":
-        if alpha is None:
-            raise ValueError("polynomial_decay_random requires --alpha")
-        params = {"alpha": alpha, "amplitude": amplitude}
-    elif kind == "shift" and offset is not None:
-        params = {"offset": offset}
-    elif kind == "toeplitz_from_coeffs":
-        if coeffs is None:
-            raise ValueError("toeplitz_from_coeffs requires --coeffs")
-        params = {"coeffs": _coeffs_arg(coeffs, d).coeffs}
-    if kind in ("banded_random", "polynomial_decay_random") and seed is None:
+    values = {"bandwidth": bandwidth, "alpha": alpha, "amplitude": amplitude,
+              "offset": offset, "coeffs": coeffs}
+    for name in ("bandwidth", "alpha", "coeffs"):  # the options with no default
+        if name in _GEN_OPTIONS[kind] and values[name] is None:
+            raise ValueError(f"{kind} requires --{name}")
+    params = {name: values[name] for name in _GEN_OPTIONS[kind] if values.get(name) is not None}
+    if coeffs is not None:
+        params["coeffs"] = _coeffs_arg(coeffs, d).coeffs
+    if "seed" in _GEN_OPTIONS[kind] and seed is None:
         raise ValueError("randomized generation requires --seed")
     a = generate(kind, window, seed=seed, **params)
     config = {"command": "gen", "kind": kind, "d": d, "radius": radius,

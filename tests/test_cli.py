@@ -433,6 +433,21 @@ class TestExitCodes:
         assert res.stderr == f"validation error: --kind {kind} does not take {named}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind_args, message", [
+        (["banded_random"], "banded_random requires --bandwidth"),
+        (["banded_random", "--bandwidth", "1"], "randomized generation requires --seed"),
+        (["polynomial_decay_random", "--seed", "1"], "polynomial_decay_random requires --alpha"),
+        (["polynomial_decay_random", "--alpha", "2"], "randomized generation requires --seed"),
+        (["toeplitz_from_coeffs"], "toeplitz_from_coeffs requires --coeffs"),
+    ], ids=["banded-bandwidth", "banded-seed", "polydecay-alpha", "polydecay-seed", "toeplitz"])
+    def test_gen_options_its_kind_needs_exit_code(self, runner, tmp_path, monkeypatch,
+                                                  kind_args, message):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, ["gen", "--kind", *kind_args, "--radius", "2"])
+        assert res.exit_code == 1
+        assert res.stderr == f"validation error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind_args, seed", [
         (["identity", "--d", "2"], None),
         (["shift", "--offset", "-1"], None),

@@ -20,8 +20,9 @@ Dense LU solves are oracle-only (tests), never the production path.
 The engine keeps no identity matrix: I is subtracted on the diagonal of each
 fresh product in place.  Besides a C-ordered operand, which it reads in place,
 it holds at most 4 real n x n arrays with a real operand (X, XA - I, and
-AX - I with its magnitude), and only X while the inverse is flushed and
-profiled.
+AX - I with its magnitude), and only X with the flush's |X| and mask while
+the inverse is flushed.  The inverse's decay profile takes |X| one chunk at
+a time, so besides X it holds about one chunk buffer.
 """
 
 from __future__ import annotations

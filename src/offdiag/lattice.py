@@ -14,8 +14,9 @@ and the inverse placement of a (4R+1)^d diagonal array, which assembles
 Toeplitz matrices and, through ``radial_matrix``, functions of |i - j|_inf
 from their 2R + 1 values.  ``diagonal_suprema`` walks its padded layout in
 chunks of at most ``_CHUNK_BYTES`` (1 MiB; rows, or slices of rows where a
-row is larger), so besides its output it holds one such buffer, and a decay
-profile holds |a| u and that buffer.
+row is larger) and takes |.| of each chunk as it fills the buffer, so
+besides its output it holds one such buffer and the chunk's magnitude.  A
+trivial-weight decay profile holds no more: it never makes |a| whole.
 ``Window.flat`` maps one lattice point or an (..., d) array of them to
 positions; it, the generators' offsets and symbol indices read coordinates
 through ``integer_coords``, which refuses one that is not an integer.
@@ -26,14 +27,17 @@ The producers build real arrays directly: the identity, shifts and Toeplitz
 matrices with real coefficients from ``generate``, and matrix files whose
 imaginary column is all zero.  Sequences stay complex.
 
-``weighted_pass`` is the one place where a matrix meets a weight: it returns
-the weighted magnitude |a(i, j)| u(i, j) and its diagonal suprema, from which
-the decay profile and every norm family are read.  A decay profile is a plain
-read-only float64 array h(0..2R), the ring suprema of that pass.  Inside a
-``sharing(kind, owner)`` block ``shared(kind, key, make)`` makes each key's
-value once: the "passes" kind keys weighted passes, the "sigma" kind
-``stability``'s sigma pairs, and the "constants" kind the weight constants
-A_q(w) and C_p(v, u), which depend on the weights alone.
+A matrix meets a weight in two places: ``weighted_magnitude`` makes the
+weighted magnitude |a(i, j)| u(i, j), and ``weighted_pass`` its diagonal
+suprema, read from that magnitude under a weight and from the matrix itself
+without one.  The decay profile and the diagonal and ring norms read the
+pass, and only the row/column norm at finite p reads the magnitude.  A decay
+profile is a plain read-only float64 array h(0..2R), the ring suprema of
+that pass.  Inside a ``sharing(kind, owner)`` block ``shared(kind, key,
+make)`` makes each key's value once: the "passes" kind keys weighted passes
+and magnitudes, the "sigma" kind ``stability``'s sigma pairs, and the
+"constants" kind the weight constants A_q(w) and C_p(v, u), which depend on
+the weights alone.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ __all__ = [
     "diagonal_suprema",
     "ring_suprema",
     "radial_matrix",
+    "weighted_magnitude",
     "weighted_pass",
     "sharing",
     "shared",
@@ -248,15 +253,16 @@ class LatticeSequence:
 _CHUNK_BYTES = 1 << 20  # bound on diagonal_suprema's padded buffer
 
 
-def diagonal_suprema(mag: np.ndarray, window: Window) -> np.ndarray:
-    """sup_{i-j=k} mag(i, j) for every k in [-2R, 2R]^d, shape (4R+1,)^d.
+def diagonal_suprema(x: np.ndarray, window: Window) -> np.ndarray:
+    """sup_{i-j=k} |x(i, j)| for every k in [-2R, 2R]^d, shape (4R+1,)^d, float64.
 
     One axis at a time: the rows of the (i_a, j_a) block, reversed in j_a,
     are laid into a zero-padded buffer of row length 2 side and read back
     with row length 2 side - 1.  That shifts row i_a by i_a, putting j_a in
     column i_a - j_a + 2R, so a max over i_a leaves the diagonal index k_a,
-    which moves to the last axis.  Entries are assumed nonnegative; max is
-    exact under any grouping.
+    which moves to the last axis.  The first axis takes |.| of each chunk
+    of x, real or complex, as it fills the buffer; the later axes read
+    magnitudes already.  max is exact under any grouping.
 
     The rows go through the buffer in chunks of at most ``_CHUNK_BYTES``
     (one row at least): a chunk starting at row i0 is shifted by i0 less,
@@ -264,42 +270,46 @@ def diagonal_suprema(mag: np.ndarray, window: Window) -> np.ndarray:
     whose rows fit one chunk runs as one buffer.  Where one row outgrows a
     chunk (d >= 2, large R), the first trailing axis, which the max treats
     independently, is cut into slices one entry wide, each chunked by rows;
-    a chunk then holds one row of a slice at least.  Scratch: one chunk
-    buffer at a time and the per-axis results, about 2/side of ``mag`` each.
+    a chunk then holds one row of a slice at least.  Scratch: one float64
+    chunk buffer at a time, the chunk's |.| (half the buffer) on the first
+    axis, and the per-axis results, about 2/side of x's entries each.
     """
     s, d = window.side, window.d
     # axes i_1, j_1, i_2, j_2, ...
-    x = mag.reshape((s,) * (2 * d)).transpose([k for a in range(d) for k in (a, a + d)])
-    for _ in range(d):
+    x = x.reshape((s,) * (2 * d)).transpose([k for a in range(d) for k in (a, a + d)])
+    for axis in range(d):
         rest = x.shape[2:]
-        row = 2 * s * x.itemsize * math.prod(rest)  # one row of the padded buffer
+        row = 2 * s * 8 * math.prod(rest)  # one float64 row of the padded buffer
         if row <= _CHUNK_BYTES or not rest:
-            out = _row_chunks_max(x, s, _CHUNK_BYTES // row or 1)
+            out = _row_chunks_max(x, s, _CHUNK_BYTES // row or 1, axis == 0)
         else:  # slices one entry wide along the first trailing axis, each in row chunks
             unit = row // rest[0]  # one row of a slice one entry wide
-            out = np.empty((2 * s - 1,) + rest, dtype=x.dtype)
+            out = np.empty((2 * s - 1,) + rest)
             for c in range(rest[0]):
-                out[:, c] = _row_chunks_max(x[:, :, c], s, _CHUNK_BYTES // unit or 1)
+                out[:, c] = _row_chunks_max(x[:, :, c], s, _CHUNK_BYTES // unit or 1, axis == 0)
         x = out.transpose(list(range(1, out.ndim)) + [0])
     return np.ascontiguousarray(x)
 
 
-def _row_chunks_max(x: np.ndarray, s: int, rows: int) -> np.ndarray:
-    """max over rows i of x, shape (s, s) + rest, of row i reversed and
-    shifted right by i, ``rows`` rows a buffer."""
-    out = _skewed_max(x[:rows], s)
+def _row_chunks_max(x: np.ndarray, s: int, rows: int, absolute: bool) -> np.ndarray:
+    """max over rows i of x, shape (s, s) + rest, of row i (|row i| when
+    ``absolute``) reversed and shifted right by i, ``rows`` rows a buffer."""
+    out = _skewed_max(x[:rows], s, absolute)
     for i0 in range(rows, s, rows):  # past 2 side - 1 - i0, top holds padding only
-        top = _skewed_max(x[i0 : i0 + rows], s)
+        top = _skewed_max(x[i0 : i0 + rows], s, absolute)
         np.maximum(out[i0:], top[: 2 * s - 1 - i0], out=out[i0:])
     return out
 
 
-def _skewed_max(x: np.ndarray, s: int) -> np.ndarray:
-    """max over rows i of x, shape (m, s) + rest, of row i reversed and
-    shifted right by i; the padded buffer is freed on return."""
+def _skewed_max(x: np.ndarray, s: int, absolute: bool) -> np.ndarray:
+    """max over rows i of x, shape (m, s) + rest, of row i (|row i| when
+    ``absolute``) reversed and shifted right by i; the padded buffer is
+    freed on return."""
     m, rest = x.shape[0], x.shape[2:]
-    buf = np.zeros((m, 2 * s) + rest, dtype=x.dtype)
-    buf[:, :s] = x[:, ::-1]
+    buf = np.zeros((m, 2 * s) + rest)
+    # |.| in the chunk's own layout, then the reversed copy: |.| of the reversed
+    # view, written straight into the buffer, runs slower
+    buf[:, :s] = (np.abs(x) if absolute else x)[:, ::-1]
     skew = buf.reshape((2 * s * m,) + rest)[: m * (2 * s - 1)]
     return skew.reshape((m, 2 * s - 1) + rest).max(axis=0)
 
@@ -373,42 +383,58 @@ def shared(kind: str, key, make):
     return scope[1][key]
 
 
-def weighted_pass(a: LocalizedMatrix, weight=None) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only pair (|a(i,j)| u(i,j), its ``diagonal_suprema``), shared
-    by (matrix object, weight object) in a ``sharing("passes")`` block.
+def weighted_magnitude(a: LocalizedMatrix, weight=None) -> np.ndarray:
+    """The read-only weighted magnitude |a(i,j)| u(i,j), one real n x n array,
+    shared by (matrix object, weight object) in a ``sharing("passes")`` block.
 
     ``weight`` is any object with a ``descriptor`` and a ``grid(window)``
     method returning the pointwise weight u(i, j) over the window; None means
-    the trivial weight.  For a radial weight u(i, j) = psi(|i - j|_inf), such
-    as every ``WeightMatrix``, the suprema equal ``diagonal_suprema(|a|)``
-    times psi(|k|_inf) bit for bit, since rounding x -> x psi is monotone.
-    A finite |a| whose weighted magnitude overflows raises ValueError; a
-    matrix that is not finite itself passes as it is.
+    the trivial weight.  A finite |a| whose weighted magnitude overflows
+    raises ValueError; a matrix that is not finite itself passes as it is.
+    """
+    return shared("passes", ("magnitude", a, weight), lambda: _weighted_magnitude(a, weight))
+
+
+def _weighted_magnitude(a: LocalizedMatrix, weight) -> np.ndarray:
+    mag = np.abs(a.data)
+    if weight is not None:
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            mag *= weight.grid(a.window)
+        # mag >= 0 is finite exactly where its max is; a matrix that is not finite
+        # itself passes, so only the weight can have overflowed
+        if not math.isfinite(mag.max(initial=0.0)) and np.isfinite(np.abs(a.data)).all():
+            raise ValueError(f"the weighted magnitude |a| u overflows under the "
+                             f"{weight.descriptor} weight")
+    mag.setflags(write=False)
+    return mag
+
+
+def weighted_pass(a: LocalizedMatrix, weight=None) -> np.ndarray:
+    """The read-only ``diagonal_suprema`` of |a(i,j)| u(i,j), shared by
+    (matrix object, weight object) in a ``sharing("passes")`` block.
+
+    Without a weight they are read from a's data, whose |.| the kernel takes
+    one chunk at a time, so no n x n magnitude is made; under one, from
+    ``weighted_magnitude(a, weight)``, which refuses an overflow.  For a
+    radial weight u(i, j) = psi(|i - j|_inf), such as every ``WeightMatrix``,
+    the suprema equal the unweighted ones times psi(|k|_inf) bit for bit,
+    since rounding x -> x psi is monotone.
     """
     return shared("passes", (a, weight), lambda: _weighted_pass(a, weight))
 
 
-def _weighted_pass(a: LocalizedMatrix, weight) -> tuple[np.ndarray, np.ndarray]:
-    w = a.window
-    mag = np.abs(a.data)
-    if weight is not None:
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            mag *= weight.grid(w)
-    diag = diagonal_suprema(mag, w)
-    if weight is not None and not np.isfinite(diag).all():
-        if np.isfinite(np.abs(a.data)).all():  # the weight, not the matrix, overflowed
-            raise ValueError(f"the weighted magnitude |a| u overflows under the "
-                             f"{weight.descriptor} weight")
-    mag.setflags(write=False)
+def _weighted_pass(a: LocalizedMatrix, weight) -> np.ndarray:
+    mag = a.data if weight is None else weighted_magnitude(a, weight)
+    diag = diagonal_suprema(mag, a.window)
     diag.setflags(write=False)
-    return mag, diag
+    return diag
 
 
 def decay_profile(a: LocalizedMatrix, weight=None) -> np.ndarray:
     """Ring suprema h(m) = sup{|a(i,j)| u(i,j) : |i-j|_inf >= m}, m = 0..2R,
     read from the ``weighted_pass`` of (a, weight): a read-only float64
     array, nonnegative and nonincreasing by construction."""
-    h = ring_suprema(weighted_pass(a, weight)[1])
+    h = ring_suprema(weighted_pass(a, weight))
     h.setflags(write=False)
     return h
 

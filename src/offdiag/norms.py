@@ -12,15 +12,16 @@ They collapse to a single entrywise supremum at p = infinity.  On finitely
 supported matrices every inequality below is exact, so the product checks
 assert true margins, not asymptotics.
 
-Every family reads the matrix through ``lattice.weighted_pass``: the weighted
-magnitude for the row/column norm and the sup, its diagonal suprema for the
-diagonal and ring norms.  ``norm_report`` opens a
-``lattice.sharing("passes")`` block, so its four norms weight the matrix
-once.  A weighted magnitude that overflows is refused with
-ValueError, and so is a finite one whose p-th power sum overflows; the
-power sums are formed as they always were, so every finite norm keeps its
-bits.  ``brandenburg_radii`` refuses an overflowing root itself, with
-ArithmeticError.
+The ring and diagonal norms read the diagonal suprema of
+``lattice.weighted_pass``, and the sup and the row/column norm at
+p = infinity their max, which is exact.  Only the row/column norm at finite
+p reads the whole weighted magnitude, ``lattice.weighted_magnitude``.
+``norm_report`` opens a ``lattice.sharing("passes")`` block, so its four
+norms weight the matrix once.  A weighted magnitude that overflows is
+refused with ValueError, and so is a finite one whose p-th power sum
+overflows; the power sums are formed as they always were, so every finite
+norm keeps its bits.  ``brandenburg_radii`` refuses an overflowing root
+itself, with ArithmeticError.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (LocalizedMatrix, decay_profile, matvec, multiply, ring_lp, shared,
-                      sharing, weighted_pass)
+                      sharing, weighted_magnitude, weighted_pass)
 from .spectral import operator_norm_l2
 from .weights import ThetaFit, cross_norm
 
@@ -82,7 +83,7 @@ def beurling_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
 def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """l^p over k in Z^d of the diagonal suprema sup_{i-j=k} |a(i,j)| u(i,j)."""
     _check_exponent(p)
-    diag = weighted_pass(a, weight)[1].ravel()
+    diag = weighted_pass(a, weight).ravel()
     if math.isinf(p):
         return float(diag.max(initial=0.0))
     with np.errstate(over="ignore"):  # an overflow is refused below
@@ -93,9 +94,9 @@ def sjostrand_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
 def schur_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
     """max over rows/columns of the weighted l^p of a single row / column."""
     _check_exponent(p)
-    mag = weighted_pass(a, weight)[0]
-    if math.isinf(p):
-        return float(mag.max(initial=0.0))
+    if math.isinf(p):  # the sup, the largest diagonal supremum
+        return float(weighted_pass(a, weight).max(initial=0.0))
+    mag = weighted_magnitude(a, weight)
     with np.errstate(over="ignore"):  # an overflow is refused below
         powers = mag**p
         rows = np.sum(powers, axis=1) ** (1.0 / p)
@@ -105,8 +106,9 @@ def schur_norm(a: LocalizedMatrix, p: float, weight=None) -> float:
 
 
 def jaffard_value(a: LocalizedMatrix, weight=None) -> float:
-    """The common p = infinity collapse: sup |a(i,j)| u(i,j)."""
-    return float(weighted_pass(a, weight)[0].max(initial=0.0))
+    """The common p = infinity collapse: sup |a(i,j)| u(i,j), the largest
+    diagonal supremum."""
+    return float(weighted_pass(a, weight).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,12 @@ A sigma pair copies only the interior columns of its window's matrix and
 conjugates that copy in place; at weight 1 with the interior columns in one
 run (every d = 1 window, band 0 at any d) it hands LAPACK a view, as scaling by
 1 is exact.  A q = 2 bracket holds the operand and LAPACK's copy (and the
-interior copy otherwise), besides the decay profile's |a|; each is one real
-n x n array (or less) for a real operand and two for a complex one.  A
-window on the Sturm path reads its two diagonals from the operand and holds
-O(n) besides, so there the decay profile's |a| sets the peak.  Complex
-probes meet a real operand through ``lattice.matvec``, in real arithmetic.
+interior copy otherwise); each is one real n x n array (or less) for a real
+operand and two for a complex one.  The decay profile takes |a| one chunk
+at a time and holds no n x n array.  A window on the Sturm path reads its
+two diagonals from the operand and holds O(n) besides, so there the
+profile's chunk buffer sets the peak.  Complex probes meet a real operand
+through ``lattice.matvec``, in real arithmetic.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def stability_bracket(a: LocalizedMatrix, q: float, w: WeightSequence,
     win = a.window
     with sharing("passes"):  # one pass gives the profile and the diagonal pattern
         h = decay_profile(a)
-        offset = _two_diagonals(weighted_pass(a)[1])
+        offset = _two_diagonals(weighted_pass(a))
     if band is None:
         band = min(2 * _bandwidth(h), max(win.radius - 1, 0))
     if band < 0:

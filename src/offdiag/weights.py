@@ -350,9 +350,6 @@ class ThetaFit:
     diverged: bool
     b_tail_bound: float
 
-    def certificate_holds(self) -> bool:
-        return bool(np.all(self.margins >= 0.0))
-
 
 def theta_fit(u: WeightMatrix, v: WeightMatrix, p: float, d: int,
               n_max: int = 2048, t_grid=None) -> ThetaFit:

@@ -15,8 +15,10 @@ from offdiag.lattice import (LatticeSequence, LocalizedMatrix,
                              decay_profile, diagonal_suprema, generate,
                              load_matrix, matrix_from_dict, matrix_to_dict, matvec, multiply,
                              radial_matrix, read_rows, restrict,
-                             ring_counts, save_matrix, scale, sequence_from_dict,
-                             sequence_to_dict, shared, sharing, weighted_pass)
+                             ring_counts, ring_suprema, save_matrix, scale,
+                             sequence_from_dict, sequence_to_dict, shared, sharing,
+                             weighted_pass)
+from offdiag.weights import WeightMatrix
 
 
 def apply(a, c):
@@ -303,17 +305,49 @@ class TestDiagonalSuprema:
         outputs = 8 * (2 * s - 1) * s**2 + 2 * 8 * (2 * s - 1) ** 2
         assert peak <= outputs + 3 * lattice._CHUNK_BYTES + (1 << 14)
 
-    def test_decay_profile_holds_one_magnitude(self):
-        # |a| plus the chunk buffer and the outputs; three n x n arrays before
-        win = Window(1, 256)
-        a = generate("toeplitz_from_coeffs", win, coeffs={0: 2.0, 1: 1.0, -3: 0.5j})
+    # 1 byte takes the sliced path at every d >= 2 window, 16 KiB at d = 2 R = 7 and d = 3 R = 2
+    @pytest.mark.parametrize("chunk", [1, 1 << 14, lattice._CHUNK_BYTES],
+                             ids=["one-row", "middle", "default"])
+    @pytest.mark.parametrize("d,r", [(1, 1), (1, 7), (1, 40), (2, 1), (2, 3), (2, 7),
+                                     (3, 1), (3, 2)])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_streamed_magnitude_matches_the_whole_one_bit_for_bit(self, monkeypatch, chunk,
+                                                                  d, r, real):
+        # without a weight the kernel takes |a| chunk by chunk; the trivial
+        # WeightMatrix and the oracle take it whole
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", chunk)
+        win = Window(d, r)
+        data = rand_matrix(win, 10 * d + r).data
+        data = data.real.copy() if real else data.copy()
+        data[-1, -2], data[0, 2] = np.nan, np.inf  # at |k|_inf = 1 and 2
+        a = LocalizedMatrix(win, data)
+        assert a.data.dtype == (np.float64 if real else np.complex128)
+        want = reference_diagonal_suprema(np.abs(a.data), win)
+        assert weighted_pass(a).tobytes() == want.tobytes()
+        assert weighted_pass(a, WeightMatrix.trivial(d)).tobytes() == want.tobytes()
+        got = decay_profile(a)
+        assert got.tobytes() == decay_profile(a, WeightMatrix.trivial(d)).tobytes()
+        assert got.tobytes() == ring_suprema(want).tobytes()
+        assert np.isnan(got[:2]).all() and np.isinf(got[2])
+
+    @pytest.mark.parametrize("d,r", [(1, 256), (1, 512), (2, 12)])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_decay_profile_holds_no_magnitude(self, d, r, real):
+        # one chunk buffer, the chunk's |.| (half a buffer) and the per-axis
+        # outputs; |a| and its buffer before, 3.03 MiB at d = 1 R = 256
+        win = Window(d, r)
+        zero, one = (0,) * d, (1,) + (0,) * (d - 1)
+        coeffs = {zero: 2.0, one: 1.0, (-3,) + zero[1:]: 0.5 if real else 0.5j}
+        a = generate("toeplitz_from_coeffs", win, coeffs=coeffs)
+        assert a.data.dtype == (np.float64 if real else np.complex128)
         tracemalloc.start()
         try:
             decay_profile(a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * win.size**2 + lattice._CHUNK_BYTES + (1 << 16)
+        outputs = 8 * (2 * win.side - 1) * win.side ** (2 * d - 2)  # the first axis's
+        assert peak <= 3 * lattice._CHUNK_BYTES // 2 + 2 * outputs + (1 << 16)
 
 
 class TestAlgebra:

@@ -7,7 +7,8 @@ import pytest
 
 from offdiag import lattice
 from offdiag.lattice import (LocalizedMatrix, Window, add, adjoint, diagonal_suprema,
-                             generate, multiply, scale, sharing, weighted_pass)
+                             generate, multiply, scale, sharing, weighted_magnitude,
+                             weighted_pass)
 from offdiag.norms import (beurling_norm, brandenburg_radii, jaffard_value, norm_report,
                            product_inequality_check, schur_norm,
                            sjostrand_norm, square_growth_check)
@@ -232,11 +233,13 @@ class TestWeightedPass:
             psi_k = u.radial.value(np.arange(win.side))[functools.reduce(np.maximum.outer,
                                                                           [k] * d)]
             want = diagonal_suprema(np.abs(a.data), win) * psi_k
-            assert weighted_pass(a, u)[1].tobytes() == want.tobytes()
+            assert weighted_pass(a, u).tobytes() == want.tobytes()
 
-    def test_pass_is_read_only(self):
+    @pytest.mark.parametrize("u", [None, WeightMatrix.polynomial(1.0, 1)],
+                             ids=["trivial", "polynomial"])
+    def test_pass_is_read_only(self, u):
         a = rand_matrix(Window(1, 3), 1)
-        for arr in weighted_pass(a, WeightMatrix.polynomial(1.0, 1)):
+        for arr in (weighted_pass(a, u), weighted_magnitude(a, u)):
             assert not arr.flags.writeable
 
     def test_one_grid_per_report(self, grid_calls):
@@ -278,9 +281,10 @@ class TestWeightedPass:
         with sharing("passes"):
             first, second = weighted_pass(a, u), weighted_pass(twin, u)
             assert first is not second
-            assert np.array_equal(first[0], second[0])
-            assert not np.array_equal(weighted_pass(a, t0)[0], weighted_pass(a, t1)[0])
-            assert not np.array_equal(weighted_pass(a, u)[0], weighted_pass(a)[0])
+            assert weighted_magnitude(a, u) is not weighted_magnitude(twin, u)
+            assert np.array_equal(weighted_magnitude(a, u), weighted_magnitude(twin, u))
+            assert not np.array_equal(weighted_magnitude(a, t0), weighted_magnitude(a, t1))
+            assert not np.array_equal(weighted_magnitude(a, u), weighted_magnitude(a))
         assert len(grid_calls) == 4
 
     @pytest.mark.parametrize("kind", ["constant", "table"])

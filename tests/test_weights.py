@@ -243,7 +243,6 @@ class TestThetaFit:
         fit = theta_fit(u, v, 2.0, 1, t_grid=np.geomspace(1, 1e6, 61))
         assert fit.satisfied and not fit.diverged
         assert abs(fit.theta - 0.4) < 0.1
-        assert fit.certificate_holds()
         # certificate at t = 1: min_N(A_N + B_N) <= D
         assert fit.min_values[0] <= fit.D
 
@@ -258,7 +257,6 @@ class TestThetaFit:
         want, got = theta_fit(u, v, 2.0, 1, t_grid=t), theta_fit(u, v, 2.0, 1, t_grid=t[perm])
         assert (got.theta, got.D, got.satisfied) == (want.theta, want.D, want.satisfied)
         assert np.array_equal(got.min_values, want.min_values[perm])
-        assert got.certificate_holds()
 
     @pytest.mark.parametrize("t_grid", [[1.0, 1e6, 1e6], [1.0, 2.0, 1e6, 1e6]])
     def test_repeated_points_do_not_change_the_fit(self, t_grid):
@@ -352,7 +350,6 @@ class TestThetaFit:
         v = default_companion(u, 2.0)
         fit = theta_fit(u, v, 2.0, 1, n_max=512, t_grid=np.geomspace(1, 1e5, 41))
         assert fit.satisfied
-        assert fit.certificate_holds()
 
     @given(st.sampled_from(sorted(_THETA_PAIRS)), st.sampled_from([61, 11]), st.data())
     @settings(max_examples=200, deadline=None)
